@@ -8,7 +8,7 @@ game.  Sub-modules:
 - ``game``:       arena-indexed game trees, JSON parsing/serialization.
 - ``analysis``:   connectivity components, belief splitting, recall metrics.
 - ``transforms``: action binarization and infoset inflation.
-- ``zoo``:        built-in benchmark instances and random generators.
+- ``zoo``:        parametric game families and their named presets.
 - ``belief``:     the explicit belief-game tree construction.
 - ``dag``:        DAG decision problems, flows, regret dynamics.
 - ``build``:      the team-belief-DAG constructor and its reductions.
@@ -35,6 +35,7 @@ from .analysis import (
     GameAnalysis,
     analyze,
     coordinator_view,
+    imperfect_recall_at,
     split_observation,
     split_public,
 )
@@ -117,6 +118,7 @@ __all__ = [
     "expand_to_tree",
     "gap",
     "generate",
+    "imperfect_recall_at",
     "inflate",
     "list_presets",
     "make_belief_game",

@@ -32,15 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .game import (
-    CHANCE,
-    MAX,
-    MIN,
-    PLAYER,
-    TERMINAL,
-    ExtensiveFormGame,
-    GameValidationError,
-)
+from .game import TERMINAL, ExtensiveFormGame, GameValidationError
 
 SeqPair = tuple[int, int]  # (infoset id, action index)
 
@@ -95,6 +87,22 @@ def coordinator_view(g: ExtensiveFormGame, side: str) -> CoordinatorView:
     )
 
 
+def imperfect_recall_at(
+    g: ExtensiveFormGame, view: CoordinatorView
+) -> int | None:
+    """First infoset of the view's side whose members carry different
+    coordinator sequences, or None when the side has perfect recall.
+
+    A timeable game puts each infoset at one depth, so an infoset occurs
+    at most once on any path: equal sequences are exactly equal
+    infoset -> action choices above the members.
+    """
+    for i in view.infosets:
+        if len({view.seq_of[h] for h in g.infosets[i].members}) > 1:
+            return i
+    return None
+
+
 @dataclass(frozen=True)
 class GameAnalysis:
     """Indistinguishability structure of one side over a fixed game."""
@@ -114,50 +122,39 @@ class GameAnalysis:
     action_recall: bool
 
 
-def _side_pairs_above(
-    g: ExtensiveFormGame, side: str, h: int
-) -> dict[int, int]:
-    """Map infoset -> action taken, over side nodes strictly above h."""
-    out: dict[int, int] = {}
-    node = h
-    while g.parent[node] >= 0:
-        p = g.parent[node]
-        if g.node_side(p) == side:
-            out[g.infoset[p]] = g.parent_action[node]
-        node = p
-    return out
-
-
-def _compute_remembers(
+def _recall(
     g: ExtensiveFormGame, side: str
-) -> list[frozenset[int]]:
-    """remembers[J] = side infosets provably traversed-with-known-action
-    from every member of J."""
+) -> tuple[list[frozenset[int]], bool, bool]:
+    """remembers, perfect recall and action recall of one side, read
+    from the interned coordinator sequences of each infoset's members.
+
+    remembers[J] holds the side infosets every member of J passed with
+    one known action.  A sequence fixes the side's own-action label
+    trace, since an infoset sits at one depth and shares its labels.
+    """
     remembers: list[frozenset[int]] = [frozenset()] * len(g.infosets)
-    for j in g.side_infosets(side):
-        members = g.infosets[j].members
-        common = _side_pairs_above(g, side, members[0])
-        for h in members[1:]:
-            if not common:
-                break
-            pairs = _side_pairs_above(g, side, h)
-            common = {
-                i: a for i, a in common.items() if pairs.get(i) == a
+    if not g.side_players(side):
+        return remembers, True, True
+    view = coordinator_view(g, side)
+    action_recall = True
+    for j in view.infosets:
+        seqs = [
+            view.sequences[s]
+            for s in {view.seq_of[h] for h in g.infosets[j].members}
+        ]
+        common = set(seqs[0]).intersection(*seqs[1:])
+        remembers[j] = frozenset(i for i, _ in common)
+        if len(seqs) > 1 and action_recall:
+            traces = {
+                tuple(
+                    (g.depth[g.infosets[i].members[0]],
+                     g.infosets[i].actions[a])
+                    for i, a in seq
+                )
+                for seq in seqs
             }
-        remembers[j] = frozenset(common)
-    return remembers
-
-
-def _action_trace(g: ExtensiveFormGame, side: str, h: int) -> tuple:
-    """Per-depth own-action labels on the path to h (None off-side)."""
-    out: list[str | None] = [None] * g.depth[h]
-    node = h
-    while g.parent[node] >= 0:
-        p = g.parent[node]
-        if g.node_side(p) == side:
-            out[g.depth[p]] = g.labels[p][g.parent_action[node]]
-        node = p
-    return tuple(out)
+            action_recall = len(traces) == 1
+    return remembers, imperfect_recall_at(g, view) is None, action_recall
 
 
 class _UnionFind:
@@ -252,7 +249,7 @@ def analyze(g: ExtensiveFormGame, side: str) -> GameAnalysis:
             next_uid += 1
         unconditional_id[h] = unconditional_id[root]
 
-    remembers = _compute_remembers(g, side)
+    remembers, perfect_recall, action_recall = _recall(g, side)
 
     last_infosets = _last_infosets_walk(g, side, remembers)
 
@@ -273,18 +270,6 @@ def analyze(g: ExtensiveFormGame, side: str) -> GameAnalysis:
         per_state_count[c] = per_state_count.get(c, 0) + 1
     kappa = max(per_state_count.values(), default=0)
 
-    perfect_recall = all(
-        _agree_on_pairs(g, side, g.infosets[i].members)
-        for i in g.side_infosets(side)
-    )
-    action_recall = all(
-        len(
-            {_action_trace(g, side, h) for h in g.infosets[i].members}
-        )
-        == 1
-        for i in g.side_infosets(side)
-    )
-
     return GameAnalysis(
         game=g,
         side=side,
@@ -299,15 +284,6 @@ def analyze(g: ExtensiveFormGame, side: str) -> GameAnalysis:
         kappa=kappa,
         perfect_recall=perfect_recall,
         action_recall=action_recall,
-    )
-
-
-def _agree_on_pairs(
-    g: ExtensiveFormGame, side: str, members: Sequence[int]
-) -> bool:
-    ref = _side_pairs_above(g, side, members[0])
-    return all(
-        _side_pairs_above(g, side, h) == ref for h in members[1:]
     )
 
 

@@ -24,7 +24,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .analysis import GameAnalysis, analyze, split_observation
+from .analysis import (
+    GameAnalysis,
+    analyze,
+    coordinator_view,
+    imperfect_recall_at,
+    split_observation,
+)
 from .game import (
     BudgetExceededError,
     CHANCE,
@@ -334,7 +340,8 @@ def make_belief_game(
 
     game = build_game(players, teams, 0, b.records)
     for side in (MAX, MIN):
-        if not analyze(game, side).perfect_recall:
+        view = coordinator_view(game, side)
+        if imperfect_recall_at(game, view) is not None:
             raise GameValidationError(
                 f"belief game lost perfect recall on side {side!r}"
             )

@@ -414,7 +414,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         max_iters=args.max_iters,
         log_every=args.log_every,
         mode=args.mode,
-        seed=args.seed,
     )
     t0 = time.perf_counter()
     rep = solve(g, config)
@@ -684,7 +683,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=100_000)
     p.add_argument("--log-every", type=int, default=50)
     p.add_argument("--mode", choices=("simultaneous", "alternating"), default="simultaneous")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--log", default=None, help="write the iteration log CSV here")
     p.add_argument("--save-avg", default=None, help="write averaged strategies JSON here")
     p.add_argument("--behavior", action="store_true", help="include behavioral strategies in --save-avg")
@@ -719,6 +717,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RuntimeError as exc:  # after BudgetExceededError, which exits 2
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -590,17 +590,14 @@ def sequence_form(game, side: str) -> DagDecisionProblem:
     history they complete.  Raises if the side's coordinator would need
     to distinguish members of one information set (imperfect recall).
     """
-    from .analysis import coordinator_view
+    from .analysis import coordinator_view, imperfect_recall_at
 
     view = coordinator_view(game, side)
-    iset_seq: dict[int, int] = {}
-    for i in view.infosets:
-        seqs = {view.seq_of[h] for h in game.infosets[i].members}
-        if len(seqs) != 1:
-            raise GameValidationError(
-                f"side {side!r} lacks perfect recall at infoset {i}"
-            )
-        iset_seq[i] = seqs.pop()
+    i = imperfect_recall_at(game, view)
+    if i is not None:
+        raise GameValidationError(
+            f"side {side!r} lacks perfect recall at infoset {i}"
+        )
 
     b = ProblemBuilder(side, game.num_nodes)
     obs_of_seq: dict[int, int] = {}
@@ -616,8 +613,9 @@ def sequence_form(game, side: str) -> DagDecisionProblem:
     dec_of_iset = {i: b.add_dec(meta=i) for i in view.infosets}
     seq_index = {seq: s for s, seq in enumerate(view.sequences)}
     for i in view.infosets:
-        b.add_obs_child(obs_for(iset_seq[i]), dec_of_iset[i])
-        base = view.sequences[iset_seq[i]]
+        sid = view.seq_of[game.infosets[i].members[0]]
+        b.add_obs_child(obs_for(sid), dec_of_iset[i])
+        base = view.sequences[sid]
         for a in range(game.infosets[i].num_actions):
             s = seq_index[base + ((i, a),)]
             b.add_action(dec_of_iset[i], obs_for(s))

@@ -24,10 +24,11 @@ their negation.  Infosets are implicit: player nodes sharing an
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum
-from typing import Any, Iterable, Mapping, Sequence
+from math import fsum, inf, isfinite
+from typing import Any
 
 MAX = "max"
 MIN = "min"
@@ -228,17 +229,28 @@ class ExtensiveFormGame:
 # -- parsing -------------------------------------------------------------
 
 
+def _finite(value: int | float | Fraction, message: str) -> float:
+    """``value`` as a float, rejecting NaN, infinity and overflow."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = inf
+    _require(isfinite(x), message)
+    return x
+
+
 def _parse_prob(value: Any, where: str) -> float:
+    number = value
     if isinstance(value, str):
         try:
-            return float(Fraction(value))
+            number = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise GameValidationError(
                 f"{where}: bad probability {value!r}"
             ) from exc
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise GameValidationError(f"{where}: bad probability {value!r}")
+    elif not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise GameValidationError(f"{where}: bad probability {value!r}")
+    return _finite(number, f"{where}: non-finite probability {value!r}")
 
 
 def _require(cond: bool, message: str) -> None:
@@ -350,7 +362,9 @@ def build_game(
                 isinstance(u, (int, float)) and not isinstance(u, bool),
                 f"node {old}: terminal needs a numeric utility",
             )
-            utility[h] = float(u)
+            utility[h] = _finite(
+                u, f"node {old}: terminal utility {u!r} is not finite"
+            )
             continue
 
         _require(

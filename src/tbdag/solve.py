@@ -55,15 +55,13 @@ _SIGN = {MAX: 1.0, MIN: -1.0}
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solver settings; the loop itself is deterministic for fixed
-    settings — the seed only feeds downstream sampling helpers."""
+    """Solver settings; the loop is deterministic for fixed settings."""
 
     algorithm: str = "pcfr+"
     eps: float = 1e-3
     max_iters: int = 100_000
     log_every: int = 50
     mode: str = "simultaneous"
-    seed: int = 0
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import ceil, log2
 from typing import Any
 
-from .analysis import _side_pairs_above, analyze
+from .analysis import analyze, coordinator_view
 from .game import (
     CHANCE,
     MAX,
@@ -154,9 +154,11 @@ def inflate(g: ExtensiveFormGame, side: str) -> ExtensiveFormGame:
     splitting can only remove shared-infoset constraints above.
     """
     group_of: dict[int, tuple] = {}
+    if g.side_infosets(side):
+        view = coordinator_view(g, side)
     for i in g.side_infosets(side):
         members = g.infosets[i].members
-        maps = [_side_pairs_above(g, side, h) for h in members]
+        maps = [dict(view.sequences[view.seq_of[h]]) for h in members]
         # Union-find over member indices by pairwise compatibility.
         parent = list(range(len(members)))
 

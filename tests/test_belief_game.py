@@ -16,7 +16,9 @@ from tbdag import (
     GameValidationError,
     analyze,
     belief_game_to_doc,
+    coordinator_view,
     generate,
+    imperfect_recall_at,
     list_presets,
     make_belief_game,
     map_pure_strategy,
@@ -156,6 +158,15 @@ class TestConstruction:
             bg = make_belief_game(game(name))
             for side in (MAX, MIN):
                 assert analyze(bg.game, side).perfect_recall
+                view = coordinator_view(bg.game, side)
+                assert imperfect_recall_at(bg.game, view) is None
+
+    def test_proxy_without_perfect_recall_rejected(self, monkeypatch):
+        monkeypatch.setattr(
+            "tbdag.belief.imperfect_recall_at", lambda game, view: 0
+        )
+        with pytest.raises(GameValidationError, match="lost perfect recall"):
+            make_belief_game(game("fig2"))
 
 
 class TestCompaction:

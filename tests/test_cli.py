@@ -233,3 +233,22 @@ class TestPlumbing:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["info", str(bad)]) == 1
+
+    def test_nan_utility_exits_1_without_traceback(self, tmp_path, capsys):
+        doc = serialize_game(generate(list_presets()["fig2"]))
+        z = next(n for n in doc["nodes"] if n["kind"] == "terminal")
+        z["utility"] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))  # written and read back as NaN
+        assert main(["solve", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "not finite" in err
+        assert "Traceback" not in err
+
+    def test_solver_runtime_error_exits_1(self, monkeypatch, capsys):
+        def fail(*args):
+            raise RuntimeError("non-finite value at iteration 1")
+
+        monkeypatch.setattr("tbdag.cli.solve", fail)
+        assert main(["solve", "fig2"]) == 1
+        assert "non-finite value" in capsys.readouterr().err

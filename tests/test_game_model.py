@@ -155,6 +155,20 @@ class TestValidation:
         with pytest.raises(GameValidationError, match="sum"):
             parse_game(doc)
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf, 10**400])
+    def test_non_finite_utility_rejected(self, u):
+        doc = tiny_doc()
+        doc["nodes"][2]["utility"] = u
+        with pytest.raises(GameValidationError, match="not finite"):
+            parse_game(doc)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, "1e400"])
+    def test_non_finite_probability_rejected(self, p):
+        doc = tiny_doc()
+        doc["nodes"][0]["actions"][0]["prob"] = p
+        with pytest.raises(GameValidationError, match="non-finite"):
+            parse_game(doc)
+
     def test_zero_action_node_rejected(self):
         doc = tiny_doc()
         doc["nodes"][1]["actions"] = []

@@ -9,14 +9,32 @@ from tbdag import (
     analyze,
     coordinator_view,
     generate,
+    imperfect_recall_at,
     list_presets,
+    parse_game,
+    sequence_form,
     split_observation,
     split_public,
 )
+from test_acceptance import SMALL_ZOO
 
 
 def game(name):
     return generate(list_presets()[name])
+
+
+def walk_to_root(g, side, h):
+    """Reference walk: the side's infoset -> action map above h, and its
+    own-action label at each depth (None where the side does not act)."""
+    pairs, labels = {}, []
+    while g.parent[h] >= 0:
+        p, a = g.parent[h], g.parent_action[h]
+        own = g.node_side(p) == side
+        if own:
+            pairs[g.infoset[p]] = a
+        labels.append(g.labels[p][a] if own else None)
+        h = p
+    return pairs, tuple(labels)
 
 
 class TestCoordinatorView:
@@ -69,10 +87,77 @@ class TestInformationComplexity:
         g = game("fig2")
         assert not analyze(g, MAX).perfect_recall
         assert analyze(g, MIN).perfect_recall
+        assert imperfect_recall_at(g, coordinator_view(g, MAX)) is not None
+        assert imperfect_recall_at(g, coordinator_view(g, MIN)) is None
         g2 = game("2K3")
         assert analyze(g2, MAX).perfect_recall
         assert analyze(g2, MIN).perfect_recall
         assert analyze(g2, MAX).k == 1
+
+    @pytest.mark.parametrize("name", ["fig2", "fig8", "3K3[2]", "worst-k1b2d5"])
+    def test_recall_matches_walks_to_the_root(self, name):
+        g = game(name)
+        for side in (MAX, MIN):
+            a = analyze(g, side)
+            perfect = action = True
+            for j in g.side_infosets(side):
+                maps, traces = zip(
+                    *(walk_to_root(g, side, h) for h in g.infosets[j].members)
+                )
+                assert a.remembers[j] == {
+                    i for i, act in maps[0].items()
+                    if all(m.get(i) == act for m in maps)
+                }
+                perfect &= all(m == maps[0] for m in maps)
+                action &= len(set(traces)) == 1
+            assert (a.perfect_recall, a.action_recall) == (perfect, action)
+
+    def test_action_recall_sees_the_depth_of_each_action(self):
+        # Both members of infoset "Y" follow one own action "l": at depth
+        # 1 on one path and at depth 2 on the other.
+        def player(iset, *kids):
+            actions = [{"label": lab, "child": c} for lab, c in kids]
+            return {"kind": "player", "player": 1, "infoset": iset,
+                    "actions": actions}
+
+        def chance(*kids):
+            p = 1 / len(kids)
+            actions = [{"label": lab, "child": c, "prob": p}
+                       for lab, c in kids]
+            return {"kind": "chance", "actions": actions}
+
+        z = {"kind": "terminal", "utility": 0.0}
+        g = parse_game({
+            "players": ["chance", "p1"],
+            "teams": {"max": [1], "min": []},
+            "root": 0,
+            "nodes": [
+                chance(("a", 1), ("b", 2)),
+                player("X", ("l", 3), ("r", 4)),
+                chance(("c", 5)),
+                chance(("c", 6)),
+                z,
+                player("Z", ("l", 7), ("r", 8)),
+                player("Y", ("u", 9), ("d", 10)),
+                player("Y", ("u", 11), ("d", 12)),
+                z, z, z, z, z,
+            ],
+        })
+        a = analyze(g, MAX)
+        assert not a.perfect_recall
+        assert not a.action_recall
+
+    @pytest.mark.parametrize("name", SMALL_ZOO)
+    def test_perfect_recall_flag_matches_sequence_form(self, name):
+        g = game(name)
+        for side in (MAX, MIN):
+            try:
+                sequence_form(g, side)
+            except GameValidationError:
+                builds = False
+            else:
+                builds = True
+            assert analyze(g, side).perfect_recall == builds, side
 
     def test_single_player_side_always_k1(self):
         for name in ("3K3[1]", "3D2[1,2]"):
