@@ -231,11 +231,9 @@ def analyze(g: ExtensiveFormGame, side: str) -> GameAnalysis:
     # where chance, the opponent, or an informed observer could tell
     # them apart without conditioning on how the side itself played.
     # Terminal nodes never join a group — game over is always observed.
+    # The clique unions are already in ``uf``; start from its forest.
     uuf = _UnionFind()
-    for members in cliques:
-        first = members[0]
-        for h in members[1:]:
-            uuf.union(first, h)
+    uuf.parent = dict(uf.parent)
     for h in range(n):
         live = [c for c in g.children[h] if g.kind[c] != TERMINAL]
         for c in live[1:]:

@@ -15,12 +15,13 @@ proxies perfect-recall by construction.
 This module exists for desk-scale validation: the construction is
 worst-case exponential and gated by a hard node budget.  The DAG
 builder in :mod:`tbdag.build` reaches the same strategy spaces without
-ever materializing this tree.
+ever materializing this tree; both take each belief's infosets,
+prescriptions and candidate sets from the same step,
+:func:`tbdag.build.expand_belief`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -31,6 +32,7 @@ from .analysis import (
     imperfect_recall_at,
     split_observation,
 )
+from .build import expand_belief
 from .game import (
     BudgetExceededError,
     CHANCE,
@@ -43,8 +45,6 @@ from .game import (
     build_game,
     serialize_game,
 )
-
-ROLES = ("max-prescribes", "min-prescribes", "chance-resolves")
 
 _SIDE_PLAYER = {MAX: 1, MIN: 2}
 
@@ -127,48 +127,32 @@ class _Builder:
         return s
 
     def space(self, side, belief):
-        """Infosets meeting the belief and the prescription list."""
+        """The belief's expansion step, its prescriptions and labels."""
         key = (side, belief)
         got = self._space.get(key)
         if got is None:
             g = self.g
-            isets = sorted(
-                {
-                    g.infoset[h]
-                    for h in belief
-                    if g.node_side(h) == side
-                }
-            )
-            counts = [g.infosets[i].num_actions for i in isets]
-            prescrs = list(
-                itertools.product(*(range(c) for c in counts))
-            )
+            step = expand_belief(g, side, belief)
+            prescrs = list(step.prescriptions())
             labels = _unique_labels(
                 [
                     ",".join(
                         g.infosets[i].actions[a]
-                        for i, a in zip(isets, prescr)
+                        for i, a in zip(step.isets, prescr)
                     )
                     or "-"
                     for prescr in prescrs
                 ]
             )
-            got = self._space[key] = (tuple(isets), prescrs, labels)
+            got = self._space[key] = (step, prescrs, labels)
         return got
 
-    def block_of(self, side, belief, isets, prescr, child):
+    def block_of(self, side, belief, prescr, child):
         """Next belief: the candidate component containing ``child``."""
         key = (side, belief, prescr)
         mapping = self._blocks.get(key)
         if mapping is None:
-            g = self.g
-            chosen = dict(zip(isets, prescr))
-            cands = []
-            for h in belief:
-                if g.node_side(h) == side:
-                    cands.append(g.children[h][chosen[g.infoset[h]]])
-                else:
-                    cands.extend(g.children[h])
+            cands = self.space(side, belief)[0].candidates(prescr)
             mapping = self._blocks[key] = {
                 h: blk
                 for blk in split_observation(self.analyses[side], cands)
@@ -180,7 +164,7 @@ class _Builder:
 
     def rec_max(self, h, b_max, b_min, prev_max, prev_min):
         s_max = self.intern(MAX, prev_max, b_max)
-        isets, prescrs, labels = self.space(MAX, b_max)
+        _, prescrs, labels = self.space(MAX, b_max)
         record = {
             "kind": PLAYER,
             "player": _SIDE_PLAYER[MAX],
@@ -192,7 +176,7 @@ class _Builder:
         )
         for ai, prescr in enumerate(prescrs):
             child = self.rec_min(
-                h, b_max, b_min, (s_max, ai), prev_min, (isets, prescr)
+                h, b_max, b_min, (s_max, ai), prev_min, prescr
             )
             record["actions"].append(
                 {"label": labels[ai], "child": child}
@@ -201,7 +185,7 @@ class _Builder:
 
     def rec_min(self, h, b_max, b_min, edge_max, prev_min, pre_max):
         s_min = self.intern(MIN, prev_min, b_min)
-        isets, prescrs, labels = self.space(MIN, b_min)
+        _, prescrs, labels = self.space(MIN, b_min)
         record = {
             "kind": PLAYER,
             "player": _SIDE_PLAYER[MIN],
@@ -214,7 +198,7 @@ class _Builder:
         for ai, prescr in enumerate(prescrs):
             child = self.rec_0(
                 h, b_max, b_min, edge_max, (s_min, ai),
-                pre_max, (isets, prescr),
+                pre_max, prescr,
             )
             record["actions"].append(
                 {"label": labels[ai], "child": child}
@@ -237,15 +221,18 @@ class _Builder:
             ]
         else:
             side = g.node_side(h)
-            isets, prescr = pre_max if side == MAX else pre_min
+            belief, prescr = (
+                (b_max, pre_max) if side == MAX else (b_min, pre_min)
+            )
+            isets = self.space(side, belief)[0].isets
             a = prescr[isets.index(g.infoset[h])]
             moves = [(a, g.labels[h][a], 1.0)]
         record: dict[str, Any] = {"kind": CHANCE, "actions": []}
         me = self.emit(record, (h, b_max, b_min), "chance-resolves")
         for a, label, prob in moves:
             child = g.children[h][a]
-            nb_max = self.block_of(MAX, b_max, *pre_max, child)
-            nb_min = self.block_of(MIN, b_min, *pre_min, child)
+            nb_max = self.block_of(MAX, b_max, pre_max, child)
+            nb_min = self.block_of(MIN, b_min, pre_min, child)
             sub = self.rec_max(child, nb_max, nb_min, edge_max, edge_min)
             record["actions"].append(
                 {"label": label, "child": sub, "prob": prob}
@@ -363,7 +350,7 @@ def make_belief_game(
         state_iset[side][st] = i_bg
         belief = b.ann[n][1] if side == MAX else b.ann[n][2]
         iset_beliefs[i_bg] = belief
-        iset_infosets[i_bg] = b.space(side, belief)[0]
+        iset_infosets[i_bg] = b.space(side, belief)[0].isets
     successors = {
         (state_iset[side][st], ai): tuple(
             sorted(state_iset[side][s2] for s2 in nxt)

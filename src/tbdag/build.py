@@ -7,6 +7,10 @@ candidate set — prescribed children of own nodes, all children of
 everyone else's — is split back into beliefs.  Beliefs are memoized, so
 shared futures are built once; observation points are never shared.
 
+That step is :func:`expand_belief`, the one expansion kernel: the DAG
+builder, :func:`count_tbdag` and the explicit belief game of
+:mod:`tbdag.belief` all call it.
+
 Two split policies are supported: ``"observation"`` uses connected
 components of the indistinguishability graph (the finest sound split),
 ``"public"`` groups candidates by public state (coarser, and
@@ -92,9 +96,6 @@ class TbDag:
     slot_of_terminal: dict[int, int]
     stats: BuildStats
 
-    def belief_of(self, d: int) -> tuple[int, ...]:
-        return self.beliefs[d]
-
 
 def _split_fn(split: str):
     if split == "observation":
@@ -140,42 +141,80 @@ class _Workspace:
         return len(self.obs_parent) - 1
 
 
-def _expand(ws, g, analysis, split_parts, d, budget, fanout_guard, memo, queue):
-    belief = ws.dec_belief[d]
-    side = analysis.side
+@dataclass(frozen=True)
+class BeliefExpansion:
+    """One belief's expansion step for one side.
+
+    ``isets`` are the side's infosets meeting the belief, ascending, and
+    ``counts`` their action counts; ``moves[j][a]`` holds the children
+    that action ``a`` at ``isets[j]`` leads to inside the belief, and
+    ``free`` the children of every node the side does not own.
+    """
+
+    isets: tuple[int, ...]
+    counts: tuple[int, ...]
+    moves: tuple[tuple[tuple[int, ...], ...], ...]
+    free: tuple[int, ...]
+
+    @property
+    def n_prescr(self) -> int:
+        return math.prod(self.counts)
+
+    def prescriptions(self):
+        """Every prescription, as action indices aligned with ``isets``."""
+        return itertools.product(*(range(c) for c in self.counts))
+
+    def candidates(self, prescr) -> list[int]:
+        """Prescribed children of own nodes plus all free children."""
+        cand = list(self.free)
+        for kids, a in zip(self.moves, prescr):
+            cand.extend(kids[a])
+        return cand
+
+
+def expand_belief(
+    g: ExtensiveFormGame, side: str, belief: tuple[int, ...]
+) -> BeliefExpansion:
+    """Partition a belief into the side's infosets and free nodes."""
     by_iset: dict[int, list[int]] = {}
     free: list[int] = []
     for h in belief:
         if g.node_side(h) == side:
             by_iset.setdefault(g.infoset[h], []).append(h)
         else:
-            free.append(h)
+            free.extend(g.children[h])
     isets = tuple(sorted(by_iset))
-    ws.dec_isets[d] = isets
-    if len(isets) > fanout_guard:
+    # Members of one infoset share its action count, so zipping their
+    # child lists gives one tuple of children per action.
+    moves = tuple(
+        [tuple(zip(*[g.children[h] for h in by_iset[i]])) for i in isets]
+    )
+    counts = tuple(map(len, moves))
+    return BeliefExpansion(isets, counts, moves, tuple(free))
+
+
+def _expand(ws, g, analysis, split_parts, d, budget, fanout_guard, memo, queue):
+    belief = ws.dec_belief[d]
+    step = expand_belief(g, analysis.side, belief)
+    ws.dec_isets[d] = step.isets
+    if len(step.isets) > fanout_guard:
         raise BudgetExceededError(
             f"belief of {len(belief)} nodes at depth "
-            f"{g.depth[belief[0]]} meets {len(isets)} infosets "
+            f"{g.depth[belief[0]]} meets {len(step.isets)} infosets "
             f"(fan-out guard {fanout_guard})"
         )
-    counts = [g.infosets[i].num_actions for i in isets]
-    n_prescr = math.prod(counts)
+    n_prescr = step.n_prescr
     if ws.edges + n_prescr > budget:
         raise BudgetExceededError(
             f"edge budget {budget} exceeded while expanding a belief "
             f"with {n_prescr} prescriptions"
         )
-    free_children = [c for h in free for c in g.children[h]]
-    for prescr in itertools.product(*(range(c) for c in counts)):
-        cand = list(free_children)
-        for i, a in zip(isets, prescr):
-            for h in by_iset[i]:
-                cand.append(g.children[h][a])
+    for prescr in step.prescriptions():
         o = ws.new_obs(d)
         ws.dec_actions[d].append(o)
         ws.dec_prescr[d].append(prescr)
         ws.edges += 1
-        for part in split_parts(analysis, cand):
+        for part in split_parts(analysis, step.candidates(prescr)):
             ws.edges += 1
             if len(part) == 1 and g.kind[part[0]] == TERMINAL:
                 ws.obs_payload[o].append(part[0])
@@ -202,7 +241,9 @@ def _dedup_terminals(ws, seq_of):
     is the sum of flow over those occurrences); occurrences of the other
     group members are dropped, which may leave whole sections without
     payoff entries — those are pruned afterwards.  Payload entries are
-    rewritten from node ids to slot ids.
+    rewritten from node ids to slot ids.  Keyed by node id instead
+    (``seq_of = range(num_nodes)``), every terminal is its own group and
+    every occurrence is kept: the unreduced build's slots.
     """
     groups: list[list[int]] = []
     slot_by_seq: dict[int, int] = {}
@@ -222,21 +263,6 @@ def _dedup_terminals(ws, seq_of):
                 if z == rep[s]:
                     kept.append(s)
         ws.obs_payload[o] = kept
-    return groups
-
-
-def _slots_raw(ws):
-    groups: list[list[int]] = []
-    slot_of: dict[int, int] = {}
-    for o in range(len(ws.obs_payload)):
-        row = []
-        for z in ws.obs_payload[o]:
-            s = slot_of.get(z)
-            if s is None:
-                s = slot_of[z] = len(groups)
-                groups.append([z])
-            row.append(s)
-        ws.obs_payload[o] = row
     return groups
 
 
@@ -324,7 +350,7 @@ def build_tbdag(
         _prune_dead(ws)
         _splice_passthrough(ws, root_dec)
     else:
-        groups = _slots_raw(ws)
+        groups = _dedup_terminals(ws, range(g.num_nodes))
 
     return _pack(g, side, split, reduce, analysis, ws, root_dec, groups)
 
@@ -468,32 +494,23 @@ def count_tbdag(
     while queue:
         belief = queue.pop()
         n_dec += 1
-        by_iset: dict[int, list[int]] = {}
-        free: list[int] = []
-        for h in belief:
-            if g.node_side(h) == side:
-                by_iset.setdefault(g.infoset[h], []).append(h)
-            else:
-                free.append(h)
-        isets = sorted(by_iset)
-        counts = [g.infosets[i].num_actions for i in isets]
-        n_prescr = math.prod(counts)
+        step = expand_belief(g, side, belief)
+        counts = step.counts
+        n_prescr = step.n_prescr
         n_obs += n_prescr
         edges += n_prescr
         # Bucket every possible child by its public state.
         free_members: dict[int, list[int]] = {}
-        for h in free:
-            for c in g.children[h]:
-                free_members.setdefault(public_id[c], []).append(c)
+        for c in step.free:
+            free_members.setdefault(public_id[c], []).append(c)
         # per_iset[j]: public state -> per-action child sets there.
         per_iset: list[dict[int, list[frozenset[int]]]] = []
         pids: set[int] = set(free_members)
-        for i, c in zip(isets, counts):
+        for c, by_action in zip(counts, step.moves):
             action_kids: list[dict[int, set[int]]] = []
-            for a in range(c):
+            for children in by_action:
                 kids: dict[int, set[int]] = {}
-                for h in by_iset[i]:
-                    ch = g.children[h][a]
+                for ch in children:
                     kids.setdefault(public_id[ch], set()).add(ch)
                 action_kids.append(kids)
             touched_pids = set().union(*action_kids)

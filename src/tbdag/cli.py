@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 from typing import Any, Sequence
 
 from . import __version__
-from .analysis import analyze
+from .analysis import GameAnalysis, analyze
 from .belief import belief_game_to_doc, make_belief_game
 from .build import build_tbdag, check_size_bounds, count_tbdag, tbdag_to_doc
 from .dag import best_response
@@ -225,8 +225,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # info
 
 
-def _side_info(g: ExtensiveFormGame, side: str) -> dict[str, Any]:
-    a = analyze(g, side)
+def _side_info(a: GameAnalysis) -> dict[str, Any]:
     return {
         "perfect_recall": a.perfect_recall,
         "action_recall": a.action_recall,
@@ -245,8 +244,9 @@ def cmd_info(args: argparse.Namespace) -> int:
         "sides": {},
     }
     lines = _summary_lines(label, g)
+    analyses = {side: analyze(g, side) for side in (MAX, MIN)}
     for side in (MAX, MIN):
-        info = _side_info(g, side)
+        info = _side_info(analyses[side])
         payload["sides"][side] = info
         lines.append(
             f"side {side}: perfect-recall={_yn(info['perfect_recall'])} "
@@ -262,7 +262,9 @@ def cmd_info(args: argparse.Namespace) -> int:
     # above has already been reported.
     try:
         for side in (MAX, MIN):
-            dag = build_tbdag(g, side, split="observation", edge_budget=args.budget)
+            dag = build_tbdag(
+                g, side, split="observation", analysis=analyses[side], edge_budget=args.budget
+            )
             st = dag.stats
             detail = {
                 "dec": st.n_dec,
@@ -313,9 +315,10 @@ def cmd_build(args: argparse.Namespace) -> int:
     }
     lines: list[str] = []
     for side in sides:
+        analysis = analyze(g, side)
         if args.count:
             n_dec, n_obs, n_edges = count_tbdag(
-                g, side, split=split, analysis=analyze(g, side), edge_budget=args.budget
+                g, side, split=split, analysis=analysis, edge_budget=args.budget
             )
             payload["sides"][side] = {"dec": n_dec, "obs": n_obs, "edges": n_edges}
             lines.append(
@@ -328,10 +331,11 @@ def cmd_build(args: argparse.Namespace) -> int:
             side,
             split=split,
             reduce=not args.no_reduce,
+            analysis=analysis,
             edge_budget=args.budget,
         )
         st = dag.stats
-        bounds = check_size_bounds(dag)
+        bounds = check_size_bounds(dag, analysis)
         detail = {
             "dec": st.n_dec,
             "obs": st.n_obs,

@@ -158,50 +158,38 @@ def terminal_realization(dag: TbDag, flow: FlowVector) -> dict[int, float]:
 
 
 class _UtilityAssembler:
-    """Precomputed index plumbing from one side's payload slots through
-    the shared terminals to the other side's slots."""
+    """One side's terminal weights sign·utility·chance_reach, one per
+    terminal in ``g.terminals`` order, and the index plumbing from those
+    terminals to the side's payload slots and observation points."""
 
-    def __init__(
-        self, dag_self: TbDag, dag_opp: TbDag, g: ExtensiveFormGame
-    ):
-        if (
-            dag_self.game is not dag_opp.game
-            and dag_self.game != dag_opp.game
-        ):
-            raise GameValidationError(
-                "the two dags map terminals of different games"
-            )
-        if set(dag_self.slot_of_terminal) != set(g.terminals) or set(
-            dag_opp.slot_of_terminal
-        ) != set(g.terminals):
+    def __init__(self, dag: TbDag, g: ExtensiveFormGame):
+        if set(dag.slot_of_terminal) != set(g.terminals):
             raise GameValidationError(
                 "dag terminal maps do not cover the game's terminals"
             )
-        self.problem = dag_self.problem
-        self.opp_problem = dag_opp.problem
+        self.problem = dag.problem
         tz = list(g.terminals)
-        self._self_slot = np.array(
-            [dag_self.slot_of_terminal[z] for z in tz], dtype=np.int64
+        self._slot = np.array(
+            [dag.slot_of_terminal[z] for z in tz], dtype=np.int64
         )
-        self._opp_slot = np.array(
-            [dag_opp.slot_of_terminal[z] for z in tz], dtype=np.int64
-        )
-        self._weight = _SIGN[dag_self.side] * np.array(
+        self.weight = _SIGN[dag.side] * np.array(
             [g.utility[z] * g.chance_reach[z] for z in tz]
         )
         self._owner = _payload_owner(self.problem)
 
-    def __call__(self, y_opp: FlowVector) -> np.ndarray:
-        if y_opp.problem is not self.opp_problem:
+    def reach(self, flow: FlowVector) -> np.ndarray:
+        """Per-terminal realization of one of this side's flows."""
+        if flow.problem is not self.problem:
             raise GameValidationError(
-                "opponent flow belongs to a different problem"
+                "flow belongs to a different problem"
             )
+        return flow.terminal_flow[self._slot]
+
+    def __call__(self, opp_reach: np.ndarray) -> np.ndarray:
+        """Payoff per observation point against a per-terminal
+        opponent realization."""
         w_slot = np.zeros(self.problem.n_slots)
-        np.add.at(
-            w_slot,
-            self._self_slot,
-            self._weight * y_opp.terminal_flow[self._opp_slot],
-        )
+        np.add.at(w_slot, self._slot, self.weight * opp_reach)
         pay = np.zeros(self.problem.n_obs)
         np.add.at(pay, self._owner, w_slot[self.problem.payload])
         return pay
@@ -217,7 +205,12 @@ def assemble_utility(
     opponent flow: each payload slot collects, over the terminals it
     groups, their utility weighted by chance and by the opponent's
     realization of them (max-side sign convention; negated for min)."""
-    return _UtilityAssembler(dag_self, dag_opp, g)(y_opp)
+    if dag_self.game is not dag_opp.game and dag_self.game != dag_opp.game:
+        raise GameValidationError(
+            "the two dags map terminals of different games"
+        )
+    at_self = _UtilityAssembler(dag_self, g)
+    return at_self(_UtilityAssembler(dag_opp, g).reach(y_opp))
 
 
 def payoffs_from_realization(
@@ -227,19 +220,11 @@ def payoffs_from_realization(
 ) -> np.ndarray:
     """Like :func:`assemble_utility`, but from a bare per-terminal
     opponent realization instead of a live flow."""
-    p = dag_self.problem
-    sign = _SIGN[dag_self.side]
-    w_slot = np.zeros(p.n_slots)
-    for z, s in dag_self.slot_of_terminal.items():
-        w_slot[s] += (
-            sign
-            * g.utility[z]
-            * g.chance_reach[z]
-            * float(opponent_realization.get(z, 0.0))
+    return _UtilityAssembler(dag_self, g)(
+        np.array(
+            [float(opponent_realization.get(z, 0.0)) for z in g.terminals]
         )
-    pay = np.zeros(p.n_obs)
-    np.add.at(pay, _payload_owner(p), w_slot[p.payload])
-    return pay
+    )
 
 
 def gap(
@@ -257,24 +242,6 @@ def gap(
         dags[MIN].problem, assemble_utility(dags[MIN], dags[MAX], x_avg, g)
     )
     return br_max + br_min
-
-
-def _pair_value(
-    g: ExtensiveFormGame,
-    dags: Mapping[str, TbDag],
-    x: FlowVector,
-    y: FlowVector,
-) -> float:
-    """Expected max-side utility of a flow pair."""
-    tz = list(g.terminals)
-    uw = np.array([g.utility[z] * g.chance_reach[z] for z in tz])
-    xs = x.terminal_flow[
-        np.array([dags[MAX].slot_of_terminal[z] for z in tz])
-    ]
-    ys = y.terminal_flow[
-        np.array([dags[MIN].slot_of_terminal[z] for z in tz])
-    ]
-    return float(np.dot(uw, xs * ys))
 
 
 def _zero_flow(problem) -> FlowVector:
@@ -319,8 +286,8 @@ def solve(
     weight_total = 0.0
     y_latest = dag_cfr_strategy(p_y, bank_y.current())
 
-    pay_for_x = _UtilityAssembler(dags[MAX], dags[MIN], g)
-    pay_for_y = _UtilityAssembler(dags[MIN], dags[MAX], g)
+    at_x = _UtilityAssembler(dags[MAX], g)
+    at_y = _UtilityAssembler(dags[MIN], g)
     log: list[LogPoint] = []
     converged = False
     t = 0
@@ -330,16 +297,16 @@ def solve(
         if config.mode == "simultaneous":
             r_y = bank_y.current()
             y_t = dag_cfr_strategy(p_y, r_y)
-            pay_x = pay_for_x(y_t)
-            pay_y = pay_for_y(x_t)
+            pay_x = at_x(at_y.reach(y_t))
+            pay_y = at_y(at_x.reach(x_t))
         else:
-            pay_x = pay_for_x(y_latest)
+            pay_x = at_x(at_y.reach(y_latest))
         va_x, vd_x = dag_cfr_utility(p_x, r_x, pay_x)
         bank_x.observe(va_x, vd_x)
         if config.mode == "alternating":
             r_y = bank_y.current()
             y_t = dag_cfr_strategy(p_y, r_y)
-            pay_y = pay_for_y(x_t)
+            pay_y = at_y(at_x.reach(x_t))
         va_y, vd_y = dag_cfr_utility(p_y, r_y, pay_y)
         bank_y.observe(va_y, vd_y)
         y_latest = y_t
@@ -364,10 +331,11 @@ def solve(
         if t == 1 or t % config.log_every == 0 or t == config.max_iters:
             x_bar = avg_x.scaled(1.0 / weight_total)
             y_bar = avg_y.scaled(1.0 / weight_total)
-            br_x, _ = best_response(p_x, pay_for_x(y_bar))
-            br_y, _ = best_response(p_y, pay_for_y(x_bar))
+            x_reach, y_reach = at_x.reach(x_bar), at_y.reach(y_bar)
+            br_x, _ = best_response(p_x, at_x(y_reach))
+            br_y, _ = best_response(p_y, at_y(x_reach))
             gap_t = br_x + br_y
-            value = _pair_value(g, dags, x_bar, y_bar)
+            value = float(np.dot(at_x.weight, x_reach * y_reach))
             regret_x = best_response(p_x, cum_pay_x)[0] - cum_val_x
             regret_y = best_response(p_y, cum_pay_y)[0] - cum_val_y
             point = LogPoint(

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tbdag import MAX, MIN, generate, list_presets, parse_game, serialize_game
+from tbdag import MAX, MIN, analyze, generate, list_presets, parse_game, serialize_game
 from tbdag.cli import main
 
 
@@ -81,6 +81,22 @@ class TestInfo:
         # The recall analysis is reported before the abort.
         assert "side max: perfect-recall=" in out
         assert "aborted" in out
+
+
+class TestAnalysisReuse:
+    @pytest.mark.parametrize("command", ["info", "build"])
+    def test_each_side_analyzed_once(self, command, monkeypatch, capsys):
+        calls = []
+
+        def counted(g, side):
+            calls.append(side)
+            return analyze(g, side)
+
+        for module in ("tbdag.cli", "tbdag.build"):
+            monkeypatch.setattr(f"{module}.analyze", counted)
+        assert main([command, "fig2"]) == 0
+        capsys.readouterr()
+        assert sorted(calls) == [MAX, MIN]
 
 
 class TestBuild:

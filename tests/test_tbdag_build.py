@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,11 @@ from tbdag import (
     sequence_form,
 )
 from tbdag.build import tbdag_to_doc
+from test_acceptance import SMALL_ZOO
+
+# Per preset and side: the first 16 hex digits of the raw and reduced
+# observation-split signatures, and the public-split count triple.
+PINS = json.loads((Path(__file__).parent / "dag_pins.json").read_text())
 
 
 def game(name):
@@ -289,6 +295,16 @@ class TestDeterminism:
         assert s1 == s2
         assert s1 != dag_signature(build_tbdag(g, MIN, reduce=False))
         assert s1 != dag_signature(build_tbdag(g, MAX))
+
+    @pytest.mark.parametrize("name", SMALL_ZOO)
+    def test_signatures_and_counts_pinned(self, name):
+        g = game(name)
+        for side in (MAX, MIN):
+            a = analyze(g, side)
+            raw = dag_signature(build_tbdag(g, side, reduce=False, analysis=a))
+            red = dag_signature(build_tbdag(g, side, analysis=a))
+            counted = list(count_tbdag(g, side, analysis=a))
+            assert [raw[:16], red[:16], counted] == PINS[name][side], side
 
 
 class TestInflationInvariance:
