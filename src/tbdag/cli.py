@@ -497,15 +497,26 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # oracle-check
 
 
-def _load_realizations(path: str) -> dict[str, dict[int, float]]:
+def _load_realizations(path: str, g: ExtensiveFormGame) -> dict[str, dict[int, float]]:
+    """Per-side terminal realizations from a ``solve --save-avg`` file: every
+    key must name a terminal of ``g``, every value be a number in [0, 1]."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    entries = doc.get("strategies", []) if isinstance(doc, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise GameValidationError(f"{path}: malformed strategies list")
+    terminals = set(g.terminals)
     out: dict[str, dict[int, float]] = {}
-    for entry in doc.get("strategies", []):
+    for entry in entries:
         side = entry.get("side")
         real = entry.get("terminal_realization")
         if side not in (MAX, MIN) or not isinstance(real, dict):
             raise GameValidationError(f"{path}: malformed strategies entry")
+        for z, p in real.items():
+            if not z.isdecimal() or int(z) not in terminals:
+                raise GameValidationError(f"{path}: {side} realization key {z!r} names no terminal")
+            if isinstance(p, bool) or not isinstance(p, (int, float)) or not -1e-9 <= p <= 1 + 1e-9:
+                raise GameValidationError(f"{path}: {side} realization {p!r} of terminal {z} is not a number in [0, 1]")
         out[side] = {int(z): float(p) for z, p in real.items()}
     if set(out) != {MAX, MIN}:
         raise GameValidationError(f"{path}: need one strategy per side")
@@ -514,7 +525,7 @@ def _load_realizations(path: str) -> dict[str, dict[int, float]]:
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     g, label, source = _resolve_game(args.game)
-    reals = _load_realizations(args.avg)
+    reals = _load_realizations(args.avg, g)
     payload: dict[str, Any] = {
         "manifest": _manifest(args, source),
         "game": label,
@@ -524,10 +535,12 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     lines: list[str] = []
     ok = True
     for side, opp in ((MAX, MIN), (MIN, MAX)):
+        t0 = time.perf_counter()
         dag = build_tbdag(g, side, split="observation")
-        pay = payoffs_from_realization(dag, g, reals[opp])
-        dag_value, _ = best_response(dag.problem, pay)
+        dag_value, _ = best_response(dag.problem, payoffs_from_realization(dag, g, reals[opp]))
+        t1 = time.perf_counter()
         oracle_value, _ = enumeration_oracle(g, side, reals[opp], budget=args.budget)
+        t2 = time.perf_counter()
         diff = abs(dag_value - oracle_value)
         side_ok = diff <= args.tol
         ok = ok and side_ok
@@ -536,6 +549,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             "oracle_best_response": oracle_value,
             "abs_diff": diff,
             "ok": side_ok,
+            "dag_ms": (t1 - t0) * 1e3,
+            "oracle_ms": (t2 - t1) * 1e3,
         }
         lines.append(
             f"side {side}: dag best response {dag_value:.12g}, enumeration "

@@ -327,16 +327,12 @@ def dag_cfr_strategy(
             np.repeat(x_dec[d0:d1], counts[d0:d1]) * r[a0:a1]
         )
         x_obs[p.act_child_obs[a0:a1]] = x_act[a0:a1]
-    terminal_flow = np.zeros(p.n_slots)
-    np.add.at(terminal_flow, p.payload, x_obs[_payload_owner(p)])
+    terminal_flow = np.bincount(p.payload, x_obs[_payload_owner(p)], p.n_slots)
     return FlowVector(p, x_dec, x_act, x_obs, terminal_flow)
 
 
 def _payload_owner(p: DagDecisionProblem) -> np.ndarray:
-    owner = np.repeat(
-        np.arange(p.n_obs, dtype=np.int64), np.diff(p.obs_poff)
-    )
-    return owner
+    return np.repeat(np.arange(p.n_obs, dtype=np.int64), np.diff(p.obs_poff))
 
 
 def dag_cfr_utility(

@@ -188,11 +188,9 @@ class _UtilityAssembler:
     def __call__(self, opp_reach: np.ndarray) -> np.ndarray:
         """Payoff per observation point against a per-terminal
         opponent realization."""
-        w_slot = np.zeros(self.problem.n_slots)
-        np.add.at(w_slot, self._slot, self.weight * opp_reach)
-        pay = np.zeros(self.problem.n_obs)
-        np.add.at(pay, self._owner, w_slot[self.problem.payload])
-        return pay
+        p = self.problem
+        w_slot = np.bincount(self._slot, self.weight * opp_reach, p.n_slots)
+        return np.bincount(self._owner, w_slot[p.payload], p.n_obs)
 
 
 def assemble_utility(
@@ -383,103 +381,92 @@ def enumeration_oracle(
 
     Walks assignments over the side's infosets depth by depth, branching
     only at infosets its own earlier choices keep reachable, and scores
-    each completed assignment directly on the game tree.  Returns the
-    best value and the argmax assignment (unreached infosets omitted —
-    that is the reduced form).  Independent of all DAG machinery by
-    design, which is what makes it a certificate.
+    each completed assignment directly on the game tree; the nodes the
+    choices so far still reach are carried as a bitset over node ids.
+    Returns the best value and the argmax assignment (unreached infosets
+    omitted — that is the reduced form).  Independent of all DAG
+    machinery by design, which is what makes it a certificate.
     """
     if side not in _SIGN:
         raise GameValidationError(f"unknown side {side!r}")
-    if isinstance(opponent_realization, np.ndarray):
-        opp = lambda z: float(opponent_realization[z])  # noqa: E731
-    else:
-        opp = lambda z: float(opponent_realization.get(z, 0.0))  # noqa: E731
-
+    real = opponent_realization
+    dense = isinstance(real, np.ndarray)
     sign = _SIGN[side]
-    weight = {
-        z: sign * g.utility[z] * g.chance_reach[z] * opp(z)
-        for z in g.terminals
-    }
+    n = g.num_nodes
+    weight = [0.0] * n
+    for z in g.terminals:
+        opp = float(real[z] if dense else real.get(z, 0.0))
+        weight[z] = sign * g.utility[z] * g.chance_reach[z] * opp
+    zmask = sum(1 << z for z in g.terminals if weight[z] != 0.0)
 
-    # Own-choice constraints along each node's path.
-    constraints: list[tuple[tuple[int, int], ...]] = [()] * g.num_nodes
-    for h in range(1, g.num_nodes):
-        par = g.parent[h]
-        inherited = constraints[par]
-        if g.node_side(par) == side:
-            inherited = inherited + (
-                (g.infoset[par], g.parent_action[h]),
-            )
-        constraints[h] = inherited
+    # Node sets are int bitsets over node ids.  Ids are preorder, so the
+    # subtree of h is the bit range [h, h + size[h]).  ok[i][a] holds the
+    # nodes whose path does not pass infoset i with an action other than
+    # a; the members of i share a depth, so their subtrees are disjoint.
+    size = [1] * n
+    for h in range(n - 1, 0, -1):
+        size[g.parent[h]] += size[h]
+    full = (1 << n) - 1
+    members: dict[int, int] = {}
+    ok: dict[int, list[int]] = {}
+    for i in g.side_infosets(side):
+        iset = g.infosets[i]
+        members[i] = sum(1 << m for m in iset.members)
+        through = [
+            sum(((1 << size[c]) - 1) << c for c in cs)
+            for cs in zip(*(g.children[m] for m in iset.members))
+        ]
+        ok[i] = [full ^ sum(through) ^ t for t in through]
 
-    isets = sorted(
-        g.side_infosets(side),
-        key=lambda i: (g.depth[g.infosets[i].members[0]], i),
-    )
-    groups: list[list[int]] = []
-    for i in isets:
-        d = g.depth[g.infosets[i].members[0]]
-        if not groups or d != groups[-1][0]:
-            groups.append([d])
-        groups[-1].append(i)
-    groups = [grp[1:] for grp in groups]
-    group_of = {
-        i: gi for gi, grp in enumerate(groups) for i in grp
-    }
-
-    # Terminal constraints bucketed by the group they bind at.
-    zs0 = [z for z in g.terminals if weight[z] != 0.0]
-    z_binds: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    for z in zs0:
-        per: dict[int, list[tuple[int, int]]] = {}
-        for i, a in constraints[z]:
-            per.setdefault(group_of[i], []).append((i, a))
-        z_binds[z] = per
+    level = {i: g.depth[g.infosets[i].members[0]] for i in members}
+    groups = [
+        (d, list(grp))
+        for d, grp in itertools.groupby(
+            sorted(level, key=lambda i: (level[i], i)), key=level.get
+        )
+    ]
 
     best_value = -math.inf
     best_assign: dict[int, int] = {}
     count = 0
     assign: dict[int, int] = {}
 
-    def reachable(i: int) -> bool:
-        return any(
-            all(assign.get(j) == a for j, a in constraints[m])
-            for m in g.infosets[i].members
-        )
-
-    def rec(gi: int, zs: list[int]) -> None:
+    def rec(gi: int, alive: int, depth: int) -> None:
         nonlocal count, best_value, best_assign
         if gi == len(groups):
             count += 1
             if count > budget:
                 raise BudgetExceededError(
-                    f"more than {budget} reduced pure strategies"
+                    f"more than {budget} reduced pure strategies "
+                    f"(expanding the infoset group at depth {depth}; "
+                    f"best value so far {best_value:.12g})"
                 )
-            v = math.fsum(weight[z] for z in zs)
+            terms = []
+            rest = alive & zmask
+            while rest:
+                low = rest & -rest
+                terms.append(weight[low.bit_length() - 1])
+                rest ^= low
+            v = math.fsum(terms)
             if v > best_value:
                 best_value = v
                 best_assign = dict(assign)
             return
-        live = [i for i in groups[gi] if reachable(i)]
+        d, grp = groups[gi]
+        live = [i for i in grp if alive & members[i]]
         if not live:
-            rec(gi + 1, zs)
+            rec(gi + 1, alive, depth)
             return
         for combo in itertools.product(
             *(range(g.infosets[i].num_actions) for i in live)
         ):
+            kept = alive
             for i, a in zip(live, combo):
                 assign[i] = a
-            kept = [
-                z
-                for z in zs
-                if all(
-                    assign.get(i) == a
-                    for i, a in z_binds[z].get(gi, ())
-                )
-            ]
-            rec(gi + 1, kept)
+                kept &= ok[i][a]
+            rec(gi + 1, kept, d)
         for i in live:
             del assign[i]
 
-    rec(0, zs0)
+    rec(0, full, 0)
     return best_value, best_assign

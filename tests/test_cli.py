@@ -209,12 +209,53 @@ class TestOracleCheck:
         assert payload["ok"] is True
         for side in (MAX, MIN):
             assert payload["sides"][side]["abs_diff"] <= 1e-6
+            assert payload["sides"][side]["dag_ms"] > 0
+            assert payload["sides"][side]["oracle_ms"] > 0
 
     def test_malformed_file_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"strategies": [{"side": "max"}]}))
         assert main(["oracle-check", "fig2", "--avg", str(bad)]) == 1
         assert "malformed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda real: real.update({"abc": 0.5}), "names no terminal"),
+            (lambda real: real.update({"99999": 0.5}), "names no terminal"),
+            (lambda real: real.update({next(iter(real)): "x"}), "not a number"),
+            (lambda real: real.update({next(iter(real)): float("nan")}), "not a number"),
+            (lambda real: real.update({next(iter(real)): 1.5}), "not a number"),
+            (lambda real: real.update({next(iter(real)): -0.1}), "not a number"),
+        ],
+        ids=["key-abc", "key-no-terminal", "value-x", "value-nan", "value-1.5", "value-negative"],
+    )
+    def test_bad_realization_rejected(self, mutate, message, tmp_path, capsys):
+        avg = tmp_path / "avg.json"
+        assert main(["solve", "fig2", "--eps", "1e-2", "--save-avg", str(avg)]) == 0
+        doc = json.loads(avg.read_text())
+        mutate(doc["strategies"][0]["terminal_realization"])
+        avg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["oracle-check", "fig2", "--avg", str(avg)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_non_object_strategies_entry_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"strategies": [["max", {}]]}))
+        assert main(["oracle-check", "fig2", "--avg", str(bad)]) == 1
+        assert "malformed" in capsys.readouterr().err
+
+    def test_probabilities_within_tolerance_accepted(self, tmp_path, capsys):
+        avg = tmp_path / "avg.json"
+        assert main(["solve", "fig2", "--eps", "1e-2", "--save-avg", str(avg)]) == 0
+        doc = json.loads(avg.read_text())
+        real = doc["strategies"][0]["terminal_realization"]
+        first, second = list(real)[:2]
+        real[first], real[second] = 1.0 + 1e-10, -1e-10
+        avg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["oracle-check", "fig2", "--avg", str(avg)]) == 0
 
 
 class TestBench:

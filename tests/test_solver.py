@@ -1,6 +1,8 @@
 """Solver loop, cross-side utility assembly, and the enumeration oracle."""
 
 from functools import lru_cache
+from importlib import import_module
+from itertools import product
 from math import fsum, sqrt
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tbdag
 from tbdag import (
     MAX,
     MIN,
@@ -312,6 +315,18 @@ class TestOracle:
         with pytest.raises(BudgetExceededError, match="reduced pure"):
             enumeration_oracle(game("3K3[1]"), MIN, reals[MAX], budget=3)
 
+    def test_budget_abort_says_where_it_stopped(self):
+        # Against a guesser who always says heads, the tosser's first
+        # plan (heads) scores 1; the second plan is past a budget of one.
+        g = pennies()
+        always_h = {z: 1.0 if g.parent_action[z] == 0 else 0.0 for z in g.terminals}
+        with pytest.raises(BudgetExceededError) as err:
+            enumeration_oracle(g, MAX, always_h, budget=1)
+        assert str(err.value) == (
+            "more than 1 reduced pure strategies (expanding the infoset "
+            "group at depth 0; best value so far 1)"
+        )
+
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_no_pure_strategy_beats_the_oracle(self, data):
@@ -326,3 +341,57 @@ class TestOracle:
                 for i in g.side_infosets(side)
             }
             assert side_value(g, side, choice, reals[opp]) <= best + 1e-12
+
+    @pytest.mark.parametrize("name", ["pennies", "fig2", "2K3"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_oracle_is_the_best_full_pure_assignment(self, name, data):
+        g = pennies() if name == "pennies" else game(name)
+        probs = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+        real = {z: data.draw(probs, label=f"terminal {z}") for z in g.terminals}
+        for side in (MAX, MIN):
+            isets = g.side_infosets(side)
+            best = max(
+                side_value(g, side, dict(zip(isets, combo)), real)
+                for combo in product(*(range(g.infosets[i].num_actions) for i in isets))
+            )
+            value, choice = enumeration_oracle(g, side, real)
+            assert value == best
+            assert side_value(g, side, choice, real) == value
+
+    # (value.hex(), assignment) at the first solver iterate, recorded
+    # with the pre-bitset oracle.
+    PINS = {
+        ("3K3[3]", MAX): ("0x1.5555555555555p-1", {0: 0, 1: 1, 3: 0, 7: 1, 8: 0, 12: 0, 14: 0, 20: 0, 21: 1, 22: 0, 25: 1, 26: 0, 32: 0, 34: 0, 35: 0}),
+        ("3K3[3]", MIN): ("0x1.6aaaaaaaaaaabp-1", {2: 1, 6: 0, 10: 0, 11: 0, 13: 1, 16: 0, 18: 1, 19: 0, 28: 0, 29: 1, 30: 1, 31: 1}),
+        ("3K3[1,2]", MAX): ("0x1.6aaaaaaaaaaabp-1", {2: 1, 6: 0, 10: 0, 11: 0, 13: 1, 16: 0, 18: 1, 19: 0, 28: 0, 29: 1, 30: 1, 31: 1}),
+        ("3K3[1,2]", MIN): ("0x1.5555555555555p-1", {0: 0, 1: 1, 3: 0, 7: 1, 8: 0, 12: 0, 14: 0, 20: 0, 21: 1, 22: 0, 25: 1, 26: 0, 32: 0, 34: 0, 35: 0}),
+    }
+
+    @pytest.mark.parametrize("name, side", sorted(PINS))
+    def test_pinned_at_uniform(self, name, side):
+        _, reals = uniform_realizations(name)
+        value, choice = enumeration_oracle(game(name), side, reals[MIN if side == MAX else MAX])
+        assert (value.hex(), choice) == self.PINS[name, side]
+
+    def test_independent_of_dag_code(self, monkeypatch):
+        _, reals = uniform_realizations("2K3")
+        g = game("2K3")
+        expected = {side: enumeration_oracle(g, side, reals[opp]) for side, opp in ((MAX, MIN), (MIN, MAX))}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the enumeration oracle called DAG code")
+
+        # The package attribute ``tbdag.solve`` is the function, so the
+        # modules come from the import system.
+        solve_module = import_module("tbdag.solve")
+        for mod in map(import_module, ("tbdag.analysis", "tbdag.build", "tbdag.dag")):
+            for name, obj in list(vars(mod).items()):
+                if callable(obj) and getattr(obj, "__module__", None) == mod.__name__:
+                    for ns in (mod, solve_module, tbdag):
+                        if getattr(ns, name, None) is obj:
+                            monkeypatch.setattr(ns, name, forbidden)
+        with pytest.raises(AssertionError, match="called DAG code"):
+            solve_module.build_tbdag(g, MAX)
+        for side, opp in ((MAX, MIN), (MIN, MAX)):
+            assert enumeration_oracle(g, side, reals[opp]) == expected[side]
