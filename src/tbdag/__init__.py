@@ -71,6 +71,7 @@ from .solve import (
     SolveConfig,
     SolveReport,
     assemble_utility,
+    check_realization,
     enumeration_oracle,
     gap,
     payoffs_from_realization,
@@ -107,6 +108,7 @@ __all__ = [
     "best_response",
     "binarize_actions",
     "build_tbdag",
+    "check_realization",
     "check_size_bounds",
     "compare_splits",
     "coordinator_view",

@@ -609,21 +609,19 @@ def dag_signature(dag: TbDag) -> str:
     the same node ids (for instance before and after inflation) hash
     equal exactly when they are the same DAG up to reordering.
     """
+    p = dag.problem
+    aoff, child_obs = p.dec_aoff.tolist(), p.act_child_obs.tolist()
+    coff, kids_of = p.obs_coff.tolist(), p.obs_children.tolist()
+    poff, payload = p.obs_poff.tolist(), p.payload.tolist()
+    beliefs, groups = dag.beliefs, dag.slot_groups
     records = []
-    for d in range(dag.problem.n_dec):
-        p = dag.problem
+    for d in range(p.n_dec):
         obs_records = []
-        for a in range(p.dec_aoff[d], p.dec_aoff[d + 1]):
-            o = p.act_child_obs[a]
-            kids = sorted(
-                dag.beliefs[c]
-                for c in p.obs_children[p.obs_coff[o]: p.obs_coff[o + 1]]
-            )
-            pay = sorted(
-                dag.slot_groups[s] for s in p.obs_payload(o)
-            )
+        for o in child_obs[aoff[d]: aoff[d + 1]]:
+            kids = sorted(beliefs[c] for c in kids_of[coff[o]: coff[o + 1]])
+            pay = sorted(groups[s] for s in payload[poff[o]: poff[o + 1]])
             obs_records.append((tuple(kids), tuple(pay)))
-        records.append((dag.beliefs[d], tuple(sorted(obs_records))))
+        records.append((beliefs[d], tuple(sorted(obs_records))))
     records.sort()
     blob = json.dumps(records, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()

@@ -40,6 +40,7 @@ from .game import (
 )
 from .solve import (
     SolveConfig,
+    check_realization,
     enumeration_oracle,
     payoffs_from_realization,
     solve,
@@ -436,6 +437,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "br_max": last.br_max,
         "br_min": last.br_min,
         "wall_s": wall,
+        "phase_ms": rep.phase_ms,
         "log": [
             {
                 "iter": p.iteration,
@@ -498,14 +500,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _load_realizations(path: str, g: ExtensiveFormGame) -> dict[str, dict[int, float]]:
-    """Per-side terminal realizations from a ``solve --save-avg`` file: every
-    key must name a terminal of ``g``, every value be a number in [0, 1]."""
+    """Per-side terminal realizations from a ``solve --save-avg`` file: keys
+    must be decimal strings and values numbers, and each side's realization
+    must pass :func:`check_realization` against ``g``."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     entries = doc.get("strategies", []) if isinstance(doc, dict) else None
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise GameValidationError(f"{path}: malformed strategies list")
-    terminals = set(g.terminals)
     out: dict[str, dict[int, float]] = {}
     for entry in entries:
         side = entry.get("side")
@@ -513,11 +515,15 @@ def _load_realizations(path: str, g: ExtensiveFormGame) -> dict[str, dict[int, f
         if side not in (MAX, MIN) or not isinstance(real, dict):
             raise GameValidationError(f"{path}: malformed strategies entry")
         for z, p in real.items():
-            if not z.isdecimal() or int(z) not in terminals:
+            if not z.isdecimal():
                 raise GameValidationError(f"{path}: {side} realization key {z!r} names no terminal")
-            if isinstance(p, bool) or not isinstance(p, (int, float)) or not -1e-9 <= p <= 1 + 1e-9:
+            if isinstance(p, bool) or not isinstance(p, (int, float)):
                 raise GameValidationError(f"{path}: {side} realization {p!r} of terminal {z} is not a number in [0, 1]")
         out[side] = {int(z): float(p) for z, p in real.items()}
+        try:
+            check_realization(g, out[side])
+        except GameValidationError as exc:
+            raise GameValidationError(f"{path}: {side} {exc}") from None
     if set(out) != {MAX, MIN}:
         raise GameValidationError(f"{path}: need one strategy per side")
     return out

@@ -12,12 +12,16 @@ deposits the result on each chosen observation point, which forwards it
 unchanged to every child.  Values move bottom-up (``dag_cfr_utility``):
 an observation point is worth its payload plus the sum of its children,
 and a decision point is worth the local average of its choices.  Both
-sweeps are vectorized over contiguous per-level slices.
+sweeps, and ``best_response``, are vectorized over contiguous per-level
+slices.  They read a sweep plan (level bounds, relative ``reduceat``
+offsets and owner indices) built once when ``ProblemBuilder.finalize``
+freezes the problem, so an iteration does no index arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +41,32 @@ __all__ = [
 ]
 
 
+class SweepLevel(NamedTuple):
+    """Bounds of one nonempty level: decision points ``d0:d1``, their
+    action slots ``a0:a1`` and their ``dec_parent_obs`` entries
+    ``s0:s1``, with the level's ``reduceat`` offsets relative to
+    ``a0`` and ``s0``."""
+
+    d0: int
+    d1: int
+    a0: int
+    a1: int
+    s0: int
+    s1: int
+    act_off: np.ndarray
+    parent_off: np.ndarray
+
+
+def _owner_of(off: np.ndarray) -> np.ndarray:
+    """Index of the CSR row that owns each entry, for row offsets ``off``."""
+    return np.repeat(np.arange(len(off) - 1, dtype=np.int64), np.diff(off))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class DagDecisionProblem:
     """Frozen numpy form of one side's decision DAG.
 
@@ -44,6 +74,12 @@ class DagDecisionProblem:
     decision point live in strictly earlier levels), actions are flat
     slots in CSR layout, and every action slot points at its unique
     child observation point.
+
+    The sweep plan is built with the problem and is read-only:
+    ``levels`` lists each nonempty level top-down; ``act_dec`` is the
+    decision point owning each action slot, ``parent_dec`` the one
+    owning each ``dec_parent_obs`` entry, and ``payload_owner`` the
+    observation point owning each payload entry.
     """
 
     __slots__ = (
@@ -63,6 +99,10 @@ class DagDecisionProblem:
         "level_off",
         "root_dec",
         "dec_meta",
+        "levels",
+        "act_dec",
+        "parent_dec",
+        "payload_owner",
     )
 
     def __init__(
@@ -97,6 +137,22 @@ class DagDecisionProblem:
         self.n_act = len(act_child_obs)
         self.n_slots = n_slots
         self.dec_meta = dec_meta
+        self.act_dec = _read_only(_owner_of(dec_aoff))
+        self.parent_dec = _read_only(_owner_of(dec_poff))
+        self.payload_owner = _read_only(_owner_of(obs_poff))
+        levels = []
+        for lv in range(1, self.n_levels):
+            d0, d1 = int(level_off[lv]), int(level_off[lv + 1])
+            if d0 == d1:
+                continue
+            a0, a1 = int(dec_aoff[d0]), int(dec_aoff[d1])
+            s0, s1 = int(dec_poff[d0]), int(dec_poff[d1])
+            levels.append(SweepLevel(
+                d0, d1, a0, a1, s0, s1,
+                _read_only(dec_aoff[d0:d1] - a0),
+                _read_only(dec_poff[d0:d1] - s0),
+            ))
+        self.levels = tuple(levels)
 
     # -- inspection helpers -------------------------------------------
 
@@ -111,9 +167,6 @@ class DagDecisionProblem:
 
     def action_counts(self) -> np.ndarray:
         return np.diff(self.dec_aoff)
-
-    def dec_actions(self, d: int) -> slice:
-        return slice(self.dec_aoff[d], self.dec_aoff[d + 1])
 
     def obs_payload(self, o: int) -> np.ndarray:
         return self.payload[self.obs_poff[o]: self.obs_poff[o + 1]]
@@ -313,26 +366,16 @@ def dag_cfr_strategy(
     x_act = np.zeros(p.n_act)
     x_obs = np.zeros(p.n_obs)
     x_obs[0] = 1.0
-    counts = p.action_counts()
-    for lv in range(1, p.n_levels):
-        d0, d1 = p.level_off[lv], p.level_off[lv + 1]
-        if d0 == d1:
-            continue
-        x_dec[d0:d1] = np.add.reduceat(
-            x_obs[p.dec_parent_obs[p.dec_poff[d0]: p.dec_poff[d1]]],
-            (p.dec_poff[d0:d1] - p.dec_poff[d0]),
+    for d0, d1, a0, a1, s0, s1, _, parent_off in p.levels:
+        np.add.reduceat(
+            x_obs[p.dec_parent_obs[s0:s1]], parent_off, out=x_dec[d0:d1]
         )
-        a0, a1 = p.dec_aoff[d0], p.dec_aoff[d1]
-        x_act[a0:a1] = (
-            np.repeat(x_dec[d0:d1], counts[d0:d1]) * r[a0:a1]
-        )
+        np.multiply(x_dec[p.act_dec[a0:a1]], r[a0:a1], out=x_act[a0:a1])
         x_obs[p.act_child_obs[a0:a1]] = x_act[a0:a1]
-    terminal_flow = np.bincount(p.payload, x_obs[_payload_owner(p)], p.n_slots)
+    terminal_flow = np.bincount(
+        p.payload, x_obs[p.payload_owner], p.n_slots
+    )
     return FlowVector(p, x_dec, x_act, x_obs, terminal_flow)
-
-
-def _payload_owner(p: DagDecisionProblem) -> np.ndarray:
-    return np.repeat(np.arange(p.n_obs, dtype=np.int64), np.diff(p.obs_poff))
 
 
 def dag_cfr_utility(
@@ -349,21 +392,15 @@ def dag_cfr_utility(
     v_obs = np.array(pay_obs, dtype=float, copy=True)
     v_act = np.zeros(p.n_act)
     v_dec = np.zeros(p.n_dec)
-    for lv in range(p.n_levels - 1, 0, -1):
-        d0, d1 = p.level_off[lv], p.level_off[lv + 1]
-        if d0 == d1:
-            continue
-        a0, a1 = p.dec_aoff[d0], p.dec_aoff[d1]
+    rv = np.empty(p.n_act)
+    for d0, d1, a0, a1, s0, s1, act_off, _ in reversed(p.levels):
         v_act[a0:a1] = v_obs[p.act_child_obs[a0:a1]]
-        v_dec[d0:d1] = np.add.reduceat(
-            r[a0:a1] * v_act[a0:a1], p.dec_aoff[d0:d1] - a0
-        )
-        span = slice(p.dec_poff[d0], p.dec_poff[d1])
-        counts = p.dec_poff[d0 + 1: d1 + 1] - p.dec_poff[d0:d1]
+        np.multiply(r[a0:a1], v_act[a0:a1], out=rv[a0:a1])
+        np.add.reduceat(rv[a0:a1], act_off, out=v_dec[d0:d1])
+        # Scattering to parents fixes the order in which an observation
+        # point sums its children; summing by gather would reorder it.
         np.add.at(
-            v_obs,
-            p.dec_parent_obs[span],
-            np.repeat(v_dec[d0:d1], counts),
+            v_obs, p.dec_parent_obs[s0:s1], v_dec[p.parent_dec[s0:s1]]
         )
     return v_act, v_dec
 
@@ -379,29 +416,22 @@ def best_response(
     p = problem
     v_obs = np.array(pay_obs, dtype=float, copy=True)
     v_act = np.zeros(p.n_act)
-    choice = np.zeros(p.n_act)
-    idx = np.arange(p.n_act)
-    for lv in range(p.n_levels - 1, 0, -1):
-        d0, d1 = p.level_off[lv], p.level_off[lv + 1]
-        if d0 == d1:
-            continue
-        a0, a1 = p.dec_aoff[d0], p.dec_aoff[d1]
+    v_best = np.zeros(p.n_dec)
+    for d0, d1, a0, a1, s0, s1, act_off, _ in reversed(p.levels):
         v_act[a0:a1] = v_obs[p.act_child_obs[a0:a1]]
-        offs = p.dec_aoff[d0:d1] - a0
-        counts = np.diff(p.dec_aoff[d0: d1 + 1])
-        v_best = np.maximum.reduceat(v_act[a0:a1], offs)
-        hit = v_act[a0:a1] == np.repeat(v_best, counts)
-        first = np.minimum.reduceat(
-            np.where(hit, idx[a0:a1], p.n_act), offs
-        )
-        choice[first] = 1.0
-        span = slice(p.dec_poff[d0], p.dec_poff[d1])
-        pcounts = p.dec_poff[d0 + 1: d1 + 1] - p.dec_poff[d0:d1]
+        np.maximum.reduceat(v_act[a0:a1], act_off, out=v_best[d0:d1])
         np.add.at(
-            v_obs, p.dec_parent_obs[span], np.repeat(v_best, pcounts)
+            v_obs, p.dec_parent_obs[s0:s1], v_best[p.parent_dec[s0:s1]]
         )
-    value = float(v_obs[0])
-    return value, choice
+    # Every slot's value is final once its level is swept, so the
+    # lowest best slot of every decision point is picked in one pass.
+    hit = v_act == v_best[p.act_dec]
+    first = np.minimum.reduceat(
+        np.where(hit, np.arange(p.n_act), p.n_act), p.dec_aoff[:-1]
+    )
+    choice = np.zeros(p.n_act)
+    choice[first] = 1.0
+    return float(v_obs[0]), choice
 
 
 # ---------------------------------------------------------------------
@@ -434,52 +464,48 @@ class LocalRegretBank:
         self.t = 0
         self.cum = np.zeros(problem.n_act)
         self.prediction = np.zeros(problem.n_act)
-        self._counts = problem.action_counts()
-        self._rep = np.repeat(
-            np.arange(problem.n_dec), self._counts
-        )
-        self._log_m = np.log(np.maximum(self._counts, 2))
+        self._act_dec = problem.act_dec
+        self._starts = problem.dec_aoff[:-1]
+        self._uniform = problem.uniform_strategy()
+        self._log_m = np.log(np.maximum(problem.action_counts(), 2))
+        self._pos = np.empty(problem.n_act)
 
     def _normalize(self, weights: np.ndarray) -> np.ndarray:
-        p = self.problem
-        pos = np.maximum(weights, 0.0)
-        totals = np.add.reduceat(pos, p.dec_aoff[:-1])
-        flat = totals[self._rep]
-        uniform = 1.0 / self._counts[self._rep]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(flat > 0.0, pos / flat, uniform)
-        return out
+        pos = np.maximum(weights, 0.0, out=self._pos)
+        flat = np.add.reduceat(pos, self._starts)[self._act_dec]
+        return np.divide(pos, flat, out=self._uniform.copy(), where=flat > 0)
 
     def current(self) -> np.ndarray:
         if self.variant == "mwu":
             if self.t == 0:
-                return self.problem.uniform_strategy()
-            eta = np.sqrt(self._log_m / self.t)[self._rep] / self.scale
+                return self._uniform.copy()
+            eta = np.sqrt(self._log_m / self.t)[self._act_dec] / self.scale
             z = eta * self.cum
-            z -= np.maximum.reduceat(z, self.problem.dec_aoff[:-1])[
-                self._rep
-            ]
-            w = np.exp(z)
-            return w / np.add.reduceat(
-                w, self.problem.dec_aoff[:-1]
-            )[self._rep]
+            z -= np.maximum.reduceat(z, self._starts)[self._act_dec]
+            w = np.exp(z, out=z)
+            w /= np.add.reduceat(w, self._starts)[self._act_dec]
+            return w
         if self.variant == "prm+":
-            return self._normalize(self.cum + self.prediction)
+            return self._normalize(
+                np.add(self.cum, self.prediction, out=self._pos)
+            )
         return self._normalize(self.cum)
 
     def observe(self, v_act: np.ndarray, v_dec: np.ndarray) -> None:
         """Feed one iteration's action and baseline values back in."""
         self.t += 1
-        inst = v_act - v_dec[self._rep]
-        if self.variant == "rm":
-            self.cum += inst
-        elif self.variant == "rm+":
-            self.cum = np.maximum(self.cum + inst, 0.0)
-        elif self.variant == "prm+":
-            self.cum = np.maximum(self.cum + inst, 0.0)
-            self.prediction = inst
-        else:  # mwu accumulates raw utilities
+        if self.variant == "mwu":  # mwu accumulates raw utilities
             self.cum += v_act
+            return
+        # prm+ keeps this iteration's regret as its next prediction.
+        inst = np.subtract(
+            v_act,
+            v_dec[self._act_dec],
+            out=self.prediction if self.variant == "prm+" else None,
+        )
+        self.cum += inst
+        if self.variant != "rm":
+            np.maximum(self.cum, 0.0, out=self.cum)
 
     def average_weight(self) -> float:
         """Iterate weight for the running average under this variant."""

@@ -229,33 +229,31 @@ class ExtensiveFormGame:
 # -- parsing -------------------------------------------------------------
 
 
-def _finite(value: int | float | Fraction, message: str) -> float:
-    """``value`` as a float, rejecting NaN, infinity and overflow."""
+def _float(value: int | float | Fraction) -> float:
+    """``value`` as a float; a float overflow becomes infinity."""
     try:
-        x = float(value)
+        return float(value)
     except OverflowError:
-        x = inf
-    _require(isfinite(x), message)
-    return x
+        return inf
 
 
-def _parse_prob(value: Any, where: str) -> float:
+def _parse_prob(value: Any, node: int) -> float:
     number = value
     if isinstance(value, str):
         try:
             number = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise GameValidationError(
-                f"{where}: bad probability {value!r}"
+                f"node {node}: bad probability {value!r}"
             ) from exc
     elif not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise GameValidationError(f"{where}: bad probability {value!r}")
-    return _finite(number, f"{where}: non-finite probability {value!r}")
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise GameValidationError(message)
+        raise GameValidationError(f"node {node}: bad probability {value!r}")
+    x = _float(number)
+    if not isfinite(x):
+        raise GameValidationError(
+            f"node {node}: non-finite probability {value!r}"
+        )
+    return x
 
 
 def build_game(
@@ -272,30 +270,33 @@ def build_game(
     how their ids were assigned.
     """
     players = tuple(str(p) for p in players)
-    _require(len(players) >= 1, "players list is empty")
-    _require(players[0] == CHANCE, 'players[0] must be "chance"')
+    if not players:
+        raise GameValidationError("players list is empty")
+    if players[0] != CHANCE:
+        raise GameValidationError('players[0] must be "chance"')
 
     team_of: list[str | None] = [None] * len(players)
-    _require(
-        set(teams.keys()) == {MAX, MIN},
-        'teams must have exactly the keys "max" and "min"',
-    )
+    if set(teams.keys()) != {MAX, MIN}:
+        raise GameValidationError(
+            'teams must have exactly the keys "max" and "min"'
+        )
     for side in (MAX, MIN):
         for p in teams[side]:
-            _require(
-                isinstance(p, int) and 0 < p < len(players),
-                f"team {side!r}: bad player index {p!r}",
-            )
-            _require(team_of[p] is None, f"player {p} listed in two teams")
+            if not (isinstance(p, int) and 0 < p < len(players)):
+                raise GameValidationError(
+                    f"team {side!r}: bad player index {p!r}"
+                )
+            if team_of[p] is not None:
+                raise GameValidationError(f"player {p} listed in two teams")
             team_of[p] = side
     for p in range(1, len(players)):
-        _require(team_of[p] is not None, f"player {p} belongs to no team")
+        if team_of[p] is None:
+            raise GameValidationError(f"player {p} belongs to no team")
 
-    _require(
-        isinstance(root, int) and 0 <= root < len(nodes),
-        f"bad root id {root!r}",
-    )
-    _require(len(nodes) > 0, "nodes array is empty")
+    if not (isinstance(root, int) and 0 <= root < len(nodes)):
+        raise GameValidationError(f"bad root id {root!r}")
+    if len(nodes) == 0:
+        raise GameValidationError("nodes array is empty")
 
     # Preorder walk: renumber nodes, detect sharing/cycles, reject
     # unreachable nodes (the array must be exactly the tree).
@@ -305,7 +306,10 @@ def build_game(
     stack = [root]
     while stack:
         old = stack.pop()
-        _require(new_id[old] < 0, f"node {old}: reached twice (not a tree)")
+        if new_id[old] >= 0:
+            raise GameValidationError(
+                f"node {old}: reached twice (not a tree)"
+            )
         new_id[old] = len(order)
         order.append(old)
         raw = nodes[old]
@@ -319,14 +323,15 @@ def build_game(
                     f"node {old}: action {j} missing child"
                 )
             child = act["child"]
-            _require(
-                isinstance(child, int) and 0 <= child < n,
-                f"node {old}: dangling child reference {child!r}",
-            )
+            if not (isinstance(child, int) and 0 <= child < n):
+                raise GameValidationError(
+                    f"node {old}: dangling child reference {child!r}"
+                )
             kids.append(child)
         stack.extend(reversed(kids))
     for old in range(n):
-        _require(new_id[old] >= 0, f"node {old}: unreachable from root")
+        if new_id[old] < 0:
+            raise GameValidationError(f"node {old}: unreachable from root")
 
     kind: list[str] = [""] * n
     parent = [-1] * n
@@ -346,86 +351,84 @@ def build_game(
         h = new_id[old]
         raw = nodes[old]
         k = raw.get("kind")
-        _require(
-            k in (CHANCE, PLAYER, TERMINAL),
-            f"node {old}: bad kind {k!r}",
-        )
+        if k not in (CHANCE, PLAYER, TERMINAL):
+            raise GameValidationError(f"node {old}: bad kind {k!r}")
         kind[h] = k
         actions = raw.get("actions", ())
 
         if k == TERMINAL:
-            _require(
-                not actions, f"node {old}: terminal node with actions"
-            )
+            if actions:
+                raise GameValidationError(
+                    f"node {old}: terminal node with actions"
+                )
             u = raw.get("utility")
-            _require(
-                isinstance(u, (int, float)) and not isinstance(u, bool),
-                f"node {old}: terminal needs a numeric utility",
-            )
-            utility[h] = _finite(
-                u, f"node {old}: terminal utility {u!r} is not finite"
-            )
+            if not (isinstance(u, (int, float)) and not isinstance(u, bool)):
+                raise GameValidationError(
+                    f"node {old}: terminal needs a numeric utility"
+                )
+            utility[h] = _float(u)
+            if not isfinite(utility[h]):
+                raise GameValidationError(
+                    f"node {old}: terminal utility {u!r} is not finite"
+                )
             continue
 
-        _require(
-            "utility" not in raw,
-            f"node {old}: utility on a non-terminal node",
-        )
-        _require(len(actions) > 0, f"node {old}: node with zero actions")
+        if "utility" in raw:
+            raise GameValidationError(
+                f"node {old}: utility on a non-terminal node"
+            )
+        if len(actions) == 0:
+            raise GameValidationError(f"node {old}: node with zero actions")
         kid_ids = []
         kid_labels = []
         for j, act in enumerate(actions):
             label = act.get("label")
-            _require(
-                isinstance(label, str),
-                f"node {old}: action {j} missing label",
-            )
+            if not isinstance(label, str):
+                raise GameValidationError(
+                    f"node {old}: action {j} missing label"
+                )
             kid_labels.append(label)
             c = new_id[act["child"]]
             kid_ids.append(c)
             parent[c] = h
             parent_action[c] = j
             depth[c] = depth[h] + 1
-        _require(
-            len(set(kid_labels)) == len(kid_labels),
-            f"node {old}: duplicate action labels",
-        )
+        if len(set(kid_labels)) != len(kid_labels):
+            raise GameValidationError(f"node {old}: duplicate action labels")
         children[h] = tuple(kid_ids)
         labels[h] = tuple(kid_labels)
 
         if k == CHANCE:
-            _require(
-                all("prob" in act for act in actions),
-                f"node {old}: chance action missing prob",
-            )
+            if not all("prob" in act for act in actions):
+                raise GameValidationError(
+                    f"node {old}: chance action missing prob"
+                )
             ps = tuple(
-                _parse_prob(act["prob"], f"node {old}") for act in actions
+                _parse_prob(act["prob"], old) for act in actions
             )
-            _require(
-                all(p >= 0.0 for p in ps),
-                f"node {old}: negative probability",
-            )
-            _require(
-                abs(sum(ps) - 1.0) <= _PROB_TOL,
-                f"node {old}: probabilities sum to {sum(ps)!r}, not 1",
-            )
+            if not all(p >= 0.0 for p in ps):
+                raise GameValidationError(f"node {old}: negative probability")
+            if not (abs(sum(ps) - 1.0) <= _PROB_TOL):
+                raise GameValidationError(
+                    f"node {old}: probabilities sum to {sum(ps)!r}, not 1"
+                )
             probs[h] = ps
         else:  # player node
-            _require(
-                all("prob" not in act for act in actions),
-                f"node {old}: probability on a player action",
-            )
+            if any("prob" in act for act in actions):
+                raise GameValidationError(
+                    f"node {old}: probability on a player action"
+                )
             p = raw.get("player")
-            _require(
-                isinstance(p, int) and 0 < p < len(players),
-                f"node {old}: bad acting player {p!r}",
-            )
+            if not (isinstance(p, int) and 0 < p < len(players)):
+                raise GameValidationError(
+                    f"node {old}: bad acting player {p!r}"
+                )
             player[h] = p
             raw_iset = raw.get("infoset")
-            _require(
-                raw_iset is not None,
-                f"node {old}: player node missing infoset",
-            )
+            if raw_iset is None:
+                raise GameValidationError(
+                    f"node {old}: player node missing infoset"
+                )
             if raw_iset not in infoset_ids:
                 infoset_ids[raw_iset] = len(infoset_members)
                 infoset_members.append([])
@@ -438,18 +441,18 @@ def build_game(
     for i, members in enumerate(infoset_members):
         first = members[0]
         for h in members[1:]:
-            _require(
-                player[h] == player[first],
-                f"infoset {i}: members owned by different players",
-            )
-            _require(
-                labels[h] == labels[first],
-                f"infoset {i}: action-label mismatch between members",
-            )
-            _require(
-                depth[h] == depth[first],
-                f"infoset {i}: members at different depths (not timeable)",
-            )
+            if player[h] != player[first]:
+                raise GameValidationError(
+                    f"infoset {i}: members owned by different players"
+                )
+            if labels[h] != labels[first]:
+                raise GameValidationError(
+                    f"infoset {i}: action-label mismatch between members"
+                )
+            if depth[h] != depth[first]:
+                raise GameValidationError(
+                    f"infoset {i}: members at different depths (not timeable)"
+                )
         infosets.append(
             Infoset(
                 player=player[first],
@@ -505,7 +508,8 @@ def parse_game(doc: Mapping[str, Any]) -> ExtensiveFormGame:
     if not isinstance(doc, Mapping):
         raise GameValidationError("game document must be an object")
     for field in ("players", "teams", "root", "nodes"):
-        _require(field in doc, f"missing top-level field {field!r}")
+        if field not in doc:
+            raise GameValidationError(f"missing top-level field {field!r}")
     teams = doc["teams"]
     if not isinstance(teams, Mapping):
         raise GameValidationError('"teams" must be an object')

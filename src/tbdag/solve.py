@@ -29,7 +29,6 @@ from .build import TbDag, build_tbdag
 from .dag import (
     FlowVector,
     LocalRegretBank,
-    _payload_owner,
     best_response,
     dag_cfr_strategy,
     dag_cfr_utility,
@@ -107,7 +106,11 @@ CSV_COLUMNS = ("iter", "time_ms", "gap", "br_max", "br_min", "value",
 @dataclass
 class SolveReport:
     """Everything a run produced: the log track, the averaged
-    strategies (as realization per terminal), and the certificate."""
+    strategies (as realization per terminal), and the certificate.
+
+    ``phase_ms`` splits the run's time: ``build`` (both analyses and
+    DAGs), ``iterate`` (the regret loop) and ``certify`` (the best
+    responses at log points)."""
 
     config: SolveConfig
     iterations: int
@@ -119,6 +122,7 @@ class SolveReport:
     y_realization: dict[int, float]
     dags: dict[str, TbDag]
     averages: dict[str, FlowVector]
+    phase_ms: dict[str, float]
 
     def csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
@@ -157,6 +161,38 @@ def terminal_realization(dag: TbDag, flow: FlowVector) -> dict[int, float]:
     }
 
 
+_REAL_TOL = 1e-9
+
+
+def check_realization(
+    g: ExtensiveFormGame, real: Mapping[int, float] | np.ndarray
+) -> None:
+    """Reject a per-terminal realization that is not one: a key that
+    names no terminal of ``g``, or a value that is not a finite number
+    in [0, 1] (up to 1e-9).  A dense array is indexed by node id and
+    only its terminal entries are read."""
+    if isinstance(real, np.ndarray):
+        items = ((z, real[z]) for z in g.terminals)
+    else:
+        terminals = set(g.terminals)
+        for z in real:
+            if z not in terminals:
+                raise GameValidationError(
+                    f"realization key {z!r} names no terminal"
+                )
+        items = real.items()
+    for z, p in items:
+        try:
+            x = float(p)
+        except (TypeError, ValueError):
+            x = math.nan
+        if not -_REAL_TOL <= x <= 1 + _REAL_TOL:
+            raise GameValidationError(
+                f"realization {p!r} of terminal {z} is not a number "
+                f"in [0, 1]"
+            )
+
+
 class _UtilityAssembler:
     """One side's terminal weights sign·utility·chance_reach, one per
     terminal in ``g.terminals`` order, and the index plumbing from those
@@ -175,7 +211,6 @@ class _UtilityAssembler:
         self.weight = _SIGN[dag.side] * np.array(
             [g.utility[z] * g.chance_reach[z] for z in tz]
         )
-        self._owner = _payload_owner(self.problem)
 
     def reach(self, flow: FlowVector) -> np.ndarray:
         """Per-terminal realization of one of this side's flows."""
@@ -190,7 +225,7 @@ class _UtilityAssembler:
         opponent realization."""
         p = self.problem
         w_slot = np.bincount(self._slot, self.weight * opp_reach, p.n_slots)
-        return np.bincount(self._owner, w_slot[p.payload], p.n_obs)
+        return np.bincount(p.payload_owner, w_slot[p.payload], p.n_obs)
 
 
 def assemble_utility(
@@ -218,6 +253,7 @@ def payoffs_from_realization(
 ) -> np.ndarray:
     """Like :func:`assemble_utility`, but from a bare per-terminal
     opponent realization instead of a live flow."""
+    check_realization(g, opponent_realization)
     return _UtilityAssembler(dag_self, g)(
         np.array(
             [float(opponent_realization.get(z, 0.0)) for z in g.terminals]
@@ -277,6 +313,8 @@ def solve(
     k = max(analyses[MAX].k, analyses[MIN].k, 1)
     log_b = math.log(max(g.branching_factor, 2))
 
+    t_loop = time.perf_counter()
+    certify_s = 0.0
     avg_x, avg_y = _zero_flow(p_x), _zero_flow(p_y)
     cum_pay_x = np.zeros(p_x.n_obs)
     cum_pay_y = np.zeros(p_y.n_obs)
@@ -327,6 +365,7 @@ def solve(
         cum_val_y += w * val_y
 
         if t == 1 or t % config.log_every == 0 or t == config.max_iters:
+            t_cert = time.perf_counter()
             x_bar = avg_x.scaled(1.0 / weight_total)
             y_bar = avg_y.scaled(1.0 / weight_total)
             x_reach, y_reach = at_x.reach(x_bar), at_y.reach(y_bar)
@@ -347,6 +386,7 @@ def solve(
                 regret_cap=(regret_x + regret_y) / weight_total,
             )
             log.append(point)
+            certify_s += time.perf_counter() - t_cert
             if not math.isfinite(gap_t):
                 raise RuntimeError(
                     f"non-finite gap at iteration {t}: {point!r}"
@@ -355,6 +395,7 @@ def solve(
                 converged = True
                 break
 
+    loop_s = time.perf_counter() - t_loop
     x_bar = avg_x.scaled(1.0 / weight_total)
     y_bar = avg_y.scaled(1.0 / weight_total)
     return SolveReport(
@@ -368,6 +409,11 @@ def solve(
         y_realization=terminal_realization(dags[MIN], y_bar),
         dags=dags,
         averages={MAX: x_bar, MIN: y_bar},
+        phase_ms={
+            "build": (t_loop - t_start) * 1e3,
+            "iterate": (loop_s - certify_s) * 1e3,
+            "certify": certify_s * 1e3,
+        },
     )
 
 
@@ -389,6 +435,7 @@ def enumeration_oracle(
     """
     if side not in _SIGN:
         raise GameValidationError(f"unknown side {side!r}")
+    check_realization(g, opponent_realization)
     real = opponent_realization
     dense = isinstance(real, np.ndarray)
     sign = _SIGN[side]

@@ -170,6 +170,9 @@ class TestSolveCommand:
         assert code == 0
         assert payload["converged"] is True
         assert abs(payload["value"]) <= 1e-3
+        assert set(payload["phase_ms"]) == {"build", "iterate", "certify"}
+        assert all(ms >= 0.0 for ms in payload["phase_ms"].values())
+        assert sum(payload["phase_ms"].values()) <= payload["wall_s"] * 1e3
 
         lines = log.read_text().splitlines()
         assert lines[0].startswith("# {")

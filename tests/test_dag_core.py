@@ -1,5 +1,6 @@
 """Flow sweeps, best response, regret banks, tree expansion."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -9,10 +10,15 @@ from tbdag import (
     GameValidationError,
     MAX,
     MIN,
+    SolveConfig,
+    analyze,
+    build_tbdag,
     generate,
     list_presets,
+    solve,
 )
 from tbdag.dag import (
+    FlowVector,
     LocalRegretBank,
     ProblemBuilder,
     best_response,
@@ -21,6 +27,7 @@ from tbdag.dag import (
     expand_to_tree,
     sequence_form,
 )
+from test_acceptance import SMALL_ZOO, game
 
 
 def diamond_problem():
@@ -232,3 +239,226 @@ class TestRegretBanks:
             for _ in range(3):
                 bank.observe(np.zeros(p.n_act), np.zeros(p.n_dec))
             assert bank.average_weight() == expected
+
+
+# ---------------------------------------------------------------------
+# Sweep plan: the planned sweeps against the per-level sweeps that
+# recomputed their index arrays on every call, kept here as the
+# reference they must match bit for bit.
+# ---------------------------------------------------------------------
+
+
+def ref_strategy(p, r):
+    x_dec = np.zeros(p.n_dec)
+    x_act = np.zeros(p.n_act)
+    x_obs = np.zeros(p.n_obs)
+    x_obs[0] = 1.0
+    counts = p.action_counts()
+    for lv in range(1, p.n_levels):
+        d0, d1 = p.level_off[lv], p.level_off[lv + 1]
+        if d0 == d1:
+            continue
+        x_dec[d0:d1] = np.add.reduceat(
+            x_obs[p.dec_parent_obs[p.dec_poff[d0]: p.dec_poff[d1]]],
+            (p.dec_poff[d0:d1] - p.dec_poff[d0]),
+        )
+        a0, a1 = p.dec_aoff[d0], p.dec_aoff[d1]
+        x_act[a0:a1] = np.repeat(x_dec[d0:d1], counts[d0:d1]) * r[a0:a1]
+        x_obs[p.act_child_obs[a0:a1]] = x_act[a0:a1]
+    owner = np.repeat(np.arange(p.n_obs, dtype=np.int64), np.diff(p.obs_poff))
+    terminal_flow = np.bincount(p.payload, x_obs[owner], p.n_slots)
+    return FlowVector(p, x_dec, x_act, x_obs, terminal_flow)
+
+
+def ref_utility(p, r, pay_obs):
+    v_obs = np.array(pay_obs, dtype=float, copy=True)
+    v_act = np.zeros(p.n_act)
+    v_dec = np.zeros(p.n_dec)
+    for lv in range(p.n_levels - 1, 0, -1):
+        d0, d1 = p.level_off[lv], p.level_off[lv + 1]
+        if d0 == d1:
+            continue
+        a0, a1 = p.dec_aoff[d0], p.dec_aoff[d1]
+        v_act[a0:a1] = v_obs[p.act_child_obs[a0:a1]]
+        v_dec[d0:d1] = np.add.reduceat(
+            r[a0:a1] * v_act[a0:a1], p.dec_aoff[d0:d1] - a0
+        )
+        span = slice(p.dec_poff[d0], p.dec_poff[d1])
+        counts = p.dec_poff[d0 + 1: d1 + 1] - p.dec_poff[d0:d1]
+        np.add.at(
+            v_obs, p.dec_parent_obs[span], np.repeat(v_dec[d0:d1], counts)
+        )
+    return v_act, v_dec
+
+
+def ref_best_response(p, pay_obs):
+    v_obs = np.array(pay_obs, dtype=float, copy=True)
+    v_act = np.zeros(p.n_act)
+    choice = np.zeros(p.n_act)
+    idx = np.arange(p.n_act)
+    for lv in range(p.n_levels - 1, 0, -1):
+        d0, d1 = p.level_off[lv], p.level_off[lv + 1]
+        if d0 == d1:
+            continue
+        a0, a1 = p.dec_aoff[d0], p.dec_aoff[d1]
+        v_act[a0:a1] = v_obs[p.act_child_obs[a0:a1]]
+        offs = p.dec_aoff[d0:d1] - a0
+        counts = np.diff(p.dec_aoff[d0: d1 + 1])
+        v_best = np.maximum.reduceat(v_act[a0:a1], offs)
+        hit = v_act[a0:a1] == np.repeat(v_best, counts)
+        first = np.minimum.reduceat(np.where(hit, idx[a0:a1], p.n_act), offs)
+        choice[first] = 1.0
+        span = slice(p.dec_poff[d0], p.dec_poff[d1])
+        pcounts = p.dec_poff[d0 + 1: d1 + 1] - p.dec_poff[d0:d1]
+        np.add.at(v_obs, p.dec_parent_obs[span], np.repeat(v_best, pcounts))
+    return float(v_obs[0]), choice
+
+
+def random_strategy(p, rng):
+    """A local mixed strategy with some exact zeros (uniform where a
+    decision point drew all zeros)."""
+    w = rng.random(p.n_act)
+    w[rng.random(p.n_act) < 0.25] = 0.0
+    totals = np.add.reduceat(w, p.dec_aoff[:-1])[p.act_dec]
+    return np.where(totals > 0, w / np.where(totals > 0, totals, 1.0),
+                    p.uniform_strategy())
+
+
+def payoff_draws(p, rng):
+    """Continuous payoffs, small integers (exact ties between actions)
+    and all zeros (every action ties)."""
+    return (
+        rng.normal(size=p.n_obs),
+        rng.integers(-1, 2, size=p.n_obs).astype(float),
+        np.zeros(p.n_obs),
+    )
+
+
+def assert_sweeps_match_reference(p, rng):
+    for r in (p.uniform_strategy(), random_strategy(p, rng)):
+        flow, ref = dag_cfr_strategy(p, r), ref_strategy(p, r)
+        for field in ("x_dec", "x_act", "x_obs", "terminal_flow"):
+            assert np.array_equal(
+                getattr(flow, field), getattr(ref, field)
+            ), field
+        for pay in payoff_draws(p, rng):
+            v_act, v_dec = dag_cfr_utility(p, r, pay)
+            ref_act, ref_dec = ref_utility(p, r, pay)
+            assert np.array_equal(v_act, ref_act)
+            assert np.array_equal(v_dec, ref_dec)
+    for pay in payoff_draws(p, rng):
+        value, choice = best_response(p, pay)
+        ref_value, ref_choice = ref_best_response(p, pay)
+        assert value == ref_value
+        assert np.array_equal(choice, ref_choice)
+    # With every action tied, each decision point takes its lowest slot.
+    _, choice = best_response(p, np.zeros(p.n_obs))
+    assert np.array_equal(np.flatnonzero(choice), p.dec_aoff[:-1])
+
+
+class TestSweepPlan:
+    @pytest.mark.parametrize("name", SMALL_ZOO)
+    def test_matches_reference_on_small_zoo(self, name):
+        g = game(name)
+        rng = np.random.default_rng(SMALL_ZOO.index(name))
+        for side in (MAX, MIN):
+            a = analyze(g, side)
+            for reduce in (False, True):
+                p = build_tbdag(g, side, reduce=reduce, analysis=a).problem
+                assert_sweeps_match_reference(p, rng)
+
+    def test_matches_reference_on_sequence_form_and_tree(self):
+        rng = np.random.default_rng(99)
+        for side in (MAX, MIN):
+            assert_sweeps_match_reference(
+                sequence_form(game("2K3"), side), rng
+            )
+        for p in (
+            diamond_problem(),
+            build_tbdag(game("fig2"), MAX).problem,
+            build_tbdag(game("3K3[1]"), MIN).problem,
+        ):
+            assert_sweeps_match_reference(expand_to_tree(p).problem, rng)
+
+    def test_plan_covers_the_problem_read_only(self):
+        p = build_tbdag(game("3K3[1,2]"), MIN).problem
+        assert p.levels[0].d0 == 0 and p.levels[-1].d1 == p.n_dec
+        for above, below in zip(p.levels, p.levels[1:]):
+            assert (above.d1, above.a1, above.s1) == (
+                below.d0, below.a0, below.s0
+            )
+        for lv in p.levels:
+            assert np.array_equal(
+                lv.act_off + lv.a0, p.dec_aoff[lv.d0: lv.d1]
+            )
+            assert np.array_equal(
+                lv.parent_off + lv.s0, p.dec_poff[lv.d0: lv.d1]
+            )
+        counts = p.action_counts()
+        assert np.array_equal(
+            p.act_dec, np.repeat(np.arange(p.n_dec), counts)
+        )
+        assert np.array_equal(
+            p.parent_dec, np.repeat(np.arange(p.n_dec), np.diff(p.dec_poff))
+        )
+        assert np.array_equal(
+            p.payload_owner,
+            np.repeat(np.arange(p.n_obs), np.diff(p.obs_poff)),
+        )
+        for arr in (p.act_dec, p.parent_dec, p.payload_owner,
+                    p.levels[0].act_off, p.levels[0].parent_off):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+
+def solve_digest(name, algorithm, mode):
+    """First 16 hex digits of a SHA-256 over the solve CSV without its
+    ``time_ms`` column and the four average flow arrays of both sides
+    (as little-endian float64)."""
+    rep = solve(
+        game(name),
+        SolveConfig(algorithm=algorithm, mode=mode, eps=1e-3, max_iters=1000),
+    )
+    h = hashlib.sha256()
+    for line in rep.csv().splitlines():
+        cols = line.split(",")
+        h.update((",".join(cols[:1] + cols[2:]) + "\n").encode())
+    for side in (MAX, MIN):
+        flow = rep.averages[side]
+        for arr in (flow.x_dec, flow.x_act, flow.x_obs, flow.terminal_flow):
+            h.update(arr.astype("<f8").tobytes())
+    return h.hexdigest()[:16]
+
+
+# Recorded with the per-level sweeps that predate the sweep plan.
+SOLVE_DIGESTS = {
+    ("fig2", "cfr", "simultaneous"): "07b474b9b0ffa464",
+    ("fig2", "cfr", "alternating"): "07b474b9b0ffa464",
+    ("fig2", "cfr+", "simultaneous"): "7693b46617151a43",
+    ("fig2", "cfr+", "alternating"): "7693b46617151a43",
+    ("fig2", "pcfr+", "simultaneous"): "9a79d0fca7cc783f",
+    ("fig2", "pcfr+", "alternating"): "9a79d0fca7cc783f",
+    ("fig2", "cfr-mwu", "simultaneous"): "b3ddc74c84bdd33e",
+    ("fig2", "cfr-mwu", "alternating"): "b3ddc74c84bdd33e",
+    ("2K3", "cfr", "simultaneous"): "08c97d7d4fb0ca06",
+    ("2K3", "cfr", "alternating"): "215210ee26dab82b",
+    ("2K3", "cfr+", "simultaneous"): "43172c8028a43a13",
+    ("2K3", "cfr+", "alternating"): "50183d65ac6d2fd0",
+    ("2K3", "pcfr+", "simultaneous"): "e6ef007aeaeeaf61",
+    ("2K3", "pcfr+", "alternating"): "50e09e460dd3a4d3",
+    ("2K3", "cfr-mwu", "simultaneous"): "fa273fecdfc29899",
+    ("2K3", "cfr-mwu", "alternating"): "cfeef0920648ce09",
+    ("3K3[1]", "cfr", "simultaneous"): "3e5cd10e6b87ee4c",
+    ("3K3[1]", "cfr", "alternating"): "89e61cef64ee5811",
+    ("3K3[1]", "cfr+", "simultaneous"): "a599aabf069e1a28",
+    ("3K3[1]", "cfr+", "alternating"): "aa15b26eec765a2d",
+    ("3K3[1]", "pcfr+", "simultaneous"): "6c15a5c68e5c4dd4",
+    ("3K3[1]", "pcfr+", "alternating"): "b9fcc1d176a4a3fc",
+    ("3K3[1]", "cfr-mwu", "simultaneous"): "26f3860d0aa52f32",
+    ("3K3[1]", "cfr-mwu", "alternating"): "fbfa54393f780975",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_DIGESTS))
+def test_solve_outputs_pinned(case):
+    assert solve_digest(*case) == SOLVE_DIGESTS[case]

@@ -169,6 +169,36 @@ class TestValidation:
         with pytest.raises(GameValidationError, match="non-finite"):
             parse_game(doc)
 
+    def test_passing_checks_format_no_message(self):
+        # Every id and number below refuses to be printed, so a check
+        # that formats its message before it fails would raise here.
+        class Mute(int):
+            def __repr__(self):
+                raise AssertionError("formatted a message for a passing check")
+
+            __str__ = __repr__
+
+            def __format__(self, spec):
+                return repr(self)
+
+        class MuteFloat(float):
+            def __repr__(self):
+                raise AssertionError("formatted a message for a passing check")
+
+        doc = tiny_doc()
+        doc["root"] = Mute(0)
+        doc["teams"] = {"max": [Mute(1)], "min": [Mute(2)]}
+        for raw in doc["nodes"]:
+            for act in raw.get("actions", ()):
+                act["child"] = Mute(act["child"])
+                if isinstance(act.get("prob"), float):
+                    act["prob"] = MuteFloat(act["prob"])
+            if "player" in raw:
+                raw["player"] = Mute(raw["player"])
+            if "utility" in raw:
+                raw["utility"] = MuteFloat(raw["utility"])
+        assert parse_game(doc) == parse_game(tiny_doc())
+
     def test_zero_action_node_rejected(self):
         doc = tiny_doc()
         doc["nodes"][1]["actions"] = []

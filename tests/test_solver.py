@@ -3,7 +3,8 @@
 from functools import lru_cache
 from importlib import import_module
 from itertools import product
-from math import fsum, sqrt
+from math import fsum, inf, nan, sqrt
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from tbdag import (
     SolveConfig,
     assemble_utility,
     build_tbdag,
+    check_realization,
     enumeration_oracle,
     gap,
     generate,
@@ -221,6 +223,16 @@ class TestSolve:
         assert int(first[0]) == 1
         assert len(first) == 7
 
+    def test_phase_timings(self):
+        t0 = perf_counter()
+        rep = run("2K3", eps=1e-12, max_iters=120, log_every=10)
+        total_ms = (perf_counter() - t0) * 1e3
+        assert set(rep.phase_ms) == {"build", "iterate", "certify"}
+        assert all(ms >= 0.0 for ms in rep.phase_ms.values())
+        assert sum(rep.phase_ms.values()) <= total_ms
+        # That the CSV is unchanged by the timing is checked by the
+        # digests pinned in test_dag_core.py.
+
 
 class TestAssembly:
     def test_flow_and_realization_paths_agree(self):
@@ -309,6 +321,45 @@ class TestOracle:
                 consistent(g, MAX, choice, h) for h in g.infosets[i].members
             )
             assert (i in choice) == members_reached
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({99999: 1.0}, "names no terminal"),
+            ({"0": 1.0}, "names no terminal"),
+            ({"first": nan}, "not a number in"),
+            ({"first": inf}, "not a number in"),
+            ({"first": 1.5}, "not a number in"),
+            ({"first": -0.1}, "not a number in"),
+        ],
+        ids=["key-99999", "key-str", "nan", "inf", "above-1", "negative"],
+    )
+    def test_library_entry_points_check_realizations(self, bad, message):
+        g = game("fig2")
+        dag = build_tbdag(g, MAX)
+        real = {z: 0.5 for z in g.terminals}
+        for key, p in bad.items():
+            real[g.terminals[0] if key == "first" else key] = p
+        with pytest.raises(GameValidationError, match=message):
+            enumeration_oracle(g, MAX, real)
+        with pytest.raises(GameValidationError, match=message):
+            payoffs_from_realization(dag, g, real)
+        with pytest.raises(GameValidationError, match=message):
+            check_realization(g, real)
+
+    def test_realization_tolerance_and_dense_form(self):
+        g = game("fig2")
+        real = {z: 0.5 for z in g.terminals}
+        real[g.terminals[0]], real[g.terminals[1]] = 1.0 + 1e-10, -1e-10
+        check_realization(g, real)
+        dense = np.zeros(g.num_nodes)
+        dense[list(g.terminals)] = 0.5
+        assert enumeration_oracle(g, MAX, dense) == enumeration_oracle(
+            g, MAX, {z: 0.5 for z in g.terminals}
+        )
+        dense[g.terminals[0]] = nan
+        with pytest.raises(GameValidationError, match="not a number in"):
+            enumeration_oracle(g, MAX, dense)
 
     def test_budget_abort(self):
         rep, reals = uniform_realizations("3K3[1]")
