@@ -333,27 +333,57 @@ def split_observation(
     blocks: components of the indistinguishability graph induced on H.
 
     Blocks are canonically sorted (by id inside a block, by smallest
-    member across blocks).
+    member across blocks).  A node in no clique is a singleton block
+    at once; the rest meet in a union-find whose root is always the
+    smallest member, so a block starts at its first node in id order.
     """
     if side is not None and side != analysis.side:
         raise ValueError(
             f"analysis is for side {analysis.side!r}, not {side!r}"
         )
     H = sorted(set(H))
-    _check_same_depth(analysis.game, H)
-    uf = _UnionFind()
-    clique_rep: dict[int, int] = {}
+    if not H:
+        return ()
+    depth = analysis.game.depth
+    node_cliques = analysis.node_cliques
+    d0 = depth[H[0]]
+    parent: dict[int, int] = {}
+    first: dict[int, int] = {}  # clique id -> its first node in H
     for h in H:
-        uf.find(h)
-        for cid in analysis.node_cliques[h]:
-            rep = clique_rep.setdefault(cid, h)
-            uf.union(rep, h)
-    blocks: dict[int, list[int]] = {}
+        if depth[h] != d0:
+            _check_same_depth(analysis.game, H)
+        cids = node_cliques[h]
+        if not cids:
+            continue
+        # ``root`` stays h's root: links run from larger to smaller.
+        root = parent[h] = h
+        for cid in cids:
+            x = first.setdefault(cid, h)
+            if x == h:
+                continue
+            r = x
+            while parent[r] != r:
+                r = parent[r]
+            while parent[x] != r:  # path compression
+                parent[x], x = r, parent[x]
+            if r < root:
+                parent[root] = root = r
+            elif r > root:
+                parent[r] = root
+    blocks: list = []
+    block_at: dict[int, list[int]] = {}
     for h in H:
-        blocks.setdefault(uf.find(h), []).append(h)
-    return tuple(
-        tuple(blocks[r]) for r in sorted(blocks)
-    )
+        r = parent.get(h)
+        if r is None:
+            blocks.append((h,))
+            continue
+        while parent[r] != r:
+            r = parent[r]
+        if r == h:
+            blocks.append(block_at.setdefault(h, [h]))
+        else:
+            block_at[r].append(h)
+    return tuple(map(tuple, blocks))
 
 
 def split_public(

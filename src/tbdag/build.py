@@ -31,7 +31,10 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .analysis import (
     GameAnalysis,
@@ -40,7 +43,7 @@ from .analysis import (
     split_observation,
     split_public,
 )
-from .dag import DagDecisionProblem, ProblemBuilder
+from .dag import DagDecisionProblem, csr_of, freeze_csr
 from .game import (
     BudgetExceededError,
     ExtensiveFormGame,
@@ -57,6 +60,9 @@ class BuildStats:
 
     ``n_obs`` and ``n_edges`` exclude the artificial root observation
     point and its edge, so they match hand counts on the drawn DAG.
+    ``phase_ms`` holds the milliseconds spent in ``expand``, ``dedup``,
+    ``prune``, ``splice`` and ``pack`` (zero for the phases an unreduced
+    build skips); it takes no part in comparisons.
     """
 
     side: str
@@ -70,6 +76,7 @@ class BuildStats:
     max_fanout_belief: tuple[int, ...]
     dedup_hits: int
     prescription_bound: int
+    phase_ms: dict[str, float] = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -108,7 +115,12 @@ def _split_fn(split: str):
 
 
 class _Workspace:
-    """Mutable belief-DAG under construction (terminals as payload)."""
+    """Mutable belief-DAG under construction (terminals as payload).
+
+    The observation points of one decision point are numbered
+    consecutively, in prescription order, when it is expanded.
+    ``edges`` counts the raw edges expanded so far, for the budget.
+    """
 
     def __init__(self):
         self.dec_belief: list[tuple[int, ...]] = []
@@ -120,7 +132,6 @@ class _Workspace:
         self.obs_parent: list[int] = []
         self.obs_children: list[list[int]] = []
         self.obs_payload: list[list[int]] = []
-        self.obs_alive: list[bool] = []
         self.dedup_hits = 0
         self.edges = 0
 
@@ -132,13 +143,6 @@ class _Workspace:
         self.dec_parents.append([])
         self.dec_alive.append(True)
         return len(self.dec_belief) - 1
-
-    def new_obs(self, parent):
-        self.obs_parent.append(parent)
-        self.obs_children.append([])
-        self.obs_payload.append([])
-        self.obs_alive.append(True)
-        return len(self.obs_parent) - 1
 
 
 @dataclass(frozen=True)
@@ -193,42 +197,74 @@ def expand_belief(
     return BeliefExpansion(isets, counts, moves, tuple(free))
 
 
+def _where(g, belief, n_prescr, edges):
+    return (
+        f"while expanding a belief of {len(belief)} nodes at depth "
+        f"{g.depth[belief[0]]} with {n_prescr} prescriptions "
+        f"({edges} edges built so far)"
+    )
+
+
 def _expand(ws, g, analysis, split_parts, d, budget, fanout_guard, memo, queue):
     belief = ws.dec_belief[d]
     step = expand_belief(g, analysis.side, belief)
     ws.dec_isets[d] = step.isets
+    n_prescr = step.n_prescr
+    edges = ws.edges
     if len(step.isets) > fanout_guard:
         raise BudgetExceededError(
-            f"belief of {len(belief)} nodes at depth "
-            f"{g.depth[belief[0]]} meets {len(step.isets)} infosets "
-            f"(fan-out guard {fanout_guard})"
+            f"fan-out guard {fanout_guard} exceeded by {len(step.isets)} "
+            "infosets " + _where(g, belief, n_prescr, edges)
         )
-    n_prescr = step.n_prescr
-    if ws.edges + n_prescr > budget:
+    if edges + n_prescr > budget:
         raise BudgetExceededError(
-            f"edge budget {budget} exceeded while expanding a belief "
-            f"with {n_prescr} prescriptions"
+            f"edge budget {budget} exceeded "
+            + _where(g, belief, n_prescr, edges)
         )
-    for prescr in step.prescriptions():
-        o = ws.new_obs(d)
-        ws.dec_actions[d].append(o)
-        ws.dec_prescr[d].append(prescr)
-        ws.edges += 1
-        for part in split_parts(analysis, step.candidates(prescr)):
-            ws.edges += 1
-            if len(part) == 1 and g.kind[part[0]] == TERMINAL:
-                ws.obs_payload[o].append(part[0])
-                continue
+    # Every prescription gets one observation point, numbered on from
+    # the last one.
+    prescrs = list(step.prescriptions())
+    o = len(ws.obs_parent)
+    ws.dec_prescr[d] = prescrs
+    ws.dec_actions[d] = list(range(o, o + n_prescr))
+    ws.obs_parent += [d] * n_prescr
+    obs_children, obs_payload = ws.obs_children, ws.obs_payload
+    dec_parents, new_dec, kind = ws.dec_parents, ws.new_dec, g.kind
+    candidates = step.candidates
+    dedup_hits = 0
+    for prescr in prescrs:
+        kids: list[int] = []
+        pay: list[int] = []
+        parts = split_parts(analysis, candidates(prescr))
+        edges += 1 + len(parts)
+        for part in parts:
+            # The memo maps a terminal's singleton part to the
+            # complement of its id, so the terminal test runs once.
             child = memo.get(part)
             if child is None:
-                child = memo[part] = ws.new_dec(part, ())
+                if len(part) == 1 and kind[part[0]] == TERMINAL:
+                    memo[part] = ~part[0]
+                    pay.append(part[0])
+                    continue
+                child = memo[part] = new_dec(part, ())
                 queue.append(child)
+            elif child < 0:
+                pay.append(~child)
+                continue
             else:
-                ws.dedup_hits += 1
-            ws.obs_children[o].append(child)
-            ws.dec_parents[child].append(o)
-        if ws.edges > budget:
-            raise BudgetExceededError(f"edge budget {budget} exceeded")
+                dedup_hits += 1
+            kids.append(child)
+            dec_parents[child].append(o)
+        obs_children.append(kids)
+        obs_payload.append(pay)
+        o += 1
+        if edges > budget:
+            raise BudgetExceededError(
+                f"edge budget {budget} exceeded "
+                + _where(g, belief, n_prescr, edges)
+            )
+    ws.edges = edges
+    ws.dedup_hits += dedup_hits
 
 
 def _dedup_terminals(ws, seq_of):
@@ -246,49 +282,76 @@ def _dedup_terminals(ws, seq_of):
     every occurrence is kept: the unreduced build's slots.
     """
     groups: list[list[int]] = []
+    rep: list[int] = []  # slot -> its representative terminal
     slot_by_seq: dict[int, int] = {}
-    rep: dict[int, int] = {}
-    for o in range(len(ws.obs_payload)):
+    seen: set[int] = set()
+    obs_payload = ws.obs_payload
+    for o, pay in enumerate(obs_payload):
+        if not pay:
+            continue
         kept: list[int] = []
-        for z in ws.obs_payload[o]:
-            s = slot_by_seq.get(seq_of[z])
+        for z in pay:
+            key = seq_of[z]
+            s = slot_by_seq.get(key)
             if s is None:
-                s = slot_by_seq[seq_of[z]] = len(groups)
+                s = slot_by_seq[key] = len(groups)
                 groups.append([z])
-                rep[s] = z
+                rep.append(z)
+                seen.add(z)
                 kept.append(s)
-            else:
-                if z not in groups[s]:
-                    groups[s].append(z)
-                if z == rep[s]:
-                    kept.append(s)
-        ws.obs_payload[o] = kept
+            elif z == rep[s]:
+                kept.append(s)
+            elif z not in seen:
+                seen.add(z)
+                groups[s].append(z)
+        obs_payload[o] = kept
     return groups
 
 
 def _prune_dead(ws):
-    """Drop observation points with nothing below, cascading upward."""
-    changed = True
-    while changed:
-        changed = False
-        for o in range(len(ws.obs_parent)):
-            if not ws.obs_alive[o]:
-                continue
-            if ws.obs_children[o] or ws.obs_payload[o]:
-                continue
-            ws.obs_alive[o] = False
-            changed = True
-            d = ws.obs_parent[o]
-            i = ws.dec_actions[d].index(o)
-            del ws.dec_actions[d][i]
-            del ws.dec_prescr[d][i]
-            ws.edges -= 1
-            if not ws.dec_actions[d]:
-                ws.dec_alive[d] = False
-                for po in ws.dec_parents[d]:
-                    if ws.obs_alive[po]:
-                        ws.obs_children[po].remove(d)
-                        ws.edges -= 1
+    """Drop observation points with nothing below, cascading upward.
+
+    A worklist of empty observation points drives the cascade; the
+    surviving actions and children keep their order, so the result is
+    the fixpoint of removing empty points one at a time.
+    """
+    obs_children, obs_payload = ws.obs_children, ws.obs_payload
+    obs_parent = ws.obs_parent
+    obs_alive = [True] * len(obs_parent)
+    dec_actions, dec_alive, dec_parents = (
+        ws.dec_actions, ws.dec_alive, ws.dec_parents
+    )
+    n_kids = list(map(len, obs_children))
+    n_acts = list(map(len, dec_actions))
+    work = [
+        o for o in range(len(obs_parent))
+        if not n_kids[o] and not obs_payload[o]
+    ]
+    thinned_dec: set[int] = set()  # lost an action
+    thinned_obs: set[int] = set()  # lost a child
+    while work:
+        o = work.pop()
+        obs_alive[o] = False
+        d = obs_parent[o]
+        thinned_dec.add(d)
+        n_acts[d] -= 1
+        if n_acts[d]:
+            continue
+        dec_alive[d] = False
+        for po in dec_parents[d]:
+            thinned_obs.add(po)
+            n_kids[po] -= 1
+            if not n_kids[po] and not obs_payload[po]:
+                work.append(po)
+    for d in thinned_dec:
+        if dec_alive[d]:
+            acts, prescr = dec_actions[d], ws.dec_prescr[d]
+            keep = [i for i, o in enumerate(acts) if obs_alive[o]]
+            dec_actions[d] = [acts[i] for i in keep]
+            ws.dec_prescr[d] = [prescr[i] for i in keep]
+    for o in thinned_obs:
+        if obs_alive[o]:
+            obs_children[o] = [c for c in obs_children[o] if dec_alive[c]]
 
 
 def _splice_passthrough(ws, root_dec):
@@ -302,9 +365,7 @@ def _splice_passthrough(ws, root_dec):
         po = ws.dec_parents[d][0]
         o = ws.dec_actions[d][0]
         ws.dec_alive[d] = False
-        ws.obs_alive[o] = False
         ws.obs_children[po].remove(d)
-        ws.edges -= 2  # the parent->d edge and d's action edge
         for child in ws.obs_children[o]:
             ws.obs_children[po].append(child)
             ws.dec_parents[child] = [
@@ -334,6 +395,17 @@ def build_tbdag(
     if g.kind[g.root] == TERMINAL:
         raise GameValidationError("the game is a single terminal node")
 
+    phase_ms = dict.fromkeys(
+        ("expand", "dedup", "prune", "splice", "pack"), 0.0
+    )
+    clock = time.perf_counter()
+
+    def lap(phase):
+        nonlocal clock
+        now = time.perf_counter()
+        phase_ms[phase] = (now - clock) * 1e3
+        clock = now
+
     ws = _Workspace()
     memo: dict[tuple[int, ...], int] = {}
     root_belief = (g.root,)
@@ -344,38 +416,56 @@ def build_tbdag(
             ws, g, analysis, split_parts, queue.pop(),
             edge_budget, fanout_guard, memo, queue,
         )
-
+    lap("expand")
     if reduce:
         groups = _dedup_terminals(ws, coordinator_view(g, side).seq_of)
+        lap("dedup")
         _prune_dead(ws)
+        lap("prune")
         _splice_passthrough(ws, root_dec)
+        lap("splice")
     else:
         groups = _dedup_terminals(ws, range(g.num_nodes))
+        lap("dedup")
+    # The stats hold ``phase_ms`` itself, so the pack time lands there.
+    dag = _pack(
+        g, side, split, reduce, analysis, ws, root_dec, groups, phase_ms
+    )
+    lap("pack")
+    return dag
 
-    return _pack(g, side, split, reduce, analysis, ws, root_dec, groups)
 
+def _pack(g, side, split, reduce, analysis, ws, root_dec, groups, phase_ms):
+    # Live decision points keep their relative order and list their
+    # actions as numbered from 1 on, after the artificial root.  The
+    # workspace's own child and payload lists are laid out in that
+    # order, once, with children renumbered if any point was dropped.
+    alive, dec_actions = ws.dec_alive, ws.dec_actions
+    keep = [d for d in range(len(alive)) if alive[d]]
+    obs = list(
+        itertools.chain.from_iterable(map(dec_actions.__getitem__, keep))
+    )
+    aoff = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum([len(dec_actions[d]) for d in keep], out=aoff[1:])
+    kids, coff = csr_of([[root_dec], *map(ws.obs_children.__getitem__, obs)])
+    if len(keep) < len(alive):
+        dec_id = np.full(len(alive), -1, dtype=np.int64)
+        dec_id[keep] = np.arange(len(keep))
+        kids = dec_id[kids]
+    problem = freeze_csr(
+        side,
+        len(groups),
+        (np.arange(1, len(obs) + 1), aoff),
+        (kids, coff),
+        csr_of([[], *map(ws.obs_payload.__getitem__, obs)]),
+        keep,
+    )
 
-def _pack(g, side, split, reduce, analysis, ws, root_dec, groups):
-    b = ProblemBuilder(side, len(groups))
-    dec_id: dict[int, int] = {}
-    for d in range(len(ws.dec_belief)):
-        if ws.dec_alive[d]:
-            dec_id[d] = b.add_dec(meta=d)
-    b.add_obs_child(0, dec_id[root_dec])
-    for d, bd in dec_id.items():
-        for o in ws.dec_actions[d]:
-            no = b.add_obs(payload=ws.obs_payload[o])
-            b.add_action(bd, no)
-            for child in ws.obs_children[o]:
-                b.add_obs_child(no, dec_id[child])
-    problem = b.finalize()
-
-    beliefs = tuple(ws.dec_belief[old] for old in problem.dec_meta)
-    dec_isets = tuple(ws.dec_isets[old] for old in problem.dec_meta)
+    order = problem.dec_meta
+    beliefs = tuple(map(ws.dec_belief.__getitem__, order))
+    dec_isets = tuple(map(ws.dec_isets.__getitem__, order))
     prescriptions = tuple(
-        prescr
-        for old in problem.dec_meta
-        for prescr in ws.dec_prescr[old]
+        itertools.chain.from_iterable(map(ws.dec_prescr.__getitem__, order))
     )
     slot_groups = tuple(tuple(sorted(grp)) for grp in groups)
     slot_of = {
@@ -401,11 +491,12 @@ def _pack(g, side, split, reduce, analysis, ws, root_dec, groups):
         n_dec=problem.n_dec,
         n_obs=n_obs,
         n_edges=n_edges,
-        max_belief=max(len(bl) for bl in beliefs),
+        max_belief=max(map(len, beliefs)),
         max_fanout=int(counts[max_d]),
         max_fanout_belief=beliefs[max_d],
         dedup_hits=ws.dedup_hits,
         prescription_bound=(side_b + 1) ** analysis.k,
+        phase_ms=phase_ms,
     )
     return TbDag(
         game=g,

@@ -346,6 +346,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             "dedup_hits": st.dedup_hits,
             "edge_bound": bounds["bound"],
             "bound_slack": bounds["slack"],
+            "phase_ms": st.phase_ms,
         }
         payload["sides"][side] = detail
         lines.append(
@@ -597,16 +598,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows: list[dict[str, Any]] = []
     for name in names:
         g, label, _ = _resolve_game(name)
-        t0 = time.perf_counter()
-        dag_max = build_tbdag(g, MAX, split="observation")
-        dag_min = build_tbdag(g, MIN, split="observation")
-        init_ms = (time.perf_counter() - t0) * 1000.0
         config = SolveConfig(
             algorithm=args.algo, eps=args.eps, max_iters=args.max_iters
         )
         t0 = time.perf_counter()
         rep = solve(g, config)
         solve_ms = (time.perf_counter() - t0) * 1000.0
+        dag_max, dag_min = rep.dags[MAX], rep.dags[MIN]
         rows.append(
             {
                 "game": label,
@@ -616,7 +614,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "obs_max": dag_max.stats.n_obs,
                 "dec_min": dag_min.stats.n_dec,
                 "obs_min": dag_min.stats.n_obs,
-                "init_ms": f"{init_ms:.3f}",
+                "init_ms": f"{rep.phase_ms['build']:.3f}",
                 "iters": rep.iterations,
                 "converged": int(rep.converged),
                 "solve_ms": f"{solve_ms:.3f}",

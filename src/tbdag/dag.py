@@ -14,12 +14,16 @@ an observation point is worth its payload plus the sum of its children,
 and a decision point is worth the local average of its choices.  Both
 sweeps, and ``best_response``, are vectorized over contiguous per-level
 slices.  They read a sweep plan (level bounds, relative ``reduceat``
-offsets and owner indices) built once when ``ProblemBuilder.finalize``
-freezes the problem, so an iteration does no index arithmetic.
+offsets and owner indices) built once when ``freeze_csr`` freezes the
+problem, so an iteration does no index arithmetic.  ``freeze_csr`` takes
+the DAG as CSR tables in any numbering and orders it level by level in
+whole-array steps; ``ProblemBuilder`` collects one point at a time and
+hands it its lists.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,9 +38,11 @@ __all__ = [
     "ProblemBuilder",
     "TreeExpansion",
     "best_response",
+    "csr_of",
     "dag_cfr_strategy",
     "dag_cfr_utility",
     "expand_to_tree",
+    "freeze_csr",
     "sequence_form",
 ]
 
@@ -220,6 +226,119 @@ class FlowVector:
         np.testing.assert_allclose(act_mass, self.x_dec, atol=atol)
 
 
+def _spans(off: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Entry indices of CSR rows ``rows`` (row offsets ``off``), the
+    rows' entries concatenated in the order ``rows`` lists them."""
+    starts = off[rows]
+    lens = off[rows + 1] - starts
+    first = starts - np.cumsum(lens) + lens  # minus the entries before
+    return np.repeat(first, lens) + np.arange(lens.sum())
+
+
+def csr_of(lists) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenation of ``lists`` and its CSR row offsets."""
+    off = np.zeros(len(lists) + 1, dtype=np.int64)
+    np.cumsum(list(map(len, lists)), out=off[1:])
+    flat = np.fromiter(
+        itertools.chain.from_iterable(lists), np.int64, count=int(off[-1])
+    )
+    return flat, off
+
+
+def freeze_csr(
+    side: str,
+    n_slots: int,
+    actions: tuple[np.ndarray, np.ndarray],
+    children: tuple[np.ndarray, np.ndarray],
+    payloads: tuple[np.ndarray, np.ndarray],
+    dec_meta,
+) -> DagDecisionProblem:
+    """Freeze a decision DAG given as three CSR tables in any numbering.
+
+    ``actions`` lists each decision point's observation points in
+    action order, ``children`` and ``payloads`` each observation
+    point's children and payload; observation point 0 is the artificial
+    root.  Decision points are renumbered by (longest-path level, id)
+    and observation points by (level, owner, id) after the root.
+    """
+    acts, aoff = actions
+    kids, coff = children
+    payload, poff = payloads
+    n_dec, n_obs = len(aoff) - 1, len(coff) - 1
+    if coff[1] - coff[0] != 1:
+        raise GameValidationError(
+            "the artificial root must feed exactly one decision point"
+        )
+    n_act = np.diff(aoff)
+    if not n_act.all():
+        raise GameValidationError(
+            f"decision point {int(np.argmin(n_act))} has no actions"
+        )
+    root_child = int(kids[coff[0]])
+    owner = np.zeros(n_obs, dtype=np.int64)  # the root's owner: 0
+    owner[acts] = _owner_of(aoff)
+    # A decision point's parents, in observation point order.
+    n_parents = np.bincount(kids, minlength=n_dec)
+    parents = _owner_of(coff)[np.argsort(kids, kind="stable")]
+    poff_in = np.zeros(n_dec + 1, dtype=np.int64)
+    np.cumsum(n_parents, out=poff_in[1:])
+
+    # Longest-path levels, one frontier per level: a decision point
+    # joins once every parent's owner has a level.
+    lev_dec = np.zeros(n_dec, dtype=np.int64)
+    lev_obs = np.zeros(n_obs, dtype=np.int64)
+    indeg = n_parents.copy()
+    indeg[root_child] -= 1  # the artificial root
+    ready = np.flatnonzero(indeg == 0)
+    lev = seen = 0
+    while len(ready):
+        lev += 1
+        seen += len(ready)
+        lev_dec[ready] = lev
+        obs = acts[_spans(aoff, ready)]
+        lev_obs[obs] = lev
+        freed, times = np.unique(kids[_spans(coff, obs)], return_counts=True)
+        indeg[freed] -= times
+        ready = freed[indeg[freed] == 0]
+    if seen != n_dec:
+        raise GameValidationError("decision DAG contains a cycle")
+
+    dec_order = np.argsort(lev_dec, kind="stable")
+    dec_new = np.empty(n_dec, dtype=np.int64)
+    dec_new[dec_order] = np.arange(n_dec)
+    rest = np.arange(1, n_obs)
+    obs_order = np.concatenate(
+        ([0], rest[np.lexsort((rest, owner[1:], lev_obs[1:]))])
+    )
+    obs_new = np.empty(n_obs, dtype=np.int64)
+    obs_new[obs_order] = np.arange(n_obs)
+
+    def offsets(off, order):
+        out = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum(np.diff(off)[order], out=out[1:])
+        return out
+
+    levels = lev_dec[dec_order]
+    n_levels = (int(levels[-1]) if n_dec else 0) + 1
+    level_off = np.zeros(n_levels + 1, dtype=np.int64)
+    np.cumsum(np.bincount(levels, minlength=n_levels), out=level_off[1:])
+    return DagDecisionProblem(
+        side=side,
+        dec_aoff=offsets(aoff, dec_order),
+        act_child_obs=obs_new[acts[_spans(aoff, dec_order)]],
+        obs_coff=offsets(coff, obs_order),
+        obs_children=dec_new[kids[_spans(coff, obs_order)]],
+        obs_poff=offsets(poff, obs_order),
+        payload=payload[_spans(poff, obs_order)],
+        dec_poff=offsets(poff_in, dec_order),
+        dec_parent_obs=obs_new[parents[_spans(poff_in, dec_order)]],
+        level_off=level_off,
+        root_dec=int(dec_new[root_child]),
+        n_slots=n_slots,
+        dec_meta=[dec_meta[old] for old in dec_order.tolist()],
+    )
+
+
 class ProblemBuilder:
     """Accumulates decision/observation points, then freezes to arrays.
 
@@ -252,103 +371,14 @@ class ProblemBuilder:
         self.obs_children[o].append(d)
 
     def finalize(self) -> DagDecisionProblem:
-        n_dec = len(self.dec_actions)
-        n_obs = len(self.obs_children)
-        if len(self.obs_children[0]) != 1:
-            raise GameValidationError(
-                "the artificial root must feed exactly one decision point"
-            )
-
-        # Longest-path levels: every parent strictly earlier.
-        owner = [0] * n_obs  # decision point owning each obs (root: -1)
-        for d, acts in enumerate(self.dec_actions):
-            if not acts:
-                raise GameValidationError(
-                    f"decision point {d} has no actions"
-                )
-            for o in acts:
-                owner[o] = d
-        dec_parents: list[list[int]] = [[] for _ in range(n_dec)]
-        for o, kids in enumerate(self.obs_children):
-            for d in kids:
-                dec_parents[d].append(o)
-        lev_dec = [0] * n_dec
-        lev_obs = [0] * n_obs
-        indeg = [len(p) for p in dec_parents]
-        from collections import deque
-
-        for d in self.obs_children[0]:
-            indeg[d] -= 1  # the artificial root is already resolved
-        ready = deque(d for d in range(n_dec) if indeg[d] == 0)
-        seen = 0
-        while ready:
-            d = ready.popleft()
-            seen += 1
-            lev = 1 + max(
-                (lev_obs[o] for o in dec_parents[d]), default=0
-            )
-            lev_dec[d] = lev
-            for o in self.dec_actions[d]:
-                lev_obs[o] = lev
-                for d2 in self.obs_children[o]:
-                    indeg[d2] -= 1
-                    if indeg[d2] == 0:
-                        ready.append(d2)
-        if seen != n_dec:
-            raise GameValidationError("decision DAG contains a cycle")
-
-        dec_order = sorted(range(n_dec), key=lambda d: (lev_dec[d], d))
-        dec_new = {old: new for new, old in enumerate(dec_order)}
-        obs_order = [0] + sorted(
-            range(1, n_obs), key=lambda o: (lev_obs[o], owner[o], o)
-        )
-        obs_new = {old: new for new, old in enumerate(obs_order)}
-
-        dec_aoff = np.zeros(n_dec + 1, dtype=np.int64)
-        act_child = []
-        for new, old in enumerate(dec_order):
-            for o in self.dec_actions[old]:
-                act_child.append(obs_new[o])
-            dec_aoff[new + 1] = len(act_child)
-        obs_coff = np.zeros(n_obs + 1, dtype=np.int64)
-        obs_kids = []
-        obs_poff = np.zeros(n_obs + 1, dtype=np.int64)
-        payload = []
-        for new, old in enumerate(obs_order):
-            for d in self.obs_children[old]:
-                obs_kids.append(dec_new[d])
-            obs_coff[new + 1] = len(obs_kids)
-            payload.extend(self.obs_payload[old])
-            obs_poff[new + 1] = len(payload)
-        dec_poff = np.zeros(n_dec + 1, dtype=np.int64)
-        parent_obs = []
-        for new, old in enumerate(dec_order):
-            for o in dec_parents[old]:
-                parent_obs.append(obs_new[o])
-            dec_poff[new + 1] = len(parent_obs)
-
-        levels = [lev_dec[old] for old in dec_order]
-        n_levels = (levels[-1] if levels else 0) + 1
-        level_off = np.zeros(n_levels + 1, dtype=np.int64)
-        for lv in levels:
-            level_off[lv + 1] += 1
-        level_off = np.cumsum(level_off)
-
-        meta = [self.dec_meta[old] for old in dec_order]
-        return DagDecisionProblem(
-            side=self.side,
-            dec_aoff=dec_aoff,
-            act_child_obs=np.asarray(act_child, dtype=np.int64),
-            obs_coff=obs_coff,
-            obs_children=np.asarray(obs_kids, dtype=np.int64),
-            obs_poff=obs_poff,
-            payload=np.asarray(payload, dtype=np.int64),
-            dec_poff=dec_poff,
-            dec_parent_obs=np.asarray(parent_obs, dtype=np.int64),
-            level_off=level_off,
-            root_dec=dec_new[self.obs_children[0][0]],
-            n_slots=self.n_slots,
-            dec_meta=meta,
+        """Freeze the collected lists (see :func:`freeze_csr`)."""
+        return freeze_csr(
+            self.side,
+            self.n_slots,
+            csr_of(self.dec_actions),
+            csr_of(self.obs_children),
+            csr_of(self.obs_payload),
+            self.dec_meta,
         )
 
 
@@ -411,10 +441,17 @@ def best_response(
     """Exact value-maximizing pure reply against fixed outside payoffs.
 
     Returns the reply's expected payoff and its one-hot local strategy;
-    ties break toward the lowest action slot.
+    ties break toward the lowest action slot.  A payoff that is NaN or
+    infinite is rejected, since no slot could then match its maximum.
     """
     p = problem
     v_obs = np.array(pay_obs, dtype=float, copy=True)
+    finite = np.isfinite(v_obs)
+    if not finite.all():
+        o = int(np.argmin(finite))
+        raise GameValidationError(
+            f"payoff of observation point {o} is not finite ({v_obs[o]})"
+        )
     v_act = np.zeros(p.n_act)
     v_best = np.zeros(p.n_dec)
     for d0, d1, a0, a1, s0, s1, act_off, _ in reversed(p.levels):

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end."""
 
 import json
+from importlib import import_module
 
 import pytest
 
@@ -111,7 +112,22 @@ class TestBuild:
     def test_split_aliases_agree(self, capsys):
         _, via_alias = run_json(capsys, "build", "fig2", "--split", "obs")
         _, spelled = run_json(capsys, "build", "fig2", "--split", "observation")
+        for payload in (via_alias, spelled):
+            for detail in payload["sides"].values():
+                del detail["phase_ms"]  # timings differ run to run
         assert via_alias["sides"] == spelled["sides"]
+
+    def test_json_reports_phase_timings(self, tmp_path, capsys):
+        out = tmp_path / "dag.json"
+        code, payload = run_json(
+            capsys, "build", "fig2", "--side", "max", "--dump-dag", str(out)
+        )
+        assert code == 0
+        phases = payload["sides"]["max"]["phase_ms"]
+        assert set(phases) == {"expand", "dedup", "prune", "splice", "pack"}
+        assert all(v >= 0.0 for v in phases.values())
+        # The dumped DAG stays free of timings, so dumps compare equal.
+        assert "phase_ms" not in out.read_text()
 
     def test_count_mode(self, capsys):
         code, payload = run_json(
@@ -277,6 +293,37 @@ class TestBench:
         assert row["game"] == "fig2"
         assert int(row["nodes"]) == 23
         assert int(row["converged"]) == 1
+
+    def test_sizes_and_init_time_come_from_the_solve(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        solve_module = import_module("tbdag.solve")
+        cli_module = import_module("tbdag.cli")
+        built, phase_ms = [], []
+        real_build, real_solve = solve_module.build_tbdag, cli_module.solve
+
+        def counted_build(g, side, **kwargs):
+            built.append(real_build(g, side, **kwargs))
+            return built[-1]
+
+        def recorded_solve(g, config):
+            rep = real_solve(g, config)
+            phase_ms.append(rep.phase_ms["build"])
+            return rep
+
+        monkeypatch.setattr(solve_module, "build_tbdag", counted_build)
+        monkeypatch.setattr(cli_module, "build_tbdag", counted_build)
+        monkeypatch.setattr(cli_module, "solve", recorded_solve)
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--games", "fig2", "--max-iters", "50", "-o", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        lines = out.read_text().splitlines()
+        row = dict(zip(lines[1].split(","), lines[2].split(",")))
+        assert [d.side for d in built] == [MAX, MIN]
+        assert int(row["dec_max"]) == built[0].stats.n_dec
+        assert int(row["obs_min"]) == built[1].stats.n_obs
+        assert row["init_ms"] == f"{phase_ms[0]:.3f}"
 
 
 class TestPlumbing:

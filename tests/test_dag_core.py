@@ -107,6 +107,90 @@ class TestFlows:
             assert np.isclose(float(flow.x_obs @ pay), value)
 
 
+class TestNonFinitePayoff:
+    """``best_response`` rejects a NaN or infinite payoff at entry."""
+
+    def test_nan_payoff_names_the_observation_point(self):
+        p = build_tbdag(game("fig2"), MAX).problem
+        for o in (0, 7, p.n_obs - 1):
+            pay = np.zeros(p.n_obs)
+            pay[o] = np.nan
+            with pytest.raises(GameValidationError) as err:
+                best_response(p, pay)
+            assert str(err.value) == (
+                f"payoff of observation point {o} is not finite (nan)"
+            )
+
+    def test_first_bad_entry_is_named(self):
+        p = build_tbdag(game("fig2"), MAX).problem
+        pay = np.ones(p.n_obs)
+        pay[[5, 3, 11]] = [np.nan, -np.inf, np.inf]
+        with pytest.raises(GameValidationError) as err:
+            best_response(p, pay)
+        assert str(err.value) == (
+            "payoff of observation point 3 is not finite (-inf)"
+        )
+
+
+class TestBuilderChecks:
+    """``ProblemBuilder.finalize`` rejects malformed DAGs."""
+
+    def test_root_must_feed_one_decision_point(self):
+        b = ProblemBuilder(MAX, 1)
+        b.add_dec()
+        with pytest.raises(GameValidationError, match="exactly one"):
+            b.finalize()
+
+    def test_decision_point_without_actions(self):
+        b = ProblemBuilder(MAX, 1)
+        top = b.add_dec()
+        b.add_obs_child(0, top)
+        b.add_action(top, b.add_obs(payload=[0]))
+        b.add_obs_child(1, b.add_dec())
+        with pytest.raises(GameValidationError) as err:
+            b.finalize()
+        assert str(err.value) == "decision point 1 has no actions"
+
+    def test_cycle(self):
+        b = ProblemBuilder(MAX, 1)
+        top, loop = b.add_dec(), b.add_dec()
+        b.add_obs_child(0, top)
+        b.add_action(top, b.add_obs(payload=[0]))
+        o = b.add_obs()
+        b.add_action(loop, o)
+        b.add_obs_child(o, loop)
+        b.add_obs_child(1, loop)
+        with pytest.raises(GameValidationError) as err:
+            b.finalize()
+        assert str(err.value) == "decision DAG contains a cycle"
+
+    def test_numbering_is_by_level_owner_then_id(self):
+        # Points are added out of order: decision points before their
+        # parent, a decision point's actions against id order, and the
+        # deeper observation points against their owners' order.
+        b = ProblemBuilder(MAX, 4)
+        deep_b, top, deep_a = (
+            b.add_dec(meta="b"), b.add_dec(meta="top"), b.add_dec(meta="a")
+        )
+        late, early = b.add_obs(payload=[3]), b.add_obs(payload=[0])
+        b.add_obs_child(0, top)
+        b.add_action(top, early)
+        b.add_action(top, late)
+        b.add_obs_child(early, deep_a)
+        b.add_obs_child(late, deep_b)
+        b.add_action(deep_a, b.add_obs(payload=[2]))
+        b.add_action(deep_b, b.add_obs(payload=[1]))
+        p = b.finalize()
+        assert p.dec_meta == ["top", "b", "a"]
+        assert p.root_dec == 0
+        assert p.level_off.tolist() == [0, 0, 1, 3]
+        assert p.act_child_obs.tolist() == [2, 1, 3, 4]
+        assert p.obs_children.tolist() == [0, 1, 2]
+        assert p.obs_coff.tolist() == [0, 1, 2, 3, 3, 3]
+        assert p.payload.tolist() == [3, 0, 1, 2]
+        assert p.dec_parent_obs.tolist() == [0, 1, 2]
+
+
 class TestSequenceForm:
     def test_kuhn_counts(self):
         g = generate(list_presets()["2K3"])

@@ -1,6 +1,10 @@
 """Coordinator views, connectivity, recall measures, and splits."""
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbdag import (
     GameValidationError,
@@ -16,11 +20,7 @@ from tbdag import (
     split_observation,
     split_public,
 )
-from test_acceptance import SMALL_ZOO
-
-
-def game(name):
-    return generate(list_presets()[name])
+from test_acceptance import SMALL_ZOO, game
 
 
 def walk_to_root(g, side, h):
@@ -232,3 +232,113 @@ class TestSplits:
             parts = {obs_of[h] for h in pb}
             covered = sorted(h for b in blocks for h in b if obs_of[h] in parts)
             assert sorted(pb) == covered
+
+
+class _ReferenceUnionFind:
+    __slots__ = ("parent",)
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        parent = self.parent
+        root = parent.setdefault(x, x)
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[max(rx, ry)] = min(rx, ry)
+
+
+def reference_split_observation(analysis, H):
+    """The earlier object-based union-find split, kept as a reference:
+    every node, cliqued or not, enters the union-find, and blocks are
+    read off its roots."""
+    H = sorted(set(H))
+    depths = {analysis.game.depth[h] for h in H}
+    if len(depths) > 1:
+        raise ValueError(f"nodes span several depths: {sorted(depths)}")
+    uf = _ReferenceUnionFind()
+    clique_rep = {}
+    for h in H:
+        uf.find(h)
+        for cid in analysis.node_cliques[h]:
+            rep = clique_rep.setdefault(cid, h)
+            uf.union(rep, h)
+    blocks = {}
+    for h in H:
+        blocks.setdefault(uf.find(h), []).append(h)
+    return tuple(tuple(blocks[r]) for r in sorted(blocks))
+
+
+@lru_cache(maxsize=None)
+def nodes_by_depth(name):
+    g = game(name)
+    out = [[] for _ in range(g.max_depth + 1)]
+    for h in range(g.num_nodes):
+        out[g.depth[h]].append(h)
+    return tuple(map(tuple, out))
+
+
+@lru_cache(maxsize=None)
+def cached_analysis(name, side):
+    return analyze(game(name), side)
+
+
+class TestSplitAgainstReference:
+    """``split_observation`` against the reference union-find split."""
+
+    @pytest.mark.parametrize("side", [MAX, MIN])
+    @pytest.mark.parametrize("name", SMALL_ZOO)
+    def test_every_full_depth(self, name, side):
+        a = cached_analysis(name, side)
+        for nodes in nodes_by_depth(name):
+            assert split_observation(a, nodes) == (
+                reference_split_observation(a, nodes)
+            )
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_subsets_with_duplicates(self, data):
+        name = data.draw(st.sampled_from(SMALL_ZOO), label="preset")
+        side = data.draw(st.sampled_from((MAX, MIN)), label="side")
+        levels = nodes_by_depth(name)
+        depth = data.draw(st.integers(0, len(levels) - 1), label="depth")
+        nodes = data.draw(
+            st.lists(st.sampled_from(levels[depth]), max_size=40),
+            label="nodes",
+        )
+        a = cached_analysis(name, side)
+        got = split_observation(a, nodes)
+        assert got == reference_split_observation(a, nodes)
+        assert split_observation(a, reversed(nodes), side=side) == got
+
+    @pytest.mark.parametrize("name", ["fig2", "3K3[1,2]", "fig9-C8"])
+    def test_mixed_depths_rejected_like_the_reference(self, name):
+        a = cached_analysis(name, MAX)
+        levels = nodes_by_depth(name)
+        for d in range(1, len(levels)):
+            mixed = [levels[d][-1], levels[d - 1][0], levels[d][0]]
+            with pytest.raises(ValueError) as err:
+                split_observation(a, mixed)
+            with pytest.raises(ValueError) as ref:
+                reference_split_observation(a, mixed)
+            assert str(err.value) == str(ref.value) == (
+                f"nodes span several depths: {[d - 1, d]}"
+            )
+
+    def test_side_mismatch_names_both_sides(self):
+        a = cached_analysis("fig2", MAX)
+        with pytest.raises(ValueError) as err:
+            split_observation(a, [1, 12], side=MIN)
+        assert str(err.value) == "analysis is for side 'max', not 'min'"
+        with pytest.raises(ValueError):
+            split_observation(a, [], side=MIN)
+
+    def test_empty_input(self):
+        assert split_observation(cached_analysis("fig2", MAX), []) == ()

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +269,32 @@ class TestGuards:
         with pytest.raises(BudgetExceededError, match="fan-out"):
             build_tbdag(g, MAX, fanout_guard=1)
 
+    @pytest.mark.parametrize("limits, message", [
+        (
+            {"edge_budget": 50},
+            "edge budget 50 exceeded while expanding a belief of 5 nodes "
+            "at depth 2 with 4 prescriptions (51 edges built so far)",
+        ),
+        (
+            # The whole belief would not fit: caught before expanding it.
+            {"edge_budget": 200},
+            "edge budget 200 exceeded while expanding a belief of 4 nodes "
+            "at depth 2 with 4 prescriptions (200 edges built so far)",
+        ),
+        (
+            {"fanout_guard": 1},
+            "fan-out guard 1 exceeded by 2 infosets while expanding a "
+            "belief of 3 nodes at depth 1 with 4 prescriptions (22 edges "
+            "built so far)",
+        ),
+    ])
+    def test_budget_messages_say_where_the_build_stopped(
+        self, limits, message
+    ):
+        with pytest.raises(BudgetExceededError) as err:
+            build_tbdag(game("worst-k2b2d6"), MAX, **limits)
+        assert str(err.value) == message
+
     def test_unknown_split_rejected(self):
         g = game("fig2")
         with pytest.raises(GameValidationError, match="split"):
@@ -278,6 +305,33 @@ class TestGuards:
         a = analyze(g, MIN)
         with pytest.raises(GameValidationError, match="side"):
             build_tbdag(g, MAX, analysis=a)
+
+
+class TestBuildTimings:
+    PHASES = ["expand", "dedup", "prune", "splice", "pack"]
+
+    @pytest.mark.parametrize("reduce", [True, False])
+    @pytest.mark.parametrize("name", ["fig2", "3K3[1]", "fig9-C8"])
+    def test_phases_are_timed_within_the_call(self, name, reduce):
+        g = game(name)
+        a = analyze(g, MAX)
+        t0 = time.perf_counter()
+        dag = build_tbdag(g, MAX, reduce=reduce, analysis=a)
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        phases = dag.stats.phase_ms
+        assert list(phases) == self.PHASES
+        assert all(v >= 0.0 for v in phases.values())
+        assert phases["expand"] > 0.0 and phases["pack"] > 0.0
+        if not reduce:
+            assert phases["prune"] == phases["splice"] == 0.0
+        assert sum(phases.values()) <= wall_ms
+
+    def test_timings_stay_out_of_comparisons_and_docs(self):
+        one = build_tbdag(game("fig2"), MAX)
+        two = build_tbdag(game("fig2"), MAX)
+        assert one.stats == two.stats
+        assert hash(one.stats) == hash(two.stats)
+        assert "phase_ms" not in json.dumps(tbdag_to_doc(one))
 
 
 class TestDeterminism:
