@@ -42,6 +42,7 @@ from .game import (
     MIN,
     PLAYER,
     TERMINAL,
+    GameWriter,
     build_game,
     serialize_game,
 )
@@ -90,10 +91,10 @@ class _Builder:
         self.g = g
         self.analyses = analyses
         self.node_budget = node_budget
-        self.records: list[dict[str, Any]] = []
+        # A proxy node's infoset key is its (side, state) pair.
+        self.w = GameWriter()
         self.ann: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
         self.roles: list[str] = []
-        self.slot_state: list[tuple[str, int] | None] = []
         # Interned (own history, belief) states and own-play transitions.
         self.states: dict[str, dict[tuple, int]] = {MAX: {}, MIN: {}}
         self.trans: dict[str, dict[tuple[int, int], set[int]]] = {
@@ -104,16 +105,17 @@ class _Builder:
         self._space: dict[tuple[str, tuple[int, ...]], tuple] = {}
         self._blocks: dict[tuple, dict[int, tuple[int, ...]]] = {}
 
-    def emit(self, record, annotation, role, state=None) -> int:
-        if len(self.records) >= self.node_budget:
+    def emit(self, annotation, role, kind, player=-1, infoset=None,
+             utility=0.0):
+        """Append one node; returns its id and its action list."""
+        if len(self.w.kind) >= self.node_budget:
             raise BudgetExceededError(
                 f"belief game exceeds node budget {self.node_budget}"
             )
-        self.records.append(record)
         self.ann.append(annotation)
         self.roles.append(role)
-        self.slot_state.append(state)
-        return len(self.records) - 1
+        actions: list[tuple] = []
+        return self.w.add(kind, player, infoset, actions, utility), actions
 
     def intern(self, side, prev, belief) -> int:
         """State id of (own history extended by ``prev``, ``belief``)."""
@@ -165,44 +167,30 @@ class _Builder:
     def rec_max(self, h, b_max, b_min, prev_max, prev_min):
         s_max = self.intern(MAX, prev_max, b_max)
         _, prescrs, labels = self.space(MAX, b_max)
-        record = {
-            "kind": PLAYER,
-            "player": _SIDE_PLAYER[MAX],
-            "infoset": (MAX, s_max),
-            "actions": [],
-        }
-        me = self.emit(
-            record, (h, b_max, b_min), "max-prescribes", (MAX, s_max)
+        me, actions = self.emit(
+            (h, b_max, b_min), "max-prescribes",
+            PLAYER, _SIDE_PLAYER[MAX], (MAX, s_max),
         )
         for ai, prescr in enumerate(prescrs):
             child = self.rec_min(
                 h, b_max, b_min, (s_max, ai), prev_min, prescr
             )
-            record["actions"].append(
-                {"label": labels[ai], "child": child}
-            )
+            actions.append((labels[ai], child))
         return me
 
     def rec_min(self, h, b_max, b_min, edge_max, prev_min, pre_max):
         s_min = self.intern(MIN, prev_min, b_min)
         _, prescrs, labels = self.space(MIN, b_min)
-        record = {
-            "kind": PLAYER,
-            "player": _SIDE_PLAYER[MIN],
-            "infoset": (MIN, s_min),
-            "actions": [],
-        }
-        me = self.emit(
-            record, (h, b_max, b_min), "min-prescribes", (MIN, s_min)
+        me, actions = self.emit(
+            (h, b_max, b_min), "min-prescribes",
+            PLAYER, _SIDE_PLAYER[MIN], (MIN, s_min),
         )
         for ai, prescr in enumerate(prescrs):
             child = self.rec_0(
                 h, b_max, b_min, edge_max, (s_min, ai),
                 pre_max, prescr,
             )
-            record["actions"].append(
-                {"label": labels[ai], "child": child}
-            )
+            actions.append((labels[ai], child))
         return me
 
     def rec_0(self, h, b_max, b_min, edge_max, edge_min, pre_max, pre_min):
@@ -210,10 +198,9 @@ class _Builder:
         if g.kind[h] == TERMINAL:
             assert b_max == (h,) and b_min == (h,)
             return self.emit(
-                {"kind": TERMINAL, "utility": g.utility[h]},
-                (h, b_max, b_min),
-                "chance-resolves",
-            )
+                (h, b_max, b_min), "chance-resolves",
+                TERMINAL, utility=g.utility[h],
+            )[0]
         if g.kind[h] == CHANCE:
             moves = [
                 (a, g.labels[h][a], g.probs[h][a])
@@ -227,16 +214,13 @@ class _Builder:
             isets = self.space(side, belief)[0].isets
             a = prescr[isets.index(g.infoset[h])]
             moves = [(a, g.labels[h][a], 1.0)]
-        record: dict[str, Any] = {"kind": CHANCE, "actions": []}
-        me = self.emit(record, (h, b_max, b_min), "chance-resolves")
+        me, actions = self.emit((h, b_max, b_min), "chance-resolves", CHANCE)
         for a, label, prob in moves:
             child = g.children[h][a]
             nb_max = self.block_of(MAX, b_max, pre_max, child)
             nb_min = self.block_of(MIN, b_min, pre_min, child)
             sub = self.rec_max(child, nb_max, nb_min, edge_max, edge_min)
-            record["actions"].append(
-                {"label": label, "child": sub, "prob": prob}
-            )
+            actions.append((label, sub, prob))
         return me
 
     def run(self):
@@ -253,34 +237,32 @@ class _Builder:
 
 def _compacted(b: _Builder):
     """Splice out single-action internal nodes for size reporting."""
-    records, ann, roles = b.records, b.ann, b.roles
+    w = b.w
     keep = [
-        rec["kind"] == TERMINAL or len(rec["actions"]) > 1
-        for rec in records
+        k == TERMINAL or len(acts) > 1 for k, acts in zip(w.kind, w.actions)
     ]
 
     def resolve(n: int) -> int:
         while not keep[n]:
-            n = records[n]["actions"][0]["child"]
+            n = w.actions[n][0][1]
         return n
 
-    new_id: dict[int, int] = {}
-    order: list[int] = []
-    for n in range(len(records)):
-        if keep[n]:
-            new_id[n] = len(order)
-            order.append(n)
-    out: list[dict[str, Any]] = []
+    order = [n for n in range(len(w.kind)) if keep[n]]
+    new_id = {n: i for i, n in enumerate(order)}
+    out = GameWriter()
     for n in order:
-        rec = dict(records[n])
-        if rec["kind"] != TERMINAL:
-            rec["actions"] = [
-                {**act, "child": new_id[resolve(act["child"])]}
-                for act in rec["actions"]
-            ]
-        out.append(rec)
+        out.add(
+            w.kind[n],
+            w.player[n],
+            w.infoset[n],
+            [
+                (act[0], new_id[resolve(act[1])], *act[2:])
+                for act in w.actions[n]
+            ],
+            w.utility[n],
+        )
     root = new_id[resolve(0)]
-    return out, root, [ann[n] for n in order], [roles[n] for n in order]
+    return out, root, [b.ann[n] for n in order], [b.roles[n] for n in order]
 
 
 def make_belief_game(
@@ -310,9 +292,9 @@ def make_belief_game(
     players = ("chance", "max-coordinator", "min-coordinator")
     teams = {MAX: [1], MIN: [2]}
     if compact:
-        records, root, ann, roles = _compacted(b)
-        game = build_game(players, teams, root, records)
-        bg = BeliefGame(
+        columns, root, ann, roles = _compacted(b)
+        game = build_game(players, teams, root, columns)
+        return BeliefGame(
             game=game,
             source=g,
             compact=True,
@@ -323,9 +305,8 @@ def make_belief_game(
             root_iset={},
             successors={},
         )
-        return bg
 
-    game = build_game(players, teams, 0, b.records)
+    game = build_game(players, teams, 0, b.w)
     for side in (MAX, MIN):
         view = coordinator_view(game, side)
         if imperfect_recall_at(game, view) is not None:
@@ -340,8 +321,7 @@ def make_belief_game(
     state_iset: dict[str, dict[int, int]] = {MAX: {}, MIN: {}}
     iset_beliefs: dict[int, tuple[int, ...]] = {}
     iset_infosets: dict[int, tuple[int, ...]] = {}
-    for n in range(game.num_nodes):
-        slot = b.slot_state[n]
+    for n, slot in enumerate(b.w.infoset):
         if slot is None:
             continue
         side, st = slot

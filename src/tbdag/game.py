@@ -5,26 +5,31 @@ assigned in preorder (every parent id is smaller than its children's).
 All structures are immutable after construction, so games can be shared
 freely between analyses and builders.
 
-The JSON wire format accepted by :func:`parse_game`:
+Every game is assembled by :func:`build_game` from node columns held by
+a :class:`GameWriter`.  In-process producers (the zoo generators, the
+belief game, binarization and inflation) append to a writer directly.
+Dict node records are the JSON wire format only: :func:`parse_game`
+reads them and :func:`serialize_game` writes them.
 
+The JSON wire format is
 ``{"players": [...], "teams": {"max": [...], "min": [...]}, "root": n,
 "nodes": [...]}`` where player index 0 is reserved for chance, every
 other player index appears in exactly one team list, and each node is
 one of::
 
     {"kind": "chance",   "actions": [{"label": str, "child": int, "prob": number|"num/den"}, ...]}
-    {"kind": "player",   "player": int, "infoset": int,
+    {"kind": "player",   "player": int, "infoset": int|str,
                          "actions": [{"label": str, "child": int}, ...]}
     {"kind": "terminal", "utility": number}
 
 Utilities are from the max side's point of view; the min side receives
 their negation.  Infosets are implicit: player nodes sharing an
-``infoset`` integer are mutually indistinguishable to their owner.
+``infoset`` key are mutually indistinguishable to their owner.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum, inf, isfinite
@@ -71,7 +76,7 @@ class ExtensiveFormGame:
     - ``parent`` / ``parent_action``: id and action index of the edge
       entering the node (``-1`` at the root).
     - ``depth``: edge distance from the root.
-    - ``player``: acting player (``0`` for chance, ``-1`` at terminals).
+    - ``player``: acting player (``-1`` off player nodes).
     - ``infoset``: infoset id for player nodes, else ``-1``.
     - ``children`` / ``labels``: ordered child ids and action labels.
     - ``probs``: chance outcome probabilities (``None`` off chance nodes).
@@ -226,114 +231,119 @@ class ExtensiveFormGame:
         )
 
 
-# -- parsing -------------------------------------------------------------
+# -- assembly ------------------------------------------------------------
 
 
-def _float(value: int | float | Fraction) -> float:
-    """``value`` as a float; a float overflow becomes infinity."""
-    try:
-        return float(value)
-    except OverflowError:
-        return inf
+class GameWriter:
+    """Node columns for :func:`build_game`, appended one node at a time.
+
+    ``kind``, ``player`` (``-1`` off player nodes), ``infoset`` (any
+    hashable key; ``None`` off player nodes), ``actions`` and ``utility``
+    (``0.0`` off terminals) are parallel lists indexed by node id.  An
+    action is a ``(label, child)`` tuple, or ``(label, child, prob)`` at a
+    chance node; probabilities and utilities are floats.  Nodes may be
+    written in any order: ``build_game`` renumbers them to preorder.
+    """
+
+    __slots__ = ("kind", "player", "infoset", "actions", "utility")
+
+    def __init__(self):
+        self.kind: list[str] = []
+        self.player: list[Any] = []
+        self.infoset: list[Hashable] = []
+        self.actions: list[Sequence[tuple]] = []
+        self.utility: list[float] = []
+
+    def add(self, kind, player, infoset, actions, utility=0.0):
+        """Append one node; returns its id."""
+        self.kind.append(kind)
+        self.player.append(player)
+        self.infoset.append(infoset)
+        self.actions.append(actions)
+        self.utility.append(utility)
+        return len(self.kind) - 1
+
+    def add_chance(self) -> tuple[int, list[tuple]]:
+        """A chance node and its action list, to be filled by the caller."""
+        actions: list[tuple] = []
+        return self.add(CHANCE, -1, None, actions), actions
+
+    def add_player(self, player: int, infoset: Hashable):
+        """A player node and its action list, to be filled by the caller."""
+        actions: list[tuple] = []
+        return self.add(PLAYER, player, infoset, actions), actions
+
+    def add_terminal(self, utility: float) -> int:
+        return self.add(TERMINAL, -1, None, (), utility)
 
 
-def _parse_prob(value: Any, node: int) -> float:
-    number = value
-    if isinstance(value, str):
-        try:
-            number = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise GameValidationError(
-                f"node {node}: bad probability {value!r}"
-            ) from exc
-    elif not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise GameValidationError(f"node {node}: bad probability {value!r}")
-    x = _float(number)
-    if not isfinite(x):
-        raise GameValidationError(
-            f"node {node}: non-finite probability {value!r}"
-        )
-    return x
+def _is_id(value: Any) -> bool:
+    """Whether ``value`` can be a node or player id (an int, not a bool)."""
+    return isinstance(value, int) and value is not True and value is not False
+
+
+def _action_error(
+    old: int, kind: str, acts: Sequence[tuple], n: int
+) -> GameValidationError:
+    """The error for a node whose actions fail the walk's checks."""
+    for act in acts:
+        if not 0 <= act[1] < n:
+            return GameValidationError(
+                f"node {old}: dangling child reference {act[1]!r}"
+            )
+    if kind == CHANCE:
+        return GameValidationError(f"node {old}: chance action missing prob")
+    return GameValidationError(f"node {old}: probability on a player action")
 
 
 def build_game(
     players: Sequence[str],
     teams: Mapping[str, Iterable[int]],
     root: int,
-    nodes: Sequence[Mapping[str, Any]],
+    columns: GameWriter,
 ) -> ExtensiveFormGame:
-    """Validate raw node records and assemble a game.
+    """Validate node columns and assemble a game.
 
-    Node ids are renumbered to preorder (following action order) and
-    infoset ids are renumbered densely in order of first appearance, so
-    two structurally identical inputs produce identical games no matter
-    how their ids were assigned.
+    One walk from ``root`` in preorder (following action order) checks
+    the tree and every node.  Node ids are renumbered to that preorder
+    and infoset keys to dense ids in order of first appearance, so two
+    structurally identical inputs produce identical games no matter how
+    their ids were assigned.
     """
     players = tuple(str(p) for p in players)
     if not players:
         raise GameValidationError("players list is empty")
     if players[0] != CHANCE:
         raise GameValidationError('players[0] must be "chance"')
+    n_players = len(players)
 
-    team_of: list[str | None] = [None] * len(players)
+    team_of: list[str | None] = [None] * n_players
     if set(teams.keys()) != {MAX, MIN}:
         raise GameValidationError(
             'teams must have exactly the keys "max" and "min"'
         )
     for side in (MAX, MIN):
         for p in teams[side]:
-            if not (isinstance(p, int) and 0 < p < len(players)):
+            if not (_is_id(p) and 0 < p < n_players):
                 raise GameValidationError(
                     f"team {side!r}: bad player index {p!r}"
                 )
             if team_of[p] is not None:
                 raise GameValidationError(f"player {p} listed in two teams")
             team_of[p] = side
-    for p in range(1, len(players)):
+    for p in range(1, n_players):
         if team_of[p] is None:
             raise GameValidationError(f"player {p} belongs to no team")
 
-    if not (isinstance(root, int) and 0 <= root < len(nodes)):
-        raise GameValidationError(f"bad root id {root!r}")
-    if len(nodes) == 0:
+    kinds, owners, keys = columns.kind, columns.player, columns.infoset
+    actions, utils = columns.actions, columns.utility
+    n = len(kinds)
+    if n == 0:
         raise GameValidationError("nodes array is empty")
+    if not (_is_id(root) and 0 <= root < n):
+        raise GameValidationError(f"bad root id {root!r}")
 
-    # Preorder walk: renumber nodes, detect sharing/cycles, reject
-    # unreachable nodes (the array must be exactly the tree).
-    n = len(nodes)
-    new_id = [-1] * n
-    order: list[int] = []
-    stack = [root]
-    while stack:
-        old = stack.pop()
-        if new_id[old] >= 0:
-            raise GameValidationError(
-                f"node {old}: reached twice (not a tree)"
-            )
-        new_id[old] = len(order)
-        order.append(old)
-        raw = nodes[old]
-        if not isinstance(raw, Mapping):
-            raise GameValidationError(f"node {old}: not an object")
-        actions = raw.get("actions", ())
-        kids = []
-        for j, act in enumerate(actions):
-            if not isinstance(act, Mapping) or "child" not in act:
-                raise GameValidationError(
-                    f"node {old}: action {j} missing child"
-                )
-            child = act["child"]
-            if not (isinstance(child, int) and 0 <= child < n):
-                raise GameValidationError(
-                    f"node {old}: dangling child reference {child!r}"
-                )
-            kids.append(child)
-        stack.extend(reversed(kids))
-    for old in range(n):
-        if new_id[old] < 0:
-            raise GameValidationError(f"node {old}: unreachable from root")
-
-    kind: list[str] = [""] * n
+    kind: list[str] = [TERMINAL] * n
     parent = [-1] * n
     parent_action = [-1] * n
     depth = [0] * n
@@ -343,70 +353,76 @@ def build_game(
     labels: list[tuple[str, ...]] = [()] * n
     probs: list[tuple[float, ...] | None] = [None] * n
     utility = [0.0] * n
-
-    infoset_ids: dict[Any, int] = {}
+    infoset_ids: dict[Hashable, int] = {}
     infoset_members: list[list[int]] = []
 
-    for old in order:
-        h = new_id[old]
-        raw = nodes[old]
-        k = raw.get("kind")
-        if k not in (CHANCE, PLAYER, TERMINAL):
-            raise GameValidationError(f"node {old}: bad kind {k!r}")
-        kind[h] = k
-        actions = raw.get("actions", ())
+    # One preorder walk: renumber nodes, detect sharing and cycles, and
+    # check each node.  ``up`` and ``up_action`` hold the new parent id
+    # and the entering action by input id; ``children`` holds input ids
+    # until the end.
+    new_id = [-1] * n
+    up = [-1] * n
+    up_action = [-1] * n
+    stack = [root]
+    h = -1
+    while stack:
+        old = stack.pop()
+        if new_id[old] >= 0:
+            raise GameValidationError(
+                f"node {old}: reached twice (not a tree)"
+            )
+        h += 1
+        new_id[old] = h
+        p = up[old]
+        if p >= 0:
+            parent[h] = p
+            parent_action[h] = up_action[old]
+            depth[h] = depth[p] + 1
+        k = kinds[old]
+        acts = actions[old]
 
         if k == TERMINAL:
-            if actions:
+            if acts:
                 raise GameValidationError(
                     f"node {old}: terminal node with actions"
                 )
-            u = raw.get("utility")
-            if not (isinstance(u, (int, float)) and not isinstance(u, bool)):
-                raise GameValidationError(
-                    f"node {old}: terminal needs a numeric utility"
-                )
-            utility[h] = _float(u)
-            if not isfinite(utility[h]):
+            u = utility[h] = utils[old]
+            if not isfinite(u):
                 raise GameValidationError(
                     f"node {old}: terminal utility {u!r} is not finite"
                 )
             continue
-
-        if "utility" in raw:
-            raise GameValidationError(
-                f"node {old}: utility on a non-terminal node"
-            )
-        if len(actions) == 0:
+        if k == PLAYER:
+            width = 2
+        elif k == CHANCE:
+            width = 3
+        else:
+            raise GameValidationError(f"node {old}: bad kind {k!r}")
+        if not acts:
             raise GameValidationError(f"node {old}: node with zero actions")
-        kid_ids = []
-        kid_labels = []
-        for j, act in enumerate(actions):
-            label = act.get("label")
-            if not isinstance(label, str):
-                raise GameValidationError(
-                    f"node {old}: action {j} missing label"
-                )
-            kid_labels.append(label)
-            c = new_id[act["child"]]
-            kid_ids.append(c)
-            parent[c] = h
-            parent_action[c] = j
-            depth[c] = depth[h] + 1
-        if len(set(kid_labels)) != len(kid_labels):
+        kind[h] = k
+        j = len(acts)
+        while j:  # push last to first, so children pop in action order
+            j -= 1
+            act = acts[j]
+            c = act[1]
+            if len(act) != width or not 0 <= c < n:
+                raise _action_error(old, k, acts, n)
+            up[c] = h
+            up_action[c] = j
+            stack.append(c)
+        labs, kids, *ps = zip(*acts)
+        if len(labs) > 1 and len(set(labs)) != len(labs):
             raise GameValidationError(f"node {old}: duplicate action labels")
-        children[h] = tuple(kid_ids)
-        labels[h] = tuple(kid_labels)
 
         if k == CHANCE:
-            if not all("prob" in act for act in actions):
+            ps = ps[0]
+            if not all(map(isfinite, ps)):
+                bad = next(x for x in ps if not isfinite(x))
                 raise GameValidationError(
-                    f"node {old}: chance action missing prob"
+                    f"node {old}: non-finite probability {bad!r}"
                 )
-            ps = tuple(
-                _parse_prob(act["prob"], old) for act in actions
-            )
-            if not all(p >= 0.0 for p in ps):
+            if min(ps) < 0.0:
                 raise GameValidationError(f"node {old}: negative probability")
             if not (abs(sum(ps) - 1.0) <= _PROB_TOL):
                 raise GameValidationError(
@@ -414,27 +430,34 @@ def build_game(
                 )
             probs[h] = ps
         else:  # player node
-            if any("prob" in act for act in actions):
+            pl = owners[old]
+            if not (
+                isinstance(pl, int) and pl is not True and 0 < pl < n_players
+            ):
                 raise GameValidationError(
-                    f"node {old}: probability on a player action"
+                    f"node {old}: bad acting player {pl!r}"
                 )
-            p = raw.get("player")
-            if not (isinstance(p, int) and 0 < p < len(players)):
-                raise GameValidationError(
-                    f"node {old}: bad acting player {p!r}"
-                )
-            player[h] = p
-            raw_iset = raw.get("infoset")
-            if raw_iset is None:
+            player[h] = pl
+            key = keys[old]
+            if key is None:
                 raise GameValidationError(
                     f"node {old}: player node missing infoset"
                 )
-            if raw_iset not in infoset_ids:
-                infoset_ids[raw_iset] = len(infoset_members)
-                infoset_members.append([])
-            i = infoset_ids[raw_iset]
+            i = infoset_ids.get(key)
+            if i is None:
+                i = infoset_ids[key] = len(infoset_members)
+                infoset_members.append([h])
+            else:
+                infoset_members[i].append(h)
             infoset[h] = i
-            infoset_members[i].append(h)
+        labels[h] = labs
+        children[h] = kids
+    if h + 1 < n:
+        raise GameValidationError(
+            f"node {new_id.index(-1)}: unreachable from root"
+        )
+    if new_id != list(range(n)):
+        children = [tuple(map(new_id.__getitem__, c)) for c in children]
 
     # Infoset consistency: one owner, identical action labels, one depth.
     infosets = []
@@ -456,7 +479,7 @@ def build_game(
         infosets.append(
             Infoset(
                 player=player[first],
-                members=tuple(sorted(members)),
+                members=tuple(members),
                 actions=labels[first],
             )
         )
@@ -503,17 +526,105 @@ def pure_strategy_value(
     return fsum(parts)
 
 
+# -- the JSON wire format -------------------------------------------------
+
+
+def _float(value: int | float | Fraction) -> float:
+    """``value`` as a float; a float overflow becomes infinity."""
+    try:
+        return float(value)
+    except OverflowError:
+        return inf
+
+
+def _parse_prob(value: Any, node: int) -> float:
+    number = value
+    if isinstance(value, str):
+        try:
+            number = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise GameValidationError(
+                f"node {node}: bad probability {value!r}"
+            ) from exc
+    elif not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise GameValidationError(f"node {node}: bad probability {value!r}")
+    return _float(number)
+
+
 def parse_game(doc: Mapping[str, Any]) -> ExtensiveFormGame:
-    """Parse and validate a JSON game document (already json.load-ed)."""
+    """Parse and validate a JSON game document (already json.load-ed).
+
+    This is the one reader of dict node records: it checks the JSON type
+    of every field and hands the nodes to :func:`build_game` as columns.
+    """
     if not isinstance(doc, Mapping):
         raise GameValidationError("game document must be an object")
     for field in ("players", "teams", "root", "nodes"):
         if field not in doc:
             raise GameValidationError(f"missing top-level field {field!r}")
-    teams = doc["teams"]
+    players, teams, nodes = doc["players"], doc["teams"], doc["nodes"]
+    if not isinstance(players, list):
+        raise GameValidationError('"players" must be a list')
     if not isinstance(teams, Mapping):
         raise GameValidationError('"teams" must be an object')
-    return build_game(doc["players"], teams, doc["root"], doc["nodes"])
+    for side, members in teams.items():
+        if not isinstance(members, list):
+            raise GameValidationError(f"team {side!r} must be a list")
+    if not isinstance(nodes, list):
+        raise GameValidationError('"nodes" must be a list')
+
+    w = GameWriter()
+    for old, raw in enumerate(nodes):
+        if not (type(raw) is dict or isinstance(raw, Mapping)):
+            raise GameValidationError(f"node {old}: not an object")
+        k = raw.get("kind")
+        acts = raw.get("actions", [])
+        if not isinstance(acts, list):
+            raise GameValidationError(f"node {old}: actions must be a list")
+        row = []
+        for j, act in enumerate(acts):
+            if not (type(act) is dict or isinstance(act, Mapping)) or (
+                "child" not in act
+            ):
+                raise GameValidationError(
+                    f"node {old}: action {j} missing child"
+                )
+            child = act["child"]
+            if not _is_id(child):
+                raise GameValidationError(
+                    f"node {old}: dangling child reference {child!r}"
+                )
+            label = act.get("label")
+            if not isinstance(label, str):
+                raise GameValidationError(
+                    f"node {old}: action {j} missing label"
+                )
+            if "prob" not in act:
+                row.append((label, child))
+            elif k == CHANCE:
+                row.append((label, child, _parse_prob(act["prob"], old)))
+            else:
+                row.append((label, child, act["prob"]))
+        if k == TERMINAL:
+            u = raw.get("utility")
+            if not (isinstance(u, (int, float)) and not isinstance(u, bool)):
+                raise GameValidationError(
+                    f"node {old}: terminal needs a numeric utility"
+                )
+            w.add(k, -1, None, row, _float(u))
+            continue
+        if "utility" in raw:
+            raise GameValidationError(
+                f"node {old}: utility on a non-terminal node"
+            )
+        key = raw.get("infoset")
+        if k == PLAYER and isinstance(key, (list, dict)):
+            raise GameValidationError(
+                f"node {old}: infoset must be a number or a string, "
+                f"not {key!r}"
+            )
+        w.add(k, raw.get("player"), key, row)
+    return build_game(players, teams, doc["root"], w)
 
 
 def serialize_game(g: ExtensiveFormGame) -> dict[str, Any]:

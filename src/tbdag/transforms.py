@@ -15,17 +15,16 @@ correlate play across the parts) and is idempotent after one pass.
 from __future__ import annotations
 
 from math import ceil, log2
-from typing import Any
 
 from .analysis import analyze, coordinator_view
 from .game import (
-    CHANCE,
     MAX,
     MIN,
     PLAYER,
     TERMINAL,
     ExtensiveFormGame,
     GameValidationError,
+    GameWriter,
     build_game,
 )
 
@@ -61,11 +60,7 @@ def binarize_actions(g: ExtensiveFormGame) -> ExtensiveFormGame:
                 width[g.depth[h]], _bits_needed(g.num_actions(h))
             )
 
-    nodes_out: list[dict[str, Any]] = []
-
-    def emit(record: dict[str, Any]) -> int:
-        nodes_out.append(record)
-        return len(nodes_out) - 1
+    w = GameWriter()
 
     def node_codes(h: int) -> list[str]:
         """Bit code per original action index, all of length W_t+1."""
@@ -86,7 +81,7 @@ def binarize_actions(g: ExtensiveFormGame) -> ExtensiveFormGame:
 
     def build(h: int) -> int:
         if g.kind[h] == TERMINAL:
-            return emit({"kind": TERMINAL, "utility": g.utility[h]})
+            return w.add_terminal(g.utility[h])
         codes = node_codes(h)
         return build_prefix(h, codes, "")
 
@@ -97,13 +92,10 @@ def binarize_actions(g: ExtensiveFormGame) -> ExtensiveFormGame:
         ]
         if depth_in == len(codes[0]):
             return build(g.children[h][consistent[0]])
-        record: dict[str, Any] = {"kind": g.kind[h], "actions": []}
         if g.kind[h] == PLAYER:
-            record["player"] = g.player[h]
-            record["infoset"] = (g.infoset[h], prefix)
-        me = emit(record)
-        mass_all = 0.0
-        if g.kind[h] == CHANCE:
+            me, actions = w.add_player(g.player[h], (g.infoset[h], prefix))
+        else:
+            me, actions = w.add_chance()
             mass_all = sum(g.probs[h][a] for a in consistent)
         present = [
             bit
@@ -112,17 +104,14 @@ def binarize_actions(g: ExtensiveFormGame) -> ExtensiveFormGame:
         ]
         for bit in present:
             child = build_prefix(h, codes, prefix + bit)
-            action: dict[str, Any] = {"label": bit, "child": child}
-            if g.kind[h] == CHANCE:
-                mass = sum(
-                    g.probs[h][a]
-                    for a in consistent
-                    if codes[a][depth_in] == bit
-                )
-                action["prob"] = (
-                    mass / mass_all if mass_all > 0 else 1 / len(present)
-                )
-            record["actions"].append(action)
+            if g.kind[h] == PLAYER:
+                actions.append((bit, child))
+                continue
+            mass = sum(
+                g.probs[h][a] for a in consistent if codes[a][depth_in] == bit
+            )
+            prob = mass / mass_all if mass_all > 0 else 1 / len(present)
+            actions.append((bit, child, prob))
         return me
 
     root = build(0)
@@ -131,7 +120,7 @@ def binarize_actions(g: ExtensiveFormGame) -> ExtensiveFormGame:
         g.players,
         {MAX: g.side_players(MAX), MIN: g.side_players(MIN)},
         0,
-        nodes_out,
+        w,
     )
 
 
@@ -177,29 +166,20 @@ def inflate(g: ExtensiveFormGame, side: str) -> ExtensiveFormGame:
         for x, h in enumerate(members):
             group_of[h] = (i, members[find(x)])
 
-    nodes_out: list[dict[str, Any]] = []
+    # The same nodes, with the side's infosets keyed by component.
+    w = GameWriter()
     for h in range(g.num_nodes):
-        if g.kind[h] == TERMINAL:
-            nodes_out.append({"kind": TERMINAL, "utility": g.utility[h]})
-            continue
-        actions: list[dict[str, Any]] = []
-        for j, c in enumerate(g.children[h]):
-            act: dict[str, Any] = {"label": g.labels[h][j], "child": c}
-            if g.kind[h] == CHANCE:
-                act["prob"] = g.probs[h][j]
-            actions.append(act)
-        record: dict[str, Any] = {"kind": g.kind[h], "actions": actions}
-        if g.kind[h] == PLAYER:
-            record["player"] = g.player[h]
-            record["infoset"] = (
-                group_of[h]
-                if h in group_of
-                else ("keep", g.infoset[h])
-            )
-        nodes_out.append(record)
+        extra = () if g.probs[h] is None else (g.probs[h],)
+        w.add(
+            g.kind[h],
+            g.player[h],
+            group_of.get(h, ("keep", g.infoset[h])),
+            list(zip(g.labels[h], g.children[h], *extra)),
+            g.utility[h],
+        )
     return build_game(
         g.players,
         {MAX: g.side_players(MAX), MIN: g.side_players(MIN)},
         0,
-        nodes_out,
+        w,
     )

@@ -26,18 +26,17 @@ layout, so golden sizes and hashes are stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 from itertools import permutations, product
-from typing import Any, Iterable
+from typing import Iterable
 
 from .game import (
-    CHANCE,
     MAX,
     MIN,
-    PLAYER,
-    TERMINAL,
     ExtensiveFormGame,
     GameValidationError,
+    GameWriter,
     build_game,
 )
 
@@ -93,34 +92,6 @@ def _teams(n: int, min_team: Iterable[int]) -> dict[str, list[int]]:
     return {MAX: max_team, MIN: sorted(min_team)}
 
 
-class _TreeWriter:
-    """Accumulates raw node records for build_game."""
-
-    def __init__(self):
-        self.nodes: list[dict[str, Any]] = []
-
-    def emit(self, record: dict[str, Any]) -> int:
-        self.nodes.append(record)
-        return len(self.nodes) - 1
-
-    def chance(self) -> tuple[int, list]:
-        actions: list[dict[str, Any]] = []
-        return self.emit({"kind": CHANCE, "actions": actions}), actions
-
-    def player(self, player: int, infoset: Any) -> tuple[int, list]:
-        actions: list[dict[str, Any]] = []
-        node = {
-            "kind": PLAYER,
-            "player": player,
-            "infoset": infoset,
-            "actions": actions,
-        }
-        return self.emit(node), actions
-
-    def terminal(self, utility: float) -> int:
-        return self.emit({"kind": TERMINAL, "utility": utility})
-
-
 # ---------------------------------------------------------------------
 # Poker-style betting games
 # ---------------------------------------------------------------------
@@ -140,7 +111,7 @@ def _settle(
     return sum(payoff[p - 1] for p in range(1, len(contrib) + 1) if p in max_team)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _BetState:
     """One betting round in progress (players are 0-based seats here)."""
 
@@ -160,7 +131,7 @@ def _queue_after(seat: int, active: frozenset[int], n: int) -> tuple[int, ...]:
     return tuple(s for s in order if s in active)
 
 
-def _bet_actions(st: _BetState) -> list[tuple[str, _BetState]]:
+def _bet_actions(st: _BetState) -> tuple[tuple[str, _BetState], ...]:
     seat = st.pending[0]
     rest = st.pending[1:]
     out: list[tuple[str, _BetState]] = []
@@ -195,7 +166,7 @@ def _bet_actions(st: _BetState) -> list[tuple[str, _BetState]]:
                                tuple(s for s in rest if s in active),
                                st.level, st.raises_left, st.raise_size))
         )
-    return out
+    return tuple(out)
 
 
 def _gen_kuhn(spec: ZooSpec) -> ExtensiveFormGame:
@@ -204,7 +175,7 @@ def _gen_kuhn(spec: ZooSpec) -> ExtensiveFormGame:
     _require(r >= n, "kuhn needs at least as many ranks as players")
     teams = _teams(n, spec.min_team)
     max_team = frozenset(teams[MAX])
-    w = _TreeWriter()
+    w = GameWriter()
 
     def showdown(deal, st: _BetState) -> float:
         if len(st.active) == 1:
@@ -216,15 +187,15 @@ def _gen_kuhn(spec: ZooSpec) -> ExtensiveFormGame:
 
     def betting(deal, history: tuple[str, ...], st: _BetState) -> int:
         if st.done():
-            return w.terminal(showdown(deal, st))
+            return w.add_terminal(showdown(deal, st))
         seat = st.pending[0]
-        node, actions = w.player(seat + 1, (seat, deal[seat], history))
+        node, actions = w.add_player(seat + 1, (seat, deal[seat], history))
         for label, nxt in _bet_actions(st):
             child = betting(deal, history + (label,), nxt)
-            actions.append({"label": label, "child": child})
+            actions.append((label, child))
         return node
 
-    root, outcomes = w.chance()
+    root, outcomes = w.add_chance()
     assert root == 0
     deals = sorted(permutations(range(r), n))
     start = _BetState(
@@ -238,14 +209,10 @@ def _gen_kuhn(spec: ZooSpec) -> ExtensiveFormGame:
     for deal in deals:
         child = betting(deal, (), start)
         outcomes.append(
-            {
-                "label": "".join(str(c) for c in deal),
-                "child": child,
-                "prob": f"1/{len(deals)}",
-            }
+            ("".join(str(c) for c in deal), child, 1 / len(deals))
         )
     return build_game(
-        ["chance"] + [f"p{i}" for i in range(1, n + 1)], teams, 0, w.nodes
+        ["chance"] + [f"p{i}" for i in range(1, n + 1)], teams, 0, w
     )
 
 
@@ -257,38 +224,37 @@ def _gen_leduc(spec: ZooSpec) -> ExtensiveFormGame:
     _require(r * s > n, "leduc deck too small for the players plus board")
     teams = _teams(n, spec.min_team)
     max_team = frozenset(teams[MAX])
-    w = _TreeWriter()
+    w = GameWriter()
     deck = [(rank, suit) for rank in range(r) for suit in range(s)]
+    bet_actions = cache(_bet_actions)  # the same under every deal
 
     def card_label(card: tuple[int, int]) -> str:
         return f"{card[0]}.{card[1]}"
 
-    def showdown(deal, board, st: _BetState) -> float:
+    @cache  # many deals share their ranks
+    def showdown(score, st: _BetState) -> float:
+        """``score[seat]``: (pairs the board, rank) of the seat's hand."""
         if len(st.active) == 1:
             winners = tuple(st.active)
         else:
-            def score(seat: int) -> tuple[int, int]:
-                rank = deal[seat][0]
-                return (1 if rank == board[0] else 0, rank)
-
-            best = max(score(s_) for s_ in st.active)
+            best = max(score[s_] for s_ in st.active)
             winners = tuple(
-                s_ for s_ in sorted(st.active) if score(s_) == best
+                s_ for s_ in sorted(st.active) if score[s_] == best
             )
         return _settle(st.contrib, winners, max_team)
 
-    def round2(deal, board, history, st: _BetState) -> int:
+    def round2(deal, score, history, st: _BetState) -> int:
         if st.done():
-            return w.terminal(showdown(deal, board, st))
+            return w.add_terminal(showdown(score, st))
         seat = st.pending[0]
-        node, actions = w.player(seat + 1, (seat, deal[seat], history))
-        for label, nxt in _bet_actions(st):
-            child = round2(deal, board, history + (label,), nxt)
-            actions.append({"label": label, "child": child})
+        node, actions = w.add_player(seat + 1, (seat, deal[seat], history))
+        for label, nxt in bet_actions(st):
+            child = round2(deal, score, history + (label,), nxt)
+            actions.append((label, child))
         return node
 
     def reveal_board(deal, history, st: _BetState) -> int:
-        node, outcomes = w.chance()
+        node, outcomes = w.add_chance()
         remaining = sorted(set(deck) - set(deal))
         for board in remaining:
             nxt = _BetState(
@@ -299,31 +265,28 @@ def _gen_leduc(spec: ZooSpec) -> ExtensiveFormGame:
                 raises_left=cap,
                 raise_size=4.0,
             )
+            score = tuple((int(c[0] == board[0]), c[0]) for c in deal)
             child = round2(
-                deal, board, history + (card_label(board),), nxt
+                deal, score, history + (card_label(board),), nxt
             )
             outcomes.append(
-                {
-                    "label": card_label(board),
-                    "child": child,
-                    "prob": f"1/{len(remaining)}",
-                }
+                (card_label(board), child, 1 / len(remaining))
             )
         return node
 
     def round1(deal, history, st: _BetState) -> int:
         if st.done():
             if len(st.active) == 1:
-                return w.terminal(showdown(deal, None, st))
+                return w.add_terminal(showdown(None, st))
             return reveal_board(deal, history, st)
         seat = st.pending[0]
-        node, actions = w.player(seat + 1, (seat, deal[seat], history))
-        for label, nxt in _bet_actions(st):
+        node, actions = w.add_player(seat + 1, (seat, deal[seat], history))
+        for label, nxt in bet_actions(st):
             child = round1(deal, history + (label,), nxt)
-            actions.append({"label": label, "child": child})
+            actions.append((label, child))
         return node
 
-    root, outcomes = w.chance()
+    root, outcomes = w.add_chance()
     assert root == 0
     deals = sorted(permutations(deck, n))
     start = _BetState(
@@ -337,14 +300,10 @@ def _gen_leduc(spec: ZooSpec) -> ExtensiveFormGame:
     for deal in deals:
         child = round1(deal, (), start)
         outcomes.append(
-            {
-                "label": "|".join(card_label(c) for c in deal),
-                "child": child,
-                "prob": f"1/{len(deals)}",
-            }
+            ("|".join(card_label(c) for c in deal), child, 1 / len(deals))
         )
     return build_game(
-        ["chance"] + [f"p{i}" for i in range(1, n + 1)], teams, 0, w.nodes
+        ["chance"] + [f"p{i}" for i in range(1, n + 1)], teams, 0, w
     )
 
 
@@ -353,7 +312,7 @@ def _gen_liars_dice(spec: ZooSpec) -> ExtensiveFormGame:
     _require(n >= 2, "liars dice needs at least 2 players")
     _require(d >= 2, "liars dice needs at least 2 faces")
     teams = _teams(n, spec.min_team)
-    w = _TreeWriter()
+    w = GameWriter()
     bids = [
         (count, face)
         for count in range(1, n + 1)
@@ -376,30 +335,26 @@ def _gen_liars_dice(spec: ZooSpec) -> ExtensiveFormGame:
         return sum(payoff[p - 1] for p in teams[MAX])
 
     def turn(rolls, history: tuple[int, ...], seat: int) -> int:
-        node, actions = w.player(seat + 1, (seat, rolls[seat], history))
+        node, actions = w.add_player(seat + 1, (seat, rolls[seat], history))
         last = history[-1] if history else -1
         for b in range(last + 1, len(bids)):
             child = turn(rolls, history + (b,), (seat + 1) % n)
-            actions.append({"label": bid_label(bids[b]), "child": child})
+            actions.append((bid_label(bids[b]), child))
         if history:
-            z = w.terminal(challenge(rolls, last, seat))
-            actions.append({"label": "liar", "child": z})
+            z = w.add_terminal(challenge(rolls, last, seat))
+            actions.append(("liar", z))
         return node
 
-    root, outcomes = w.chance()
+    root, outcomes = w.add_chance()
     assert root == 0
     all_rolls = sorted(product(range(1, d + 1), repeat=n))
     for rolls in all_rolls:
         child = turn(rolls, (), 0)
         outcomes.append(
-            {
-                "label": "".join(str(f) for f in rolls),
-                "child": child,
-                "prob": f"1/{len(all_rolls)}",
-            }
+            ("".join(str(f) for f in rolls), child, 1 / len(all_rolls))
         )
     return build_game(
-        ["chance"] + [f"p{i}" for i in range(1, n + 1)], teams, 0, w.nodes
+        ["chance"] + [f"p{i}" for i in range(1, n + 1)], teams, 0, w
     )
 
 
@@ -412,49 +367,49 @@ def _gen_fig2(spec: ZooSpec) -> ExtensiveFormGame:
     """Signaling gadget: chance picks a state; two maximizing players
     must correlate a message and its interpretation to keep the guessing
     minimizer exactly indifferent (team value 0)."""
-    w = _TreeWriter()
+    w = GameWriter()
 
     def guess(iset: str, win_first: bool) -> int:
-        node, actions = w.player(3, iset)
+        node, actions = w.add_player(3, iset)
         u = 1.0 if win_first else -1.0
-        actions.append({"label": "0", "child": w.terminal(u)})
-        actions.append({"label": "1", "child": w.terminal(-u)})
+        actions.append(("0", w.add_terminal(u)))
+        actions.append(("1", w.add_terminal(-u)))
         return node
 
-    root, outcomes = w.chance()
+    root, outcomes = w.add_chance()
     assert root == 0
 
     # State x: signaler node b; state y: signaler node c.
-    b, b_actions = w.player(1, "sig_x")
-    c, c_actions = w.player(1, "sig_y")
-    outcomes.append({"label": "x", "child": b, "prob": "1/2"})
-    outcomes.append({"label": "y", "child": c, "prob": "1/2"})
+    b, b_actions = w.add_player(1, "sig_x")
+    c, c_actions = w.add_player(1, "sig_y")
+    outcomes.append(("x", b, 0.5))
+    outcomes.append(("y", c, 0.5))
 
-    d, d_actions = w.player(2, "relay_l")
-    f, f_actions = w.player(2, "relay_r")
-    b_actions.append({"label": "l", "child": d})
-    b_actions.append({"label": "r", "child": f})
+    d, d_actions = w.add_player(2, "relay_l")
+    f, f_actions = w.add_player(2, "relay_r")
+    b_actions.append(("l", d))
+    b_actions.append(("r", f))
 
-    e, e_actions = w.player(2, "relay_l")
-    g, g_actions = w.player(2, "relay_r")
-    c_actions.append({"label": "l", "child": e})
-    c_actions.append({"label": "r", "child": g})
+    e, e_actions = w.add_player(2, "relay_l")
+    g, g_actions = w.add_player(2, "relay_r")
+    c_actions.append(("l", e))
+    c_actions.append(("r", g))
 
-    d_actions.append({"label": "0", "child": guess("guess_l", True)})
-    d_actions.append({"label": "1", "child": w.terminal(-1.0)})
-    e_actions.append({"label": "0", "child": w.terminal(-1.0)})
-    e_actions.append({"label": "1", "child": guess("guess_l", False)})
+    d_actions.append(("0", guess("guess_l", True)))
+    d_actions.append(("1", w.add_terminal(-1.0)))
+    e_actions.append(("0", w.add_terminal(-1.0)))
+    e_actions.append(("1", guess("guess_l", False)))
 
-    f_actions.append({"label": "0", "child": guess("guess_r", True)})
-    f_actions.append({"label": "1", "child": w.terminal(-1.0)})
-    g_actions.append({"label": "0", "child": w.terminal(-1.0)})
-    g_actions.append({"label": "1", "child": guess("guess_r", False)})
+    f_actions.append(("0", guess("guess_r", True)))
+    f_actions.append(("1", w.add_terminal(-1.0)))
+    g_actions.append(("0", w.add_terminal(-1.0)))
+    g_actions.append(("1", guess("guess_r", False)))
 
     return build_game(
         ["chance", "sender", "relay", "guesser"],
         {MAX: [1, 2], MIN: [3]},
         0,
-        w.nodes,
+        w,
     )
 
 
@@ -462,53 +417,38 @@ def _gen_fig8(spec: ZooSpec) -> ExtensiveFormGame:
     """Public-state gadget: six middle nodes C..H chained into one
     public state by overlapping bottom infosets, though only the odd or
     even triple is ever live at once."""
-    w = _TreeWriter()
-    root, root_actions = w.player(1, "top")
+    w = GameWriter()
+    root, root_actions = w.add_player(1, "top")
     assert root == 0
 
-    # Bottom infosets overlap adjacent middle nodes: (C,2)+(D,1), etc.
-    def bottom(iset: Any) -> int:
-        node, actions = w.player(1, iset)
-        actions.append({"label": "0", "child": w.terminal(0.0)})
-        actions.append({"label": "1", "child": w.terminal(0.0)})
+    # Bottom infosets overlap adjacent middle nodes, (C,2)+(D,1) and so
+    # on, so that the middle layer chains C-D-E-F-G-H.
+    chain: dict[tuple[str, str], tuple[str, str]] = {}
+    for x, y in zip("CDEFGH", "DEFGH"):
+        chain[(x, "2")] = chain[(y, "1")] = ("chain", x + y)
+
+    def bottom(name: str, j: str) -> int:
+        iset = chain.get((name, j), ("bot", name, j))
+        node, actions = w.add_player(1, iset)
+        actions.append(("0", w.add_terminal(0.0)))
+        actions.append(("1", w.add_terminal(0.0)))
         return node
 
     middles = {}
     for name in "CDEFGH":
-        node, actions = w.player(1, f"mid_{name}")
+        node, actions = w.add_player(1, f"mid_{name}")
         for j in ("1", "2"):
-            actions.append(
-                {"label": j, "child": bottom(("bot", name, j))}
-            )
+            actions.append((j, bottom(name, j)))
         middles[name] = node
 
     for label, names in (("l", "CEG"), ("r", "DFH")):
-        spread, spread_actions = w.chance()
+        spread, spread_actions = w.add_chance()
         for name in names:
-            spread_actions.append(
-                {"label": name, "child": middles[name], "prob": "1/3"}
-            )
-        root_actions.append({"label": label, "child": spread})
+            spread_actions.append((name, middles[name], 1 / 3))
+        root_actions.append((label, spread))
     return build_game(
-        ["chance", "team", "dummy"],
-        {MAX: [1], MIN: [2]},
-        0,
-        _fig8_chain(w.nodes),
+        ["chance", "team", "dummy"], {MAX: [1], MIN: [2]}, 0, w
     )
-
-
-def _fig8_chain(nodes: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Merge bottom infoset keys ("bot",X,"2")+("bot",Y,"1") for
-    adjacent letters X,Y so the middle layer chains C-D-E-F-G-H."""
-    order = "CDEFGH"
-    alias: dict[Any, Any] = {}
-    for x, y in zip(order, order[1:]):
-        alias[("bot", x, "2")] = ("chain", x + y)
-        alias[("bot", y, "1")] = ("chain", x + y)
-    for rec in nodes:
-        if rec.get("kind") == PLAYER and rec["infoset"] in alias:
-            rec["infoset"] = alias[rec["infoset"]]
-    return nodes
 
 
 def _gen_fig9(spec: ZooSpec) -> ExtensiveFormGame:
@@ -522,19 +462,17 @@ def _gen_fig9(spec: ZooSpec) -> ExtensiveFormGame:
     """
     C = spec.columns
     _require(C >= 2, "fig9 needs at least 2 columns")
-    w = _TreeWriter()
-    root, outcomes = w.chance()
+    w = GameWriter()
+    root, outcomes = w.add_chance()
     assert root == 0
 
     def final_two(c: int) -> int:
-        node, actions = w.player(1, ("know", c))
+        node, actions = w.add_player(1, ("know", c))
         for number in (c, c + 1):
-            seen, seen_actions = w.player(1, ("number", number))
+            seen, seen_actions = w.add_player(1, ("number", number))
             for opt in ("0", "1"):
-                seen_actions.append(
-                    {"label": opt, "child": w.terminal(0.0)}
-                )
-            actions.append({"label": str(number), "child": seen})
+                seen_actions.append((opt, w.add_terminal(0.0)))
+            actions.append((str(number), seen))
         return node
 
     def column(c: int, t: int) -> int:
@@ -542,26 +480,22 @@ def _gen_fig9(spec: ZooSpec) -> ExtensiveFormGame:
             return final_two(c)
         active = c == t or c == t + 2
         if not active:
-            node, actions = w.chance()
-            actions.append(
-                {"label": "pass", "child": column(c, t + 1), "prob": 1.0}
-            )
+            node, actions = w.add_chance()
+            actions.append(("pass", column(c, t + 1), 1.0))
             return node
         # The layer-t infoset joins the columns t and t+2 nodes.
-        node, actions = w.player(1, ("layer", t))
+        node, actions = w.add_player(1, ("layer", t))
         for a in ("0", "2"):
             survives = c == t + int(a)
-            child = column(c, t + 1) if survives else w.terminal(0.0)
-            actions.append({"label": a, "child": child})
+            child = column(c, t + 1) if survives else w.add_terminal(0.0)
+            actions.append((a, child))
         return node
 
     for c in range(1, C + 1):
         child = column(c, 1)
-        outcomes.append(
-            {"label": f"c{c}", "child": child, "prob": f"1/{C}"}
-        )
+        outcomes.append((f"c{c}", child, 1 / C))
     return build_game(
-        ["chance", "team", "dummy"], {MAX: [1], MIN: [2]}, 0, w.nodes
+        ["chance", "team", "dummy"], {MAX: [1], MIN: [2]}, 0, w
     )
 
 
@@ -574,28 +508,28 @@ def _gen_worst_case(spec: ZooSpec) -> ExtensiveFormGame:
     _require(k >= 1, "worst_case needs k >= 1")
     _require(b >= 2, "worst_case needs b >= 2")
     _require(d >= 4, "worst_case needs depth >= 4")
-    w = _TreeWriter()
+    w = GameWriter()
     n_minis = d - 3
 
     def subgame(side_player: int, m: int, j: int) -> int:
-        node, actions = w.player(side_player, ("root", side_player, m, j))
+        node, actions = w.add_player(side_player, ("root", side_player, m, j))
         for c in range(b - 1):
-            mid, mid_actions = w.player(
+            mid, mid_actions = w.add_player(
                 side_player, ("wide", side_player, m + 2)
             )
-            mid_actions.append({"label": "t", "child": w.terminal(0.0)})
-            actions.append({"label": f"a{c}", "child": mid})
-        q, q_actions = w.chance()
-        deep, deep_actions = w.player(
+            mid_actions.append(("t", w.add_terminal(0.0)))
+            actions.append((f"a{c}", mid))
+        q, q_actions = w.add_chance()
+        deep, deep_actions = w.add_player(
             side_player, ("wide", side_player, m + 3)
         )
-        deep_actions.append({"label": "t", "child": w.terminal(0.0)})
-        q_actions.append({"label": "n", "child": deep, "prob": 1.0})
-        actions.append({"label": f"a{b - 1}", "child": q})
+        deep_actions.append(("t", w.add_terminal(0.0)))
+        q_actions.append(("n", deep, 1.0))
+        actions.append((f"a{b - 1}", q))
         return node
 
     def mini(m: int) -> int:
-        node, actions = w.chance()
+        node, actions = w.add_chance()
         kids = []
         for side_player in (1, 2):
             for j in range(k):
@@ -605,15 +539,13 @@ def _gen_worst_case(spec: ZooSpec) -> ExtensiveFormGame:
         if m + 1 < n_minis:
             kids.append(("next", mini(m + 1)))
         for label, child in kids:
-            actions.append(
-                {"label": label, "child": child, "prob": f"1/{len(kids)}"}
-            )
+            actions.append((label, child, 1 / len(kids)))
         return node
 
     root = mini(0)
     assert root == 0
     return build_game(
-        ["chance", "p1", "p2"], {MAX: [1], MIN: [2]}, 0, w.nodes
+        ["chance", "p1", "p2"], {MAX: [1], MIN: [2]}, 0, w
     )
 
 
@@ -652,15 +584,7 @@ def _poker_presets() -> dict[str, ZooSpec]:
     for name, base in bases:
         for split in splits:
             label = f"{name}[{','.join(str(p) for p in split)}]"
-            out[label] = ZooSpec(
-                family=base.family,
-                players=base.players,
-                ranks=base.ranks,
-                bets=base.bets,
-                suits=base.suits,
-                faces=base.faces,
-                min_team=split,
-            )
+            out[label] = replace(base, min_team=split)
     return out
 
 

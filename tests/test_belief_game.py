@@ -14,6 +14,7 @@ from tbdag import (
     TERMINAL,
     BudgetExceededError,
     GameValidationError,
+    SolveConfig,
     analyze,
     belief_game_to_doc,
     coordinator_view,
@@ -24,6 +25,7 @@ from tbdag import (
     map_pure_strategy,
     parse_game,
     pure_strategy_value,
+    solve,
 )
 
 PRESETS = list_presets()
@@ -228,6 +230,22 @@ class TestWorstCaseBounds:
         lo = b ** (2 * k * (d - 4))
         hi = b ** (2 * k * d + d)
         assert lo <= bg.game.num_nodes <= hi
+
+
+class TestValueEquivalence:
+    """The paper's equivalence end to end: the belief game, assembled,
+    analyzed, built into DAGs and solved, has the source game's value."""
+
+    @pytest.mark.parametrize(
+        "name", ["fig2", "2K3", "3K3[3]", "3K3[1,2]", "3K3[1]"]
+    )
+    def test_values_agree_within_the_certified_gaps(self, name):
+        config = SolveConfig(eps=1e-4)
+        g = game(name)
+        src = solve(g, config)
+        blf = solve(make_belief_game(g).game, config)
+        assert src.converged and blf.converged
+        assert abs(src.value - blf.value) <= src.gap + blf.gap
 
 
 class TestStrategyMap:

@@ -352,6 +352,15 @@ class TestPlumbing:
         assert "not finite" in err
         assert "Traceback" not in err
 
+    def test_malformed_shape_exits_1_without_traceback(self, tmp_path, capsys):
+        doc = serialize_game(generate(list_presets()["fig2"]))
+        doc["nodes"] = {"0": doc["nodes"][0]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["info", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == 'error: "nodes" must be a list\n'
+
     def test_solver_runtime_error_exits_1(self, monkeypatch, capsys):
         def fail(*args):
             raise RuntimeError("non-finite value at iteration 1")

@@ -228,6 +228,85 @@ class TestValidation:
             parse_game(doc)
 
 
+def _set_players(doc, v):
+    doc["players"] = v
+
+
+def _set_nodes(doc, v):
+    doc["nodes"] = v
+
+
+def _set_team(doc, v):
+    doc["teams"]["max"] = v
+
+
+def _set_actions(doc, v):
+    doc["nodes"][1]["actions"] = v
+
+
+def _set_infoset(doc, v):
+    doc["nodes"][1]["infoset"] = v
+
+
+def _set_child(doc, v):
+    doc["nodes"][0]["actions"][0]["child"] = v
+
+
+def _set_player(doc, v):
+    doc["nodes"][1]["player"] = v
+
+
+def _set_team_member(doc, v):
+    doc["teams"]["max"] = [v]
+
+
+def _set_root(doc, v):
+    doc["root"] = v
+
+
+class TestMalformedShapes:
+    """JSON of the wrong shape is a validation error naming the field,
+    never a TypeError or KeyError from deep inside the reader."""
+
+    @pytest.mark.parametrize(
+        "mutate,value,message",
+        [
+            (_set_players, "chance", '"players" must be a list'),
+            (_set_nodes, {"0": {"kind": "terminal", "utility": 0}},
+             '"nodes" must be a list'),
+            (_set_team, 1, "team 'max' must be a list"),
+            (_set_actions, {"label": "h", "child": 2},
+             "node 1: actions must be a list"),
+            (_set_actions, None, "node 1: actions must be a list"),
+            (_set_infoset, [7], "node 1: infoset must be a number or a string"),
+            (_set_infoset, {"id": 7},
+             "node 1: infoset must be a number or a string"),
+            (_set_child, True, "node 0: dangling child reference True"),
+            (_set_player, True, "node 1: bad acting player True"),
+            (_set_team_member, True, "team 'max': bad player index True"),
+            (_set_root, True, "bad root id True"),
+            (_set_root, False, "bad root id False"),
+        ],
+    )
+    def test_rejected_with_the_field_named(self, mutate, value, message):
+        doc = tiny_doc()
+        mutate(doc, value)
+        with pytest.raises(GameValidationError) as exc:
+            parse_game(doc)
+        assert str(exc.value).startswith(message)
+
+    def test_integer_ids_still_accepted(self):
+        doc = tiny_doc()
+        doc["nodes"][1]["player"] = 1
+        assert parse_game(doc) == parse_game(tiny_doc())
+
+    def test_empty_nodes_rejected(self):
+        doc = tiny_doc()
+        doc["nodes"] = []
+        with pytest.raises(GameValidationError, match="nodes array is empty"):
+            parse_game(doc)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_random_tree_round_trip(data):

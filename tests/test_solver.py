@@ -30,7 +30,7 @@ from tbdag import (
     terminal_realization,
 )
 from tbdag.dag import best_response, dag_cfr_strategy
-from tbdag.game import CHANCE, PLAYER, TERMINAL, build_game
+from tbdag.game import CHANCE, PLAYER, TERMINAL, parse_game
 
 
 @lru_cache(maxsize=None)
@@ -71,7 +71,12 @@ def pennies():
         leaf(-1.0),
         leaf(1.0),
     ]
-    return build_game(("chance", "odd", "even"), {MAX: [1], MIN: [2]}, 0, records)
+    return parse_game({
+        "players": ["chance", "odd", "even"],
+        "teams": {MAX: [1], MIN: [2]},
+        "root": 0,
+        "nodes": records,
+    })
 
 
 def consistent(g, side, choice, z):

@@ -1,0 +1,49 @@
+"""Every function the traced benchmark run wraps stays bound.
+
+``perfbench/tracing.py`` replaces each traced function by
+``getattr``/``setattr`` on a module attribute such as
+``tbdag.belief:build_game``.  A refactor that unbinds one of those names
+breaks the traced run; these tests catch it without installing any
+wrapper.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import tbdag.belief
+from tbdag import generate, list_presets, make_belief_game
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing(monkeypatch):
+    name = "_perfbench_tracing"
+    spec = importlib.util.spec_from_file_location(name, TRACING)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name while being defined.
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_resolves(monkeypatch):
+    tracing = load_tracing(monkeypatch)
+    targets = [target for t in tracing.TRACED for target in t.targets]
+    assert targets
+    for target in targets:
+        owner, attr = tracing._owner(target)
+        assert callable(getattr(owner, attr)), target
+
+
+def test_belief_game_is_assembled_through_its_module_name(monkeypatch):
+    calls = []
+    real = tbdag.belief.build_game
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(tbdag.belief, "build_game", counted)
+    make_belief_game(generate(list_presets()["fig2"]))
+    assert calls == [1]
