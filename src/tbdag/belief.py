@@ -13,26 +13,27 @@ belief.  Proxy information sets are labeled by the full own history of
 proxies perfect-recall by construction.
 
 This module exists for desk-scale validation: the construction is
-worst-case exponential and gated by a hard node budget.  The DAG
-builder in :mod:`tbdag.build` reaches the same strategy spaces without
-ever materializing this tree; both take each belief's infosets,
-prescriptions and candidate sets from the same step,
-:func:`tbdag.build.expand_belief`.
+worst-case exponential and gated by a hard node budget.  It expands no
+belief itself: every belief's infosets, prescriptions and next beliefs
+are read off its side's raw observation-split TB-DAG from
+:func:`tbdag.build.build_tbdag`, whose decision points are exactly the
+beliefs a proxy can hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
+# ``split_observation`` is not called here; it stays bound because the
+# traced benchmark run wraps ``tbdag.belief.split_observation`` by name.
 from .analysis import (
-    GameAnalysis,
     analyze,
     coordinator_view,
     imperfect_recall_at,
-    split_observation,
+    split_observation,  # noqa: F401
 )
-from .build import expand_belief
+from .build import build_tbdag
 from .game import (
     BudgetExceededError,
     CHANCE,
@@ -43,12 +44,10 @@ from .game import (
     PLAYER,
     TERMINAL,
     GameWriter,
+    bad_action,
     build_game,
     serialize_game,
 )
-
-_SIDE_PLAYER = {MAX: 1, MIN: 2}
-
 
 @dataclass(frozen=True)
 class BeliefGame:
@@ -86,11 +85,59 @@ def _unique_labels(labels: list[str]) -> list[str]:
     return out
 
 
+class _Moves(NamedTuple):
+    isets: tuple[int, ...]
+    prescriptions: tuple[tuple[int, ...], ...]
+    labels: list[str]
+    next: list[dict[int, tuple[int, ...]]]
+
+
+def _moves(g: ExtensiveFormGame, side: str) -> dict[tuple, _Moves]:
+    """Each belief's moves, read off the side's raw observation-split DAG.
+
+    A belief's prescriptions are its decision point's action slots, in
+    ``itertools.product`` order; ``next[a][c]`` is the belief that
+    follows prescription ``a`` when the true move reaches candidate
+    ``c``: the block of ``a``'s observation point holding ``c``, a child
+    decision point or a singleton terminal of the payload.  A terminal
+    belief ``(z,)`` is not a decision point; it keeps the one empty
+    prescription.
+    """
+    moves = {(z,): _Moves((), ((),), ["-"], []) for z in g.terminals}
+    if g.kind[g.root] == TERMINAL:  # a lone terminal has no DAG
+        return moves
+    dag = build_tbdag(g, side, reduce=False, analysis=analyze(g, side))
+    p = dag.problem
+    aoff, child_obs = p.dec_aoff.tolist(), p.act_child_obs.tolist()
+    coff, kids = p.obs_coff.tolist(), p.obs_children.tolist()
+    poff, payload = p.obs_poff.tolist(), p.payload.tolist()
+    for d, belief in enumerate(dag.beliefs):
+        isets = dag.dec_infosets[d]
+        prescrs = dag.prescriptions[aoff[d]: aoff[d + 1]]
+        labels = _unique_labels([
+            ",".join(g.infosets[i].actions[a] for i, a in zip(isets, pr))
+            or "-"
+            for pr in prescrs
+        ])
+        nexts = []
+        for o in child_obs[aoff[d]: aoff[d + 1]]:
+            blocks = [dag.beliefs[c] for c in kids[coff[o]: coff[o + 1]]]
+            blocks += map(dag.slot_groups.__getitem__,
+                          payload[poff[o]: poff[o + 1]])
+            nexts.append({h: blk for blk in blocks for h in blk})
+        moves[belief] = _Moves(isets, prescrs, labels, nexts)
+    return moves
+
+
+_SIDES = (MAX, MIN)
+_ROLES = ("max-prescribes", "min-prescribes")
+
+
 class _Builder:
-    def __init__(self, g, analyses, node_budget):
+    def __init__(self, g, node_budget):
         self.g = g
-        self.analyses = analyses
         self.node_budget = node_budget
+        self.moves = tuple(_moves(g, side) for side in _SIDES)
         # A proxy node's infoset key is its (side, state) pair.
         self.w = GameWriter()
         self.ann: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
@@ -101,9 +148,6 @@ class _Builder:
             MAX: {},
             MIN: {},
         }
-        self.root_state: dict[str, int] = {}
-        self._space: dict[tuple[str, tuple[int, ...]], tuple] = {}
-        self._blocks: dict[tuple, dict[int, tuple[int, ...]]] = {}
 
     def emit(self, annotation, role, kind, player=-1, infoset=None,
              utility=0.0):
@@ -128,111 +172,51 @@ class _Builder:
             self.trans[side].setdefault(prev, set()).add(s)
         return s
 
-    def space(self, side, belief):
-        """The belief's expansion step, its prescriptions and labels."""
-        key = (side, belief)
-        got = self._space.get(key)
-        if got is None:
-            g = self.g
-            step = expand_belief(g, side, belief)
-            prescrs = list(step.prescriptions())
-            labels = _unique_labels(
-                [
-                    ",".join(
-                        g.infosets[i].actions[a]
-                        for i, a in zip(step.isets, prescr)
-                    )
-                    or "-"
-                    for prescr in prescrs
-                ]
-            )
-            got = self._space[key] = (step, prescrs, labels)
-        return got
-
-    def block_of(self, side, belief, prescr, child):
-        """Next belief: the candidate component containing ``child``."""
-        key = (side, belief, prescr)
-        mapping = self._blocks.get(key)
-        if mapping is None:
-            cands = self.space(side, belief)[0].candidates(prescr)
-            mapping = self._blocks[key] = {
-                h: blk
-                for blk in split_observation(self.analyses[side], cands)
-                for h in blk
-            }
-        return mapping[child]
-
     # -- the three slots of one original step --------------------------
 
-    def rec_max(self, h, b_max, b_min, prev_max, prev_min):
-        s_max = self.intern(MAX, prev_max, b_max)
-        _, prescrs, labels = self.space(MAX, b_max)
+    def prescribe(self, i, h, beliefs, edges):
+        """Slot of proxy ``i``, player ``i + 1``: max first, then min.
+
+        ``edges[j]`` is proxy ``j``'s last (state, prescription) pair,
+        already this step's for a proxy that has moved.
+        """
+        side = _SIDES[i]
+        s = self.intern(side, edges[i], beliefs[i])
         me, actions = self.emit(
-            (h, b_max, b_min), "max-prescribes",
-            PLAYER, _SIDE_PLAYER[MAX], (MAX, s_max),
+            (h, *beliefs), _ROLES[i], PLAYER, i + 1, (side, s)
         )
-        for ai, prescr in enumerate(prescrs):
-            child = self.rec_min(
-                h, b_max, b_min, (s_max, ai), prev_min, prescr
-            )
-            actions.append((labels[ai], child))
+        for ai, label in enumerate(self.moves[i][beliefs[i]].labels):
+            if i == 0:
+                child = self.prescribe(1, h, beliefs, ((s, ai), edges[1]))
+            else:
+                child = self.resolve(h, beliefs, (edges[0], (s, ai)))
+            actions.append((label, child))
         return me
 
-    def rec_min(self, h, b_max, b_min, edge_max, prev_min, pre_max):
-        s_min = self.intern(MIN, prev_min, b_min)
-        _, prescrs, labels = self.space(MIN, b_min)
-        me, actions = self.emit(
-            (h, b_max, b_min), "min-prescribes",
-            PLAYER, _SIDE_PLAYER[MIN], (MIN, s_min),
-        )
-        for ai, prescr in enumerate(prescrs):
-            child = self.rec_0(
-                h, b_max, b_min, edge_max, (s_min, ai),
-                pre_max, prescr,
-            )
-            actions.append((labels[ai], child))
-        return me
-
-    def rec_0(self, h, b_max, b_min, edge_max, edge_min, pre_max, pre_min):
+    def resolve(self, h, beliefs, edges):
         g = self.g
         if g.kind[h] == TERMINAL:
-            assert b_max == (h,) and b_min == (h,)
+            assert beliefs == ((h,), (h,))
             return self.emit(
-                (h, b_max, b_min), "chance-resolves",
+                (h, *beliefs), "chance-resolves",
                 TERMINAL, utility=g.utility[h],
             )[0]
+        moves = [m[b] for m, b in zip(self.moves, beliefs)]
         if g.kind[h] == CHANCE:
-            moves = [
-                (a, g.labels[h][a], g.probs[h][a])
-                for a in range(len(g.children[h]))
-            ]
+            acts = zip(g.children[h], g.labels[h], g.probs[h])
         else:
-            side = g.node_side(h)
-            belief, prescr = (
-                (b_max, pre_max) if side == MAX else (b_min, pre_min)
+            i = _SIDES.index(g.node_side(h))
+            m = moves[i]
+            a = m.prescriptions[edges[i][1]][m.isets.index(g.infoset[h])]
+            acts = [(g.children[h][a], g.labels[h][a], 1.0)]
+        me, actions = self.emit((h, *beliefs), "chance-resolves", CHANCE)
+        nexts = [m.next[e[1]] for m, e in zip(moves, edges)]
+        for child, label, prob in acts:
+            sub = self.prescribe(
+                0, child, (nexts[0][child], nexts[1][child]), edges
             )
-            isets = self.space(side, belief)[0].isets
-            a = prescr[isets.index(g.infoset[h])]
-            moves = [(a, g.labels[h][a], 1.0)]
-        me, actions = self.emit((h, b_max, b_min), "chance-resolves", CHANCE)
-        for a, label, prob in moves:
-            child = g.children[h][a]
-            nb_max = self.block_of(MAX, b_max, pre_max, child)
-            nb_min = self.block_of(MIN, b_min, pre_min, child)
-            sub = self.rec_max(child, nb_max, nb_min, edge_max, edge_min)
             actions.append((label, sub, prob))
         return me
-
-    def run(self):
-        g = self.g
-        root_belief = (g.root,)
-        top = self.rec_max(root_belief[0], root_belief, root_belief,
-                           None, None)
-        assert top == 0
-        self.root_state = {
-            MAX: self.states[MAX][(None, root_belief)],
-            MIN: self.states[MIN][(None, root_belief)],
-        }
 
 
 def _compacted(b: _Builder):
@@ -267,27 +251,21 @@ def _compacted(b: _Builder):
 
 def make_belief_game(
     g: ExtensiveFormGame,
-    analyses: Mapping[str, GameAnalysis] | None = None,
     *,
     compact: bool = False,
     node_budget: int = 10**7,
 ) -> BeliefGame:
     """Run the recursive three-slot construction over the whole game.
 
-    ``compact=True`` removes single-action chains, giving node counts
-    comparable to a drawn belief game; the result keeps annotations but
-    drops the strategy-map tables (and may be rejected as untimeable,
-    since splicing can put surviving infoset members at mixed depths).
+    Each proxy's moves are read off its side's raw observation-split
+    TB-DAG.  ``compact=True`` removes single-action chains, giving node
+    counts comparable to a drawn belief game; the result keeps
+    annotations but drops the strategy-map tables (and may be rejected
+    as untimeable, since splicing can put surviving infoset members at
+    mixed depths).
     """
-    if analyses is None:
-        analyses = {MAX: analyze(g, MAX), MIN: analyze(g, MIN)}
-    for side in (MAX, MIN):
-        if analyses[side].side != side:
-            raise GameValidationError(
-                f"analyses[{side!r}] is for side {analyses[side].side!r}"
-            )
-    b = _Builder(g, analyses, node_budget)
-    b.run()
+    b = _Builder(g, node_budget)
+    b.prescribe(0, g.root, ((g.root,), (g.root,)), (None, None))
 
     players = ("chance", "max-coordinator", "min-coordinator")
     teams = {MAX: [1], MIN: [2]}
@@ -313,10 +291,9 @@ def make_belief_game(
             raise GameValidationError(
                 f"belief game lost perfect recall on side {side!r}"
             )
-    for n, (h, bm, bn) in enumerate(b.ann):
+    for n, (h, _, _) in enumerate(b.ann):
         if game.kind[n] == TERMINAL:
             assert game.depth[n] == 3 * g.depth[h] + 2
-            assert bm == (h,) and bn == (h,)
 
     state_iset: dict[str, dict[int, int]] = {MAX: {}, MIN: {}}
     iset_beliefs: dict[int, tuple[int, ...]] = {}
@@ -328,9 +305,9 @@ def make_belief_game(
         assert game.kind[n] == PLAYER  # emission order is preorder
         i_bg = game.infoset[n]
         state_iset[side][st] = i_bg
-        belief = b.ann[n][1] if side == MAX else b.ann[n][2]
-        iset_beliefs[i_bg] = belief
-        iset_infosets[i_bg] = b.space(side, belief)[0].isets
+        i = _SIDES.index(side)
+        iset_beliefs[i_bg] = belief = b.ann[n][1 + i]
+        iset_infosets[i_bg] = b.moves[i][belief].isets
     successors = {
         (state_iset[side][st], ai): tuple(
             sorted(state_iset[side][s2] for s2 in nxt)
@@ -346,10 +323,8 @@ def make_belief_game(
         roles=tuple(b.roles),
         iset_beliefs=iset_beliefs,
         iset_infosets=iset_infosets,
-        root_iset={
-            side: state_iset[side][b.root_state[side]]
-            for side in (MAX, MIN)
-        },
+        # Each proxy's root state is the first one interned.
+        root_iset={side: state_iset[side][0] for side in (MAX, MIN)},
         successors=successors,
     )
 
@@ -362,7 +337,8 @@ def map_pure_strategy(
     At every own-play-reachable proxy infoset the returned strategy
     prescribes ``pi``'s action for each source infoset meeting the
     belief (mixed-radix index, infosets ascending); unreachable proxy
-    infosets canonically take their first action.
+    infosets canonically take their first action.  Every action of
+    ``pi`` must be an int index into its infoset's actions.
     """
     if side not in (MAX, MIN):
         raise GameValidationError(f"unknown side {side!r}")
@@ -376,6 +352,10 @@ def map_pure_strategy(
         raise GameValidationError(
             f"strategy leaves {len(missing)} infosets unassigned"
         )
+    for i in g.side_infosets(side):
+        a, n = pi[i], g.infosets[i].num_actions
+        if isinstance(a, bool) or not (isinstance(a, int) and 0 <= a < n):
+            raise GameValidationError(bad_action(i, a, n))
     out = {i: 0 for i in bg.game.side_infosets(side)}
     queue = [bg.root_iset[side]]
     visited = set(queue)

@@ -8,8 +8,9 @@ everyone else's — is split back into beliefs.  Beliefs are memoized, so
 shared futures are built once; observation points are never shared.
 
 That step is :func:`expand_belief`, the one expansion kernel: the DAG
-builder, :func:`count_tbdag` and the explicit belief game of
-:mod:`tbdag.belief` all call it.
+builder and :func:`count_tbdag` call it.  The explicit belief game of
+:mod:`tbdag.belief` expands nothing itself; it reads every belief's
+prescriptions and next beliefs off the raw observation-split DAGs.
 
 Two split policies are supported: ``"observation"`` uses connected
 components of the indistinguishability graph (the finest sound split),

@@ -506,7 +506,8 @@ def pure_strategy_value(
 ) -> float:
     """Expected max-side utility when every infoset plays one fixed action.
 
-    ``choice`` maps infoset id to action index for all players' infosets.
+    ``choice`` maps infoset id to action index for all players' infosets;
+    an index out of range is an error at the first node that plays it.
     Contributions are combined with an exactly-rounded sum, so the result
     does not depend on traversal order.
     """
@@ -522,8 +523,20 @@ def pure_strategy_value(
                 if pr:
                     stack.append((c, p * pr))
         else:
-            stack.append((g.children[h][choice[g.infoset[h]]], p))
+            kids, i = g.children[h], g.infoset[h]
+            a = choice[i]
+            if not 0 <= a < len(kids):
+                raise GameValidationError(bad_action(i, a, len(kids)))
+            stack.append((kids[a], p))
     return fsum(parts)
+
+
+def bad_action(infoset: int, action: Any, n_actions: int) -> str:
+    """The error message for a pure strategy's out-of-range action."""
+    return (
+        f"strategy plays action {action!r} at infoset {infoset}, "
+        f"which has {n_actions} actions"
+    )
 
 
 # -- the JSON wire format -------------------------------------------------
@@ -556,6 +569,10 @@ def parse_game(doc: Mapping[str, Any]) -> ExtensiveFormGame:
 
     This is the one reader of dict node records: it checks the JSON type
     of every field and hands the nodes to :func:`build_game` as columns.
+    An infoset key is a JSON number or string.  Equal numbers (``1`` and
+    ``1.0``) name one infoset, a number and a string (``7`` and ``"7"``)
+    name two, and ``true``/``false`` are rejected rather than read as
+    ``1``/``0``.
     """
     if not isinstance(doc, Mapping):
         raise GameValidationError("game document must be an object")
@@ -618,7 +635,7 @@ def parse_game(doc: Mapping[str, Any]) -> ExtensiveFormGame:
                 f"node {old}: utility on a non-terminal node"
             )
         key = raw.get("infoset")
-        if k == PLAYER and isinstance(key, (list, dict)):
+        if k == PLAYER and isinstance(key, (list, dict, bool)):
             raise GameValidationError(
                 f"node {old}: infoset must be a number or a string, "
                 f"not {key!r}"

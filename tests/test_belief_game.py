@@ -17,6 +17,7 @@ from tbdag import (
     SolveConfig,
     analyze,
     belief_game_to_doc,
+    build_tbdag,
     coordinator_view,
     generate,
     imperfect_recall_at,
@@ -155,6 +156,20 @@ class TestConstruction:
             assert bg.game.num_nodes == nodes, name
             assert len(bg.game.infosets) == isets, name
 
+    def test_lone_terminal_gives_one_step(self):
+        g = parse_game({
+            "players": ["chance", "a", "b"],
+            "teams": {"max": [1], "min": [2]},
+            "root": 0,
+            "nodes": [{"kind": "terminal", "utility": 1.0}],
+        })
+        bg = make_belief_game(g)
+        assert bg.roles == (
+            "max-prescribes", "min-prescribes", "chance-resolves"
+        )
+        assert bg.game.labels[:2] == (("-",), ("-",))
+        assert bg.root_iset == {MAX: 0, MIN: 1}
+
     def test_proxies_have_perfect_recall(self):
         for name in ("fig2", "fig8", "3K3[2]"):
             bg = make_belief_game(game(name))
@@ -248,6 +263,27 @@ class TestValueEquivalence:
         assert abs(src.value - blf.value) <= src.gap + blf.gap
 
 
+class TestSizeClaim:
+    """The TB-DAG is never larger than the sequence form of the belief
+    game it represents (the README table lists some of these sizes)."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "fig2", "fig8", "2K3", "3K3[1]", "3K3[3]", "fig9-C4",
+            "fig9-C6", "fig9-C8", "worst-k1b2d5", "worst-k2b2d6",
+        ],
+    )
+    def test_tbdag_edges_at_most_the_belief_games(self, name):
+        g = game(name)
+        bg = make_belief_game(g).game
+        for side in (MAX, MIN):
+            assert (
+                build_tbdag(g, side).stats.n_edges
+                <= build_tbdag(bg, side).stats.n_edges
+            ), side
+
+
 class TestStrategyMap:
     @pytest.mark.parametrize(
         "name", ["fig2", "fig8", "2K3", "3K3[1]", "worst-k1b2d5"]
@@ -296,16 +332,50 @@ class TestStrategyMap:
             map_pure_strategy(bg, "center", {})
 
 
+class TestOutOfRangeActions:
+    """A pure profile's action must index its infoset's actions."""
+
+    @pytest.mark.parametrize("bad", [-1, "count", True])
+    def test_map_rejects_it_naming_the_infoset(self, bad):
+        g = game("fig2")
+        bg = make_belief_game(g)
+        pi = {i: 0 for i in g.side_infosets(MAX)}
+        i = g.side_infosets(MAX)[-1]
+        n = g.infosets[i].num_actions
+        pi[i] = n if bad == "count" else bad
+        with pytest.raises(
+            GameValidationError,
+            match=f"action {pi[i]!r} at infoset {i}, which has {n} actions",
+        ):
+            map_pure_strategy(bg, MAX, pi)
+
+    @pytest.mark.parametrize("bad", [-1, "count"])
+    def test_value_rejects_it_where_it_is_played(self, bad):
+        g = game("fig2")
+        choice = {i: 0 for i in range(len(g.infosets))}
+        # Preorder reaches the first player node through chance alone.
+        h = g.kind.index(PLAYER)
+        i = g.infoset[h]
+        n = g.infosets[i].num_actions
+        choice[i] = n if bad == "count" else bad
+        with pytest.raises(
+            GameValidationError,
+            match=f"action {choice[i]} at infoset {i}, which has {n} actions",
+        ):
+            pure_strategy_value(g, choice)
+
+    def test_value_ignores_entries_it_never_plays(self):
+        g = game("fig2")
+        choice = {i: 0 for i in range(len(g.infosets))}
+        want = pure_strategy_value(g, choice)
+        choice[len(g.infosets)] = -1
+        assert pure_strategy_value(g, choice) == want
+
+
 class TestGuards:
     def test_node_budget_is_a_hard_error(self):
         with pytest.raises(BudgetExceededError, match="budget"):
             make_belief_game(game("worst-k2b2d6"), node_budget=1000)
-
-    def test_wrong_side_analysis_is_rejected(self):
-        g = game("fig2")
-        a = analyze(g, MAX)
-        with pytest.raises(GameValidationError, match="side"):
-            make_belief_game(g, {MAX: a, MIN: a})
 
 
 class TestSerialization:

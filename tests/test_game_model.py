@@ -281,6 +281,10 @@ class TestMalformedShapes:
             (_set_infoset, [7], "node 1: infoset must be a number or a string"),
             (_set_infoset, {"id": 7},
              "node 1: infoset must be a number or a string"),
+            (_set_infoset, True,
+             "node 1: infoset must be a number or a string"),
+            (_set_infoset, False,
+             "node 1: infoset must be a number or a string"),
             (_set_child, True, "node 0: dangling child reference True"),
             (_set_player, True, "node 1: bad acting player True"),
             (_set_team_member, True, "team 'max': bad player index True"),
@@ -299,6 +303,19 @@ class TestMalformedShapes:
         doc = tiny_doc()
         doc["nodes"][1]["player"] = 1
         assert parse_game(doc) == parse_game(tiny_doc())
+
+    def test_infoset_keys_merge_only_equal_numbers(self):
+        # Nodes 1 and 4 share the key 7 in the tiny document.
+        doc = tiny_doc()
+        doc["nodes"][4]["infoset"] = 7.0
+        assert parse_game(doc) == parse_game(tiny_doc())
+        doc["nodes"][4]["infoset"] = "7"
+        assert len(parse_game(doc).infosets) == 2
+        # ``true`` would otherwise merge with ``1``.
+        doc["nodes"][1]["infoset"] = True
+        doc["nodes"][4]["infoset"] = 1
+        with pytest.raises(GameValidationError, match="node 1: infoset"):
+            parse_game(doc)
 
     def test_empty_nodes_rejected(self):
         doc = tiny_doc()

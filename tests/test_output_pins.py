@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import tbdag.belief
 from tbdag import (
     MAX,
     MIN,
@@ -36,7 +37,7 @@ PINS_PATH = Path(__file__).parent / "output_pins.json"
 
 ZOO = (*SMALL_ZOO, "3L122[1]", "3L122[3]")
 REWRITE = ("fig2", "2K3", "3K3[1]")
-BELIEF = ("fig2", "fig9-C8", "2K3", "worst-k1b2d5")
+BELIEF = ("fig2", "fig9-C8", "2K3", "3K3[1]", "worst-k1b2d5")
 
 
 @lru_cache(maxsize=None)
@@ -112,6 +113,19 @@ def test_every_case_is_pinned():
                          if isinstance(v, str) else "")
 def test_output_pinned(key, make):
     assert make() == PINS[key]
+
+
+@pytest.mark.parametrize("name", ["fig2", "3K3[1]"])
+def test_belief_game_splits_no_candidates_itself(monkeypatch, name):
+    # Every next belief comes from the raw TB-DAGs, so the belief module
+    # never needs its own observation split.
+    def split(*args, **kwargs):
+        raise AssertionError("tbdag.belief called split_observation")
+
+    monkeypatch.setattr(tbdag.belief, "split_observation", split)
+    for compact in (False, True):
+        key = f"belief/{name}/{'compact' if compact else 'full'}"
+        assert _belief_digest(name, compact) == PINS[key]
 
 
 if __name__ == "__main__":
