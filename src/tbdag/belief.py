@@ -46,6 +46,7 @@ from .game import (
     GameWriter,
     bad_action,
     build_game,
+    check_budget,
     serialize_game,
 )
 
@@ -264,6 +265,7 @@ def make_belief_game(
     as untimeable, since splicing can put surviving infoset members at
     mixed depths).
     """
+    check_budget("node budget", node_budget)
     b = _Builder(g, node_budget)
     b.prescribe(0, g.root, ((g.root,), (g.root,)), (None, None))
 

@@ -50,6 +50,7 @@ from .game import (
     ExtensiveFormGame,
     GameValidationError,
     TERMINAL,
+    check_budget,
 )
 
 SPLITS = ("observation", "public")
@@ -386,6 +387,7 @@ def build_tbdag(
     fanout_guard: int = 24,
 ) -> TbDag:
     """Construct one side's belief DAG directly from the game tree."""
+    check_budget("edge budget", edge_budget)
     split_parts = _split_fn(split)
     if analysis is None:
         analysis = analyze(g, side)
@@ -570,6 +572,7 @@ def count_tbdag(
     not factor this way (components depend on the entire candidate
     set), so that path simply defers to :func:`build_tbdag`.
     """
+    check_budget("edge budget", edge_budget)
     if analysis is None:
         analysis = analyze(g, side)
     if split != "public":

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -35,6 +36,7 @@ from .game import (
     BudgetExceededError,
     ExtensiveFormGame,
     GameValidationError,
+    check_budget,
     parse_game,
     serialize_game,
 )
@@ -531,6 +533,8 @@ def _load_realizations(path: str, g: ExtensiveFormGame) -> dict[str, dict[int, f
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise GameValidationError("tol must be finite and non-negative")
     g, label, source = _resolve_game(args.game)
     reals = _load_realizations(args.avg, g)
     payload: dict[str, Any] = {
@@ -732,6 +736,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # The library entry points check their budgets too; checking the
+        # flag here rejects it before any work is done.
+        if getattr(args, "budget", None) is not None:
+            check_budget("--budget", args.budget)
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -32,7 +32,8 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum, inf, isfinite
+from math import fsum, inf, isfinite, isnan
+from numbers import Real
 from typing import Any
 
 MAX = "max"
@@ -537,6 +538,20 @@ def bad_action(infoset: int, action: Any, n_actions: int) -> str:
         f"strategy plays action {action!r} at infoset {infoset}, "
         f"which has {n_actions} actions"
     )
+
+
+def check_budget(what: str, budget: Any) -> None:
+    """Reject a budget that is not a number of at least 1 (NaN and bools
+    included); ``inf`` means no limit."""
+    if (
+        isinstance(budget, bool)
+        or not isinstance(budget, Real)
+        or isnan(budget)
+        or budget < 1
+    ):
+        raise GameValidationError(
+            f"{what} must be a number of at least 1, not {budget!r}"
+        )
 
 
 # -- the JSON wire format -------------------------------------------------

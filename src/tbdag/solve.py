@@ -39,6 +39,7 @@ from .game import (
     BudgetExceededError,
     ExtensiveFormGame,
     GameValidationError,
+    check_budget,
 )
 
 ALGORITHMS = {
@@ -426,36 +427,58 @@ def enumeration_oracle(
     """Best pure reduced strategy by exhaustive tree search.
 
     Walks assignments over the side's infosets depth by depth, branching
-    only at infosets its own earlier choices keep reachable, and scores
-    each completed assignment directly on the game tree; the nodes the
-    choices so far still reach are carried as a bitset over node ids.
-    Returns the best value and the argmax assignment (unreached infosets
-    omitted — that is the reduced form).  Independent of all DAG
-    machinery by design, which is what makes it a certificate.
+    only at infosets its own earlier choices keep reachable; the nodes
+    the choices so far still reach are carried as a bitset over node
+    ids.  A strategy's value is the sum of the weights of the terminals
+    it reaches, kept exact: every weight is an integer over one
+    power-of-two denominator, and each choice adds the weights it
+    settles.  The returned value is that exact sum correctly rounded
+    (as ``math.fsum`` of the weights would give), and ties go to the
+    first strategy in search order.  Returns the best value and the
+    argmax assignment (unreached infosets omitted — that is the reduced
+    form).  Independent of all DAG machinery by design, which is what
+    makes it a certificate.
     """
     if side not in _SIGN:
         raise GameValidationError(f"unknown side {side!r}")
+    check_budget("reduced pure-strategy budget", budget)
     check_realization(g, opponent_realization)
     real = opponent_realization
     dense = isinstance(real, np.ndarray)
     sign = _SIGN[side]
     n = g.num_nodes
-    weight = [0.0] * n
+    ratios = {}
     for z in g.terminals:
         opp = float(real[z] if dense else real.get(z, 0.0))
-        weight[z] = sign * g.utility[z] * g.chance_reach[z] * opp
-    zmask = sum(1 << z for z in g.terminals if weight[z] != 0.0)
+        w = sign * g.utility[z] * g.chance_reach[z] * opp
+        if w != 0.0:
+            ratios[z] = w.as_integer_ratio()
+    den = max((q for _, q in ratios.values()), default=1)
 
-    # Node sets are int bitsets over node ids.  Ids are preorder, so the
-    # subtree of h is the bit range [h, h + size[h]).  ok[i][a] holds the
-    # nodes whose path does not pass infoset i with an action other than
-    # a; the members of i share a depth, so their subtrees are disjoint.
+    # settled[h]: the exact sum of the terminals below h that no node of
+    # the side separates from h (0 at the side's own nodes).  Ids are
+    # preorder, so children come after their parent.
+    settled = [0] * n
+    for z, (p, q) in ratios.items():
+        settled[z] = p * (den // q)
+    for h in range(n - 1, 0, -1):
+        up = g.parent[h]
+        if settled[h] and g.node_side(up) != side:
+            settled[up] += settled[h]
+
+    # Node sets are int bitsets over node ids.  The subtree of h is the
+    # bit range [h, h + size[h]).  ok[i][a] holds the nodes whose path
+    # does not pass infoset i with an action other than a; the members
+    # of i share a depth, so their subtrees are disjoint.  gains[i] has
+    # one (member bit, settled sum per action) row for each member
+    # whose children settle anything.
     size = [1] * n
     for h in range(n - 1, 0, -1):
         size[g.parent[h]] += size[h]
     full = (1 << n) - 1
     members: dict[int, int] = {}
     ok: dict[int, list[int]] = {}
+    gains: dict[int, list[tuple[int, list[int]]]] = {}
     for i in g.side_infosets(side):
         iset = g.infosets[i]
         members[i] = sum(1 << m for m in iset.members)
@@ -464,6 +487,8 @@ def enumeration_oracle(
             for cs in zip(*(g.children[m] for m in iset.members))
         ]
         ok[i] = [full ^ sum(through) ^ t for t in through]
+        rows = ((m, [settled[c] for c in g.children[m]]) for m in iset.members)
+        gains[i] = [(1 << m, row) for m, row in rows if any(row)]
 
     level = {i: g.depth[g.infosets[i].members[0]] for i in members}
     groups = [
@@ -474,46 +499,73 @@ def enumeration_oracle(
     ]
 
     best_value = -math.inf
+    best_acc: int | float = -math.inf
     best_assign: dict[int, int] = {}
     count = 0
     assign: dict[int, int] = {}
 
-    def rec(gi: int, alive: int, depth: int) -> None:
-        nonlocal count, best_value, best_assign
-        if gi == len(groups):
-            count += 1
-            if count > budget:
+    def action_gains(i: int, alive: int) -> list[int]:
+        hit = [row for bit, row in gains[i] if alive & bit]
+        if not hit:
+            return [0] * g.infosets[i].num_actions
+        return [sum(col) for col in zip(*hit)]
+
+    def rec(gi: int, alive: int, acc: int, depth: int) -> None:
+        # acc is the exact value of the terminals the choices so far
+        # have settled for good; depth is that of the last group that
+        # branched.
+        nonlocal count, best_value, best_acc, best_assign
+        live: list[int] = []
+        while not live and gi < len(groups):
+            d, grp = groups[gi]
+            gi += 1
+            live = [i for i in grp if alive & members[i]]
+        if live:
+            depth = d
+        sums = [action_gains(i, alive) for i in live]
+        if gi < len(groups):
+            for combo in itertools.product(
+                *(range(g.infosets[i].num_actions) for i in live)
+            ):
+                kept = alive
+                tot = acc
+                for i, s, a in zip(live, sums, combo):
+                    assign[i] = a
+                    kept &= ok[i][a]
+                    tot += s[a]
+                rec(gi, kept, tot, depth)
+            for i in live:
+                del assign[i]
+            return
+        # No group is left after this one, so its combos (or the one
+        # empty combo) are leaves, scored in place.  Int true division
+        # rounds correctly and rounding is monotone, so a leaf no better
+        # than best_acc cannot beat best_value.
+        left = budget - count - 1  # leaf k here is leaf count + k + 1
+        for k, combo in enumerate(itertools.product(*sums)):
+            if k > left:
                 raise BudgetExceededError(
                     f"more than {budget} reduced pure strategies "
                     f"(expanding the infoset group at depth {depth}; "
                     f"best value so far {best_value:.12g})"
                 )
-            terms = []
-            rest = alive & zmask
-            while rest:
-                low = rest & -rest
-                terms.append(weight[low.bit_length() - 1])
-                rest ^= low
-            v = math.fsum(terms)
-            if v > best_value:
-                best_value = v
-                best_assign = dict(assign)
-            return
-        d, grp = groups[gi]
-        live = [i for i in grp if alive & members[i]]
-        if not live:
-            rec(gi + 1, alive, depth)
-            return
-        for combo in itertools.product(
-            *(range(g.infosets[i].num_actions) for i in live)
-        ):
-            kept = alive
-            for i, a in zip(live, combo):
-                assign[i] = a
-                kept &= ok[i][a]
-            rec(gi + 1, kept, d)
-        for i in live:
-            del assign[i]
+            tot = acc + sum(combo)
+            if tot > best_acc:
+                v = tot / den
+                if v > best_value:
+                    best_value, best_acc = v, tot
+                    best_assign = dict(assign)
+                    best_assign.update(zip(live, _unrank(k, sums)))
+        count += math.prod(len(s) for s in sums)
 
-    rec(0, full, 0)
+    rec(0, full, settled[g.root], 0)
     return best_value, best_assign
+
+
+def _unrank(k: int, lists: list[list]) -> list[int]:
+    """Indices of the ``k``-th tuple of ``itertools.product(*lists)``."""
+    out = []
+    for s in reversed(lists):
+        k, a = divmod(k, len(s))
+        out.append(a)
+    return out[::-1]

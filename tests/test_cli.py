@@ -277,6 +277,51 @@ class TestOracleCheck:
         assert main(["oracle-check", "fig2", "--avg", str(avg)]) == 0
 
 
+@pytest.fixture(scope="module")
+def avg_2k3(tmp_path_factory):
+    avg = tmp_path_factory.mktemp("avg") / "avg.json"
+    assert main(["solve", "2K3", "--eps", "1e-3", "--save-avg", str(avg)]) == 0
+    return str(avg)
+
+
+class TestFlagChecks:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "2K3", "--budget", "nan"],
+            ["info", "2K3", "--budget", "nan"],
+            ["build", "2K3", "--budget", "-1"],
+            ["build", "2K3", "--count", "--budget", "0.5"],
+            ["belief-game", "2K3", "--budget", "0"],
+            ["belief-game", "2K3", "--budget", "-1"],
+            ["oracle-check", "2K3", "--budget", "0"],
+            ["oracle-check", "2K3", "--budget", "-5"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_budget_exits_1_before_any_work(self, argv, avg_2k3, capsys, monkeypatch):
+        capsys.readouterr()
+        # Every command starts its work by resolving the game.
+        monkeypatch.setattr(import_module("tbdag.cli"), "_resolve_game", None)
+        if argv[0] == "oracle-check":
+            argv = [*argv, "--avg", avg_2k3]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --budget must be a number of at least 1, not ")
+
+    def test_unlimited_budget_accepted(self, capsys):
+        assert main(["build", "fig2", "--budget", "inf"]) == 0
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tolerance_exits_1(self, tol, avg_2k3, capsys):
+        capsys.readouterr()
+        assert main(["oracle-check", "2K3", "--avg", avg_2k3, "--tol", tol]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "tol must be finite and non-negative" in err
+
+
 class TestBench:
     def test_csv_shape(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

@@ -2,7 +2,7 @@
 
 from functools import lru_cache
 from importlib import import_module
-from itertools import product
+from itertools import groupby, product
 from math import fsum, inf, nan, sqrt
 from time import perf_counter
 
@@ -21,10 +21,12 @@ from tbdag import (
     assemble_utility,
     build_tbdag,
     check_realization,
+    count_tbdag,
     enumeration_oracle,
     gap,
     generate,
     list_presets,
+    make_belief_game,
     payoffs_from_realization,
     solve,
     terminal_realization,
@@ -371,6 +373,20 @@ class TestOracle:
         with pytest.raises(BudgetExceededError, match="reduced pure"):
             enumeration_oracle(game("3K3[1]"), MIN, reals[MAX], budget=3)
 
+    @pytest.mark.parametrize("budget", [nan, True, 0, -1, 0.5, "10"])
+    def test_library_entry_points_check_budgets(self, budget):
+        g = game("fig2")
+        real = {z: 0.5 for z in g.terminals}
+        calls = [
+            lambda: build_tbdag(g, MAX, edge_budget=budget),
+            lambda: count_tbdag(g, MAX, edge_budget=budget),
+            lambda: make_belief_game(g, node_budget=budget),
+            lambda: enumeration_oracle(g, MAX, real, budget=budget),
+        ]
+        for call in calls:
+            with pytest.raises(GameValidationError, match="budget must be a number of at least 1"):
+                call()
+
     def test_budget_abort_says_where_it_stopped(self):
         # Against a guesser who always says heads, the tosser's first
         # plan (heads) scores 1; the second plan is past a budget of one.
@@ -451,3 +467,129 @@ class TestOracle:
             solve_module.build_tbdag(g, MAX)
         for side, opp in ((MAX, MIN), (MIN, MAX)):
             assert enumeration_oracle(g, side, reals[opp]) == expected[side]
+
+
+def reference_oracle(g, side, real, budget=10**7):
+    """The enumeration oracle as it was before it carried exact sums:
+    the same search, with every leaf summing the weights of the
+    terminals it still reaches by ``fsum``.  Kept here as a reference."""
+    sign = 1.0 if side == MAX else -1.0
+    n = g.num_nodes
+    weight = [0.0] * n
+    for z in g.terminals:
+        weight[z] = sign * g.utility[z] * g.chance_reach[z] * real.get(z, 0.0)
+    zmask = sum(1 << z for z in g.terminals if weight[z] != 0.0)
+
+    size = [1] * n
+    for h in range(n - 1, 0, -1):
+        size[g.parent[h]] += size[h]
+    full = (1 << n) - 1
+    members = {}
+    ok = {}
+    for i in g.side_infosets(side):
+        iset = g.infosets[i]
+        members[i] = sum(1 << m for m in iset.members)
+        through = [
+            sum(((1 << size[c]) - 1) << c for c in cs)
+            for cs in zip(*(g.children[m] for m in iset.members))
+        ]
+        ok[i] = [full ^ sum(through) ^ t for t in through]
+
+    level = {i: g.depth[g.infosets[i].members[0]] for i in members}
+    groups = [
+        (d, list(grp))
+        for d, grp in groupby(sorted(level, key=lambda i: (level[i], i)), key=level.get)
+    ]
+
+    best_value = -inf
+    best_assign = {}
+    count = 0
+    assign = {}
+
+    def rec(gi, alive, depth):
+        nonlocal count, best_value, best_assign
+        if gi == len(groups):
+            count += 1
+            if count > budget:
+                raise BudgetExceededError(
+                    f"more than {budget} reduced pure strategies "
+                    f"(expanding the infoset group at depth {depth}; "
+                    f"best value so far {best_value:.12g})"
+                )
+            terms = []
+            rest = alive & zmask
+            while rest:
+                low = rest & -rest
+                terms.append(weight[low.bit_length() - 1])
+                rest ^= low
+            v = fsum(terms)
+            if v > best_value:
+                best_value = v
+                best_assign = dict(assign)
+            return
+        d, grp = groups[gi]
+        live = [i for i in grp if alive & members[i]]
+        if not live:
+            rec(gi + 1, alive, depth)
+            return
+        for combo in product(*(range(g.infosets[i].num_actions) for i in live)):
+            kept = alive
+            for i, a in zip(live, combo):
+                assign[i] = a
+                kept &= ok[i][a]
+            rec(gi + 1, kept, d)
+        for i in live:
+            del assign[i]
+
+    rec(0, full, 0)
+    return best_value, best_assign
+
+
+def oracle_outcome(oracle, g, side, real, budget):
+    """``(value.hex(), assignment as item list)`` or the abort message."""
+    try:
+        value, choice = oracle(g, side, real, budget=budget)
+    except BudgetExceededError as exc:
+        return str(exc)
+    return value.hex(), list(choice.items())
+
+
+# Probabilities that round exactly, uniform floats, and tiny magnitudes
+# that leave the weights many binades apart, so sums round and cancel.
+PROBS = st.one_of(
+    st.sampled_from([0.0, 1 / 3, 0.5, 1.0]),
+    st.floats(0.0, 1.0),
+    st.builds(lambda p, k: p * 10.0**-k, st.floats(0.0, 1.0), st.integers(0, 300)),
+)
+
+
+class TestOracleAgainstReference:
+    # The last budget lets every side of these games finish except on
+    # 3D2[1], whose max side has millions of strategies and whose min
+    # side takes the reference seconds; there the abort messages are
+    # compared, at a budget small enough for the reference.
+    @pytest.mark.parametrize(
+        "name, budget",
+        [
+            ("pennies", 20_000),
+            ("fig2", 20_000),
+            ("2K3", 20_000),
+            ("3D2[1]", 2_000),
+            ("3K3[3]", 20_000),
+            ("3K3[1,2]", 20_000),
+        ],
+    )
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_bit_identical_to_the_fsum_oracle(self, name, budget, data):
+        g = pennies() if name == "pennies" else game(name)
+        probs = data.draw(
+            st.lists(PROBS, min_size=len(g.terminals), max_size=len(g.terminals)),
+            label="realization",
+        )
+        real = dict(zip(g.terminals, probs))
+        for side in (MAX, MIN):
+            for b in (1, 2.5, 7, 100, budget):
+                assert oracle_outcome(
+                    enumeration_oracle, g, side, real, b
+                ) == oracle_outcome(reference_oracle, g, side, real, b)
