@@ -13,7 +13,8 @@ For each side (``"max"`` / ``"min"``) the module builds:
   clique list is linear in total path length;
 - *public states*: connected components of that graph;
 - *last infosets*: for each node, the side's infosets traversed on the
-  path that no later traversed infoset provably recalls;
+  path that no later traversed infoset provably recalls, read off the
+  parent's set in one preorder pass;
 - the *information complexity* ``k``: the largest number of distinct
   last infosets appearing across one public state.  ``k == 1`` exactly
   when the merged coordinator effectively has perfect recall.
@@ -29,8 +30,9 @@ one on the same input.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .game import TERMINAL, ExtensiveFormGame, GameValidationError
 
@@ -57,28 +59,27 @@ def coordinator_view(g: ExtensiveFormGame, side: str) -> CoordinatorView:
     The returned per-node sequence is the ordered list of
     ``(infoset, action)`` pairs of the side's players strictly above the
     node; the root carries the empty sequence (id 0).  Sequences are
-    interned, so equality of ids is equality of full sequences.
+    interned by (parent sequence id, infoset, action), so equality of
+    ids is equality of full sequences.
     """
     if not g.side_players(side):
         raise GameValidationError(f"side {side!r} has no players")
-    intern: dict[tuple[SeqPair, ...], int] = {(): 0}
+    mine = frozenset(g.side_infosets(side))
+    infoset, parent_action = g.infoset, g.parent_action
+    intern: dict[tuple[int, int, int], int] = {}
     sequences: list[tuple[SeqPair, ...]] = [()]
     seq_of = [0] * g.num_nodes
-    for h in range(g.num_nodes):  # preorder: parents first
+    for h in range(1, g.num_nodes):  # preorder: parents first
         p = g.parent[h]
-        if p < 0:
-            continue
-        if g.node_side(p) == side:
-            seq = sequences[seq_of[p]] + (
-                (g.infoset[p], g.parent_action[h]),
-            )
-            sid = intern.get(seq)
-            if sid is None:
-                sid = intern[seq] = len(sequences)
-                sequences.append(seq)
-            seq_of[h] = sid
-        else:
+        if infoset[p] not in mine:
             seq_of[h] = seq_of[p]
+            continue
+        key = (seq_of[p], infoset[p], parent_action[h])
+        sid = intern.get(key)
+        if sid is None:
+            sid = intern[key] = len(sequences)
+            sequences.append(sequences[key[0]] + (key[1:],))
+        seq_of[h] = sid
     return CoordinatorView(
         side=side,
         infosets=g.side_infosets(side),
@@ -105,7 +106,12 @@ def imperfect_recall_at(
 
 @dataclass(frozen=True)
 class GameAnalysis:
-    """Indistinguishability structure of one side over a fixed game."""
+    """Indistinguishability structure of one side over a fixed game.
+
+    ``view`` is the side's coordinator view, built once for the recall
+    fields and the reduced DAG build (None when the side has no players);
+    a working table, not a result, so it is left out of ``==`` and ``repr``.
+    """
 
     game: ExtensiveFormGame = field(repr=False)
     side: str
@@ -120,10 +126,11 @@ class GameAnalysis:
     kappa: int
     perfect_recall: bool
     action_recall: bool
+    view: CoordinatorView | None = field(compare=False, repr=False)
 
 
 def _recall(
-    g: ExtensiveFormGame, side: str
+    g: ExtensiveFormGame, view: CoordinatorView | None
 ) -> tuple[list[frozenset[int]], bool, bool]:
     """remembers, perfect recall and action recall of one side, read
     from the interned coordinator sequences of each infoset's members.
@@ -133,17 +140,15 @@ def _recall(
     trace, since an infoset sits at one depth and shares its labels.
     """
     remembers: list[frozenset[int]] = [frozenset()] * len(g.infosets)
-    if not g.side_players(side):
-        return remembers, True, True
-    view = coordinator_view(g, side)
-    action_recall = True
-    for j in view.infosets:
+    perfect_recall = action_recall = True
+    for j in view.infosets if view else ():
         seqs = [
             view.sequences[s]
             for s in {view.seq_of[h] for h in g.infosets[j].members}
         ]
         common = set(seqs[0]).intersection(*seqs[1:])
         remembers[j] = frozenset(i for i, _ in common)
+        perfect_recall = perfect_recall and len(seqs) == 1
         if len(seqs) > 1 and action_recall:
             traces = {
                 tuple(
@@ -154,33 +159,27 @@ def _recall(
                 for seq in seqs
             }
             action_recall = len(traces) == 1
-    return remembers, imperfect_recall_at(g, view) is None, action_recall
+    return remembers, perfect_recall, action_recall
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = parent.setdefault(x, x)
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
+def _label(parent: list[int]) -> list[int]:
+    """Dense component labels of a union-find forest whose links all run
+    from a larger node to a smaller one, numbered by smallest member."""
+    label = parent[:]
+    count = 0
+    for h, p in enumerate(parent):
+        if p == h:
+            label[h] = count
+            count += 1
+        else:
+            label[h] = label[p]
+    return label
 
 
 def analyze(g: ExtensiveFormGame, side: str) -> GameAnalysis:
     """Build the full indistinguishability analysis for one side."""
     n = g.num_nodes
+    side_isets = g.side_infosets(side)
 
     # Clique table: for each side infoset and each ancestor depth, the
     # set of that-depth ancestors of the infoset's members.  Singleton
@@ -189,7 +188,7 @@ def analyze(g: ExtensiveFormGame, side: str) -> GameAnalysis:
     clique_ids: dict[tuple[int, ...], int] = {}
     cliques: list[tuple[int, ...]] = []
     node_cliques: list[list[int]] = [[] for _ in range(n)]
-    for i in g.side_infosets(side):
+    for i in side_isets:
         level = list(dict.fromkeys(g.infosets[i].members))
         while level:
             if len(level) > 1:
@@ -202,120 +201,99 @@ def analyze(g: ExtensiveFormGame, side: str) -> GameAnalysis:
                         node_cliques[h].append(cid)
             if g.parent[level[0]] < 0:
                 break
-            level = list(
-                dict.fromkeys(g.parent[h] for h in level)
-            )
+            level = list(dict.fromkeys(g.parent[h] for h in level))
 
-    # Public states: connected components over all nodes.
-    uf = _UnionFind()
-    for members in cliques:
-        first = members[0]
-        for h in members[1:]:
-            uf.union(first, h)
-    public_id = [-1] * n
-    public_states_map: dict[int, list[int]] = {}
-    for h in range(n):
-        root = uf.find(h)
-        if public_id[root] < 0:
-            public_id[root] = len(public_states_map)
-            public_states_map[public_id[root]] = []
-        public_id[h] = public_id[root]
-        public_states_map[public_id[h]].append(h)
-    public_states = tuple(
-        tuple(sorted(public_states_map[c]))
-        for c in range(len(public_states_map))
-    )
+    # One union-find over node ids whose root is always the smallest
+    # member, so every link runs from a larger id to a smaller one.
+    # Public states are its components after the clique unions.
+    parent = list(range(n))
+
+    def union(x: int, y: int) -> None:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x > y:
+            x, y = y, x
+        parent[y] = x
+
+    for first, *rest in cliques:
+        for h in rest:
+            union(first, h)
+    public_id = _label(parent)
+    public_states: list[list[int]] = []
+    for h, c in enumerate(public_id):
+        if c == len(public_states):
+            public_states.append([])
+        public_states[c].append(h)
 
     # Unconditional grouping: same-depth nodes additionally stay
     # together when they share a parent, so two histories separate only
     # where chance, the opponent, or an informed observer could tell
     # them apart without conditioning on how the side itself played.
     # Terminal nodes never join a group — game over is always observed.
-    # The clique unions are already in ``uf``; start from its forest.
-    uuf = _UnionFind()
-    uuf.parent = dict(uf.parent)
+    # The sibling unions go into the same forest as the clique unions.
     for h in range(n):
         live = [c for c in g.children[h] if g.kind[c] != TERMINAL]
         for c in live[1:]:
-            uuf.union(live[0], c)
-    unconditional_id = [-1] * n
-    next_uid = 0
-    for h in range(n):
-        root = uuf.find(h)
-        if unconditional_id[root] < 0:
-            unconditional_id[root] = next_uid
-            next_uid += 1
-        unconditional_id[h] = unconditional_id[root]
+            union(live[0], c)
+    unconditional_id = _label(parent)
 
-    remembers, perfect_recall, action_recall = _recall(g, side)
+    view = coordinator_view(g, side) if g.side_players(side) else None
+    remembers, perfect_recall, action_recall = _recall(g, view)
 
-    last_infosets = _last_infosets_walk(g, side, remembers)
+    # Last infosets from the parent's: a node the side does not own
+    # shares its parent's tuple; an own node at infoset I gets
+    # (last(parent) | {I}) - remembers[I].  remembers[I] only holds
+    # infosets above I in a timeable game, so nothing is removed before
+    # it is added.  Each tuple is built and sorted once per distinct
+    # (parent tuple id, I) pair.
+    mine = frozenset(side_isets)
+    tuples: list[tuple[int, ...]] = [()]
+    step: dict[tuple[int, int], int] = {}
+    last_id = [0] * n
+    for h, (p, i) in enumerate(zip(g.parent, g.infoset)):
+        t = last_id[p] if p >= 0 else 0
+        if i in mine:
+            key = (t, i)
+            t = step.get(key)
+            if t is None:
+                t = step[key] = len(tuples)
+                tuples.append(tuple(sorted(
+                    (set(tuples[key[0]]) | {i}) - remembers[i]
+                )))
+        last_id[h] = t
 
-    # k: largest union of last-infoset sets across one public state.
+    # k: largest union of last-infoset sets across one public state,
+    # one update per distinct (public state, last tuple) pair.
     union_per_state: dict[int, set[int]] = {}
-    for h in range(n):
-        union_per_state.setdefault(public_id[h], set()).update(
-            last_infosets[h]
-        )
-    k = max((len(s) for s in union_per_state.values()), default=0)
+    for c, t in set(zip(public_id, last_id)):
+        union_per_state.setdefault(c, set()).update(tuples[t])
+    k = max(map(len, union_per_state.values()), default=0)
 
     # kappa: most infosets fully contained in one public state (every
     # infoset lies inside a single state since its members are mutually
     # connected).
-    per_state_count: dict[int, int] = {}
-    for i in g.side_infosets(side):
-        c = public_id[g.infosets[i].members[0]]
-        per_state_count[c] = per_state_count.get(c, 0) + 1
-    kappa = max(per_state_count.values(), default=0)
+    kappa = max(Counter(
+        public_id[g.infosets[i].members[0]] for i in side_isets
+    ).values(), default=0)
 
     return GameAnalysis(
         game=g,
         side=side,
         cliques=tuple(cliques),
-        node_cliques=tuple(tuple(cs) for cs in node_cliques),
+        node_cliques=tuple(map(tuple, node_cliques)),
         public_id=tuple(public_id),
-        public_states=public_states,
+        public_states=tuple(map(tuple, public_states)),
         unconditional_id=tuple(unconditional_id),
-        last_infosets=tuple(last_infosets),
+        last_infosets=tuple(map(tuples.__getitem__, last_id)),
         remembers=tuple(remembers),
         k=k,
         kappa=kappa,
         perfect_recall=perfect_recall,
         action_recall=action_recall,
+        view=view,
     )
-
-
-def _last_infosets_walk(
-    g: ExtensiveFormGame, side: str, remembers: Sequence[frozenset[int]]
-) -> list[tuple[int, ...]]:
-    """Preorder computation of last-infoset sets with undo on exit."""
-    n = g.num_nodes
-    out: list[tuple[int, ...]] = [()] * n
-    traversed: set[int] = set()
-    recalled: set[int] = set()
-    # Stack entries: (node, undo) where undo is None on the way down
-    # and (infoset | None, newly_recalled) on the way back up.
-    stack: list[tuple[int, tuple | None]] = [(0, None)]
-    while stack:
-        h, undo = stack.pop()
-        if undo is not None:
-            iset, newly = undo
-            if iset is not None:
-                traversed.discard(iset)
-            recalled -= newly
-            continue
-        iset = None
-        newly: frozenset[int] = frozenset()
-        if g.node_side(h) == side:
-            iset = g.infoset[h]
-            traversed.add(iset)
-            newly = remembers[iset] - recalled
-            recalled |= newly
-        out[h] = tuple(sorted(traversed - recalled))
-        stack.append((h, (iset, newly)))
-        for c in reversed(g.children[h]):
-            stack.append((c, None))
-    return out
 
 
 def _check_same_depth(

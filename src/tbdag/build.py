@@ -40,7 +40,6 @@ import numpy as np
 from .analysis import (
     GameAnalysis,
     analyze,
-    coordinator_view,
     split_observation,
     split_public,
 )
@@ -397,6 +396,8 @@ def build_tbdag(
         )
     if g.kind[g.root] == TERMINAL:
         raise GameValidationError("the game is a single terminal node")
+    if reduce and analysis.view is None:
+        raise GameValidationError(f"side {side!r} has no players")
 
     phase_ms = dict.fromkeys(
         ("expand", "dedup", "prune", "splice", "pack"), 0.0
@@ -421,7 +422,7 @@ def build_tbdag(
         )
     lap("expand")
     if reduce:
-        groups = _dedup_terminals(ws, coordinator_view(g, side).seq_of)
+        groups = _dedup_terminals(ws, analysis.view.seq_of)
         lap("dedup")
         _prune_dead(ws)
         lap("prune")

@@ -652,12 +652,31 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like any bad input: 2 means a budget abort."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _add_budget(p: argparse.ArgumentParser, default: int, what: str) -> None:
+    """The one ``--budget`` flag: integral values (``1e5`` too) come as
+    int, so abort messages print ``100000``; ``inf`` means no limit."""
+
+    def budget(text: str) -> int | float:
+        value = float(text)
+        return int(value) if value.is_integer() else value
+
+    p.add_argument("--budget", type=budget, default=default, help=what)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", help="emit one JSON object instead of text"
     )
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tbdag",
         description="Team-belief decision DAGs for adversarial team games.",
     )
@@ -682,7 +701,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", parents=[common], help="recall analysis and DAG fan-out report")
     p.add_argument("game", help="game JSON file or preset name")
-    p.add_argument("--budget", type=float, default=1e8, help="edge budget for the fan-out report")
+    _add_budget(p, 10**8, "edge budget for the fan-out report")
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("build", parents=[common], help="build team-belief decision DAGs")
@@ -692,14 +711,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-reduce", action="store_true", help="keep unreachable and dominated structure")
     p.add_argument("--binarize", action="store_true", help="binarize actions first")
     p.add_argument("--count", action="store_true", help="count sizes without materializing")
-    p.add_argument("--budget", type=float, default=1e8, help="edge budget")
+    _add_budget(p, 10**8, "edge budget")
     p.add_argument("--dump-dag", default=None, help="write the packed DAG to this JSON path")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("belief-game", parents=[common], help="materialize the coordinator belief game")
     p.add_argument("game", help="game JSON file or preset name")
     p.add_argument("--compact", action="store_true", help="splice out single-action steps")
-    p.add_argument("--budget", type=int, default=10**7, help="node budget")
+    _add_budget(p, 10**7, "node budget")
     p.add_argument("-o", "--out", default=None, help="write the belief game to this JSON path")
     p.set_defaults(func=cmd_belief_game)
 
@@ -719,7 +738,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("game", help="game JSON file or preset name")
     p.add_argument("--avg", required=True, help="averaged-strategies JSON from solve --save-avg")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--budget", type=int, default=10**7, help="reduced pure-strategy budget")
+    _add_budget(p, 10**7, "reduced pure-strategy budget")
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("bench", parents=[common], help="sweep a suite of games into a CSV")

@@ -322,6 +322,32 @@ class TestFlagChecks:
         assert "tol must be finite and non-negative" in err
 
 
+class TestBudgetFlag:
+    # Every --budget parses the same way: 1e5 and inf are accepted by
+    # every command, and an integral value stays an int.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["belief-game", "2K3", "--budget", "1e5"],
+            ["belief-game", "2K3", "--budget", "inf"],
+            ["oracle-check", "2K3", "--budget", "1e6"],
+            ["oracle-check", "2K3", "--budget", "inf"],
+            ["build", "2K3", "--budget", "1e5"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_exponent_and_unlimited_budgets_accepted(self, argv, avg_2k3, capsys):
+        if argv[0] == "oracle-check":
+            argv = [*argv, "--avg", avg_2k3]
+        assert main(argv) == 0
+
+    def test_abort_message_prints_an_integral_budget_as_int(self, capsys):
+        assert main(["belief-game", "worst-k2b2d6", "--budget", "1e3"]) == 2
+        err = capsys.readouterr().err
+        assert "node budget 1000" in err
+        assert "1000.0" not in err
+
+
 class TestBench:
     def test_csv_shape(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
@@ -377,6 +403,29 @@ class TestPlumbing:
             main(["--version"])
         assert exc.value.code == 0
         assert "tbdag" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "2K3", "--eps", "abc"], "argument --eps: invalid float value: 'abc'"),
+            (["no-such-command"], "argument cmd: invalid choice: 'no-such-command'"),
+        ],
+    )
+    def test_usage_error_exits_1(self, argv, message, capsys):
+        # Exit 2 is kept for a budget abort.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: tbdag")
+        assert message in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--help"])
+        assert exc.value.code == 0
+        assert "--budget" in capsys.readouterr().out
 
     def test_missing_file_exits_1(self, capsys):
         assert main(["info", "/nonexistent/game.json"]) == 1

@@ -1,13 +1,14 @@
 """Byte-identity pins for every game the library assembles.
 
 Each pin is the SHA-256 of a canonical JSON dump (sorted keys) of one
-output: a serialized zoo game, a rewritten game, or a belief game with
-its strategy-map tables.  A construction that errors is pinned by its
-message instead.  Re-record with ``PYTHONPATH=src python3
-tests/test_output_pins.py --record`` only when an output is meant to
-change.
+output: a serialized zoo game, one side's analysis, a rewritten game,
+or a belief game with its strategy-map tables.  A construction that
+errors is pinned by its message instead.  Re-record with
+``PYTHONPATH=src python3 tests/test_output_pins.py --record`` only when
+an output is meant to change.
 """
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -21,6 +22,7 @@ from tbdag import (
     MAX,
     MIN,
     GameValidationError,
+    analyze,
     belief_game_to_doc,
     binarize_actions,
     generate,
@@ -28,7 +30,9 @@ from tbdag import (
     list_presets,
     make_belief_game,
     serialize_game,
+    solve,
 )
+from tbdag.analysis import coordinator_view
 
 sys.path.insert(0, str(Path(__file__).parent))
 from test_acceptance import SMALL_ZOO  # noqa: E402
@@ -61,6 +65,33 @@ def _or_error(make):
         return f"error: {exc}"
 
 
+def _jsonable(value):
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return value
+
+
+def _analysis_digest(name: str, side: str) -> str:
+    """Every ``GameAnalysis`` field but the game and the view, with the
+    side's coordinator view computed on its own."""
+    g = game(name)
+    analysis = analyze(g, side)
+    out = {
+        f.name: _jsonable(getattr(analysis, f.name))
+        for f in dataclasses.fields(analysis)
+        if f.name not in ("game", "view")
+    }
+    view = coordinator_view(g, side)
+    out["view"] = {
+        "infosets": _jsonable(view.infosets),
+        "seq_of": _jsonable(view.seq_of),
+        "sequences": _jsonable(view.sequences),
+    }
+    return _digest(out)
+
+
 def _belief_digest(name: str, compact: bool) -> str:
     def make():
         bg = make_belief_game(game(name), compact=compact)
@@ -81,6 +112,12 @@ def pin_cases():
     """Every pinned output as ``(key, thunk)`` pairs."""
     cases = [(f"zoo/{name}", lambda n=name: _game_digest(game(n)))
              for name in ZOO]
+    for name in ZOO:
+        for side in (MAX, MIN):
+            cases.append((
+                f"analysis/{name}/{side}",
+                lambda n=name, s=side: _analysis_digest(n, s),
+            ))
     for name in REWRITE:
         cases.append((
             f"binarize/{name}",
@@ -126,6 +163,23 @@ def test_belief_game_splits_no_candidates_itself(monkeypatch, name):
     for compact in (False, True):
         key = f"belief/{name}/{'compact' if compact else 'full'}"
         assert _belief_digest(name, compact) == PINS[key]
+
+
+def test_solve_builds_one_coordinator_view_per_side(monkeypatch):
+    sides = []
+
+    def counted(g, side):
+        sides.append(side)
+        return coordinator_view(g, side)
+
+    # Patch every module-level binding, so no caller is missed.
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("tbdag")
+                and getattr(module, "coordinator_view", None)
+                is coordinator_view):
+            monkeypatch.setattr(module, "coordinator_view", counted)
+    solve(game("fig2"))
+    assert sorted(sides) == [MAX, MIN]
 
 
 if __name__ == "__main__":

@@ -23,7 +23,9 @@ from tbdag import (
     generate,
     inflate,
     list_presets,
+    parse_game,
     sequence_form,
+    solve,
 )
 from tbdag.build import tbdag_to_doc
 from test_acceptance import SMALL_ZOO
@@ -305,6 +307,30 @@ class TestGuards:
         a = analyze(g, MIN)
         with pytest.raises(GameValidationError, match="side"):
             build_tbdag(g, MAX, analysis=a)
+
+    def test_side_without_players_keeps_its_error(self):
+        # Chance picks one of two terminals; the min team is empty, so
+        # its analysis carries no coordinator view.
+        g = parse_game({
+            "players": ["chance", "p1"],
+            "teams": {"max": [1], "min": []},
+            "root": 0,
+            "nodes": [
+                {"kind": "chance", "actions": [
+                    {"label": "a", "child": 1, "prob": 0.5},
+                    {"label": "b", "child": 2, "prob": 0.5},
+                ]},
+                {"kind": "terminal", "utility": 1.0},
+                {"kind": "terminal", "utility": -1.0},
+            ],
+        })
+        assert analyze(g, MIN).view is None
+        message = "side 'min' has no players"
+        with pytest.raises(GameValidationError, match=message):
+            build_tbdag(g, MIN)
+        with pytest.raises(GameValidationError, match=message):
+            solve(g)
+        assert build_tbdag(g, MIN, reduce=False).stats.n_dec == 1
 
 
 class TestBuildTimings:
