@@ -305,7 +305,7 @@ def _check_same_depth(
 
 
 def split_observation(
-    analysis: GameAnalysis, H: Iterable[int], side: str | None = None
+    analysis: GameAnalysis, H: Iterable[int]
 ) -> tuple[tuple[int, ...], ...]:
     """Partition same-depth nodes H into maximal mutually-plausible
     blocks: components of the indistinguishability graph induced on H.
@@ -315,10 +315,6 @@ def split_observation(
     at once; the rest meet in a union-find whose root is always the
     smallest member, so a block starts at its first node in id order.
     """
-    if side is not None and side != analysis.side:
-        raise ValueError(
-            f"analysis is for side {analysis.side!r}, not {side!r}"
-        )
     H = sorted(set(H))
     if not H:
         return ()
@@ -365,7 +361,7 @@ def split_observation(
 
 
 def split_public(
-    analysis: GameAnalysis, H: Iterable[int], side: str | None = None
+    analysis: GameAnalysis, H: Iterable[int]
 ) -> tuple[tuple[int, ...], ...]:
     """Partition same-depth nodes H by unconditionally-public grouping.
 
@@ -376,10 +372,6 @@ def split_public(
     :func:`split_observation` and can be much coarser.  Terminals are
     always singleton blocks.
     """
-    if side is not None and side != analysis.side:
-        raise ValueError(
-            f"analysis is for side {analysis.side!r}, not {side!r}"
-        )
     H = sorted(set(H))
     _check_same_depth(analysis.game, H)
     blocks: dict[int, list[int]] = {}

@@ -462,10 +462,9 @@ def _pack(g, side, split, reduce, analysis, ws, root_dec, groups, phase_ms):
         (np.arange(1, len(obs) + 1), aoff),
         (kids, coff),
         csr_of([[], *map(ws.obs_payload.__getitem__, obs)]),
-        keep,
     )
 
-    order = problem.dec_meta
+    order = [keep[d] for d in problem.dec_old.tolist()]
     beliefs = tuple(map(ws.dec_belief.__getitem__, order))
     dec_isets = tuple(map(ws.dec_isets.__getitem__, order))
     prescriptions = tuple(
@@ -531,6 +530,12 @@ def check_size_bounds(dag: TbDag, analysis: GameAnalysis | None = None):
     g = dag.game
     if analysis is None:
         analysis = analyze(g, dag.side)
+    elif analysis.side != dag.side:
+        raise GameValidationError(
+            f"analysis is for side {analysis.side!r}, not {dag.side!r}"
+        )
+    elif analysis.game is not g and analysis.game != g:
+        raise GameValidationError("analysis is for a different game")
     b = g.branching_factor
     k = analysis.k
     bound = g.num_nodes * (b + 1) ** (k + 1)

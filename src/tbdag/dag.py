@@ -15,10 +15,10 @@ and a decision point is worth the local average of its choices.  Both
 sweeps, and ``best_response``, are vectorized over contiguous per-level
 slices.  They read a sweep plan (level bounds, relative ``reduceat``
 offsets and owner indices) built once when ``freeze_csr`` freezes the
-problem, so an iteration does no index arithmetic.  ``freeze_csr`` takes
-the DAG as CSR tables in any numbering and orders it level by level in
-whole-array steps; ``ProblemBuilder`` collects one point at a time and
-hands it its lists.
+problem, so an iteration does no index arithmetic.  ``freeze_csr`` is
+the one constructor: it takes the DAG as CSR tables in any numbering,
+orders it level by level in whole-array steps and keeps each frozen
+decision point's input id as the only map back.
 """
 
 from __future__ import annotations
@@ -29,13 +29,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game import BudgetExceededError, GameValidationError
+from .game import BudgetExceededError, GameValidationError, check_budget
 
 __all__ = [
     "DagDecisionProblem",
     "FlowVector",
     "LocalRegretBank",
-    "ProblemBuilder",
     "TreeExpansion",
     "best_response",
     "csr_of",
@@ -85,7 +84,8 @@ class DagDecisionProblem:
     ``levels`` lists each nonempty level top-down; ``act_dec`` is the
     decision point owning each action slot, ``parent_dec`` the one
     owning each ``dec_parent_obs`` entry, and ``payload_owner`` the
-    observation point owning each payload entry.
+    observation point owning each payload entry.  ``dec_old`` gives each
+    decision point's id in the tables :func:`freeze_csr` was given.
     """
 
     __slots__ = (
@@ -104,7 +104,7 @@ class DagDecisionProblem:
         "dec_parent_obs",
         "level_off",
         "root_dec",
-        "dec_meta",
+        "dec_old",
         "levels",
         "act_dec",
         "parent_dec",
@@ -125,7 +125,7 @@ class DagDecisionProblem:
         level_off,
         root_dec,
         n_slots,
-        dec_meta=None,
+        dec_old,
     ):
         self.side = side
         self.dec_aoff = dec_aoff
@@ -142,7 +142,7 @@ class DagDecisionProblem:
         self.n_obs = len(obs_coff) - 1
         self.n_act = len(act_child_obs)
         self.n_slots = n_slots
-        self.dec_meta = dec_meta
+        self.dec_old = _read_only(dec_old)
         self.act_dec = _read_only(_owner_of(dec_aoff))
         self.parent_dec = _read_only(_owner_of(dec_poff))
         self.payload_owner = _read_only(_owner_of(obs_poff))
@@ -166,16 +166,8 @@ class DagDecisionProblem:
     def n_levels(self) -> int:
         return len(self.level_off) - 1
 
-    @property
-    def n_edges(self) -> int:
-        """Action edges plus observation fan-out edges."""
-        return self.n_act + len(self.obs_children)
-
     def action_counts(self) -> np.ndarray:
         return np.diff(self.dec_aoff)
-
-    def obs_payload(self, o: int) -> np.ndarray:
-        return self.payload[self.obs_poff[o]: self.obs_poff[o + 1]]
 
     def uniform_strategy(self) -> np.ndarray:
         counts = self.action_counts()
@@ -184,7 +176,7 @@ class DagDecisionProblem:
     def __repr__(self) -> str:
         return (
             f"DagDecisionProblem({self.side}: {self.n_dec} dec, "
-            f"{self.n_obs - 1} obs, {self.n_edges} edges)"
+            f"{self.n_obs - 1} obs, {self.n_act} actions)"
         )
 
 
@@ -235,6 +227,14 @@ def _spans(off: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.repeat(first, lens) + np.arange(lens.sum())
 
 
+def _offsets(off: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row offsets of CSR rows ``rows`` (row offsets ``off``), laid out
+    in the order ``rows`` lists them."""
+    out = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.diff(off)[rows], out=out[1:])
+    return out
+
+
 def csr_of(lists) -> tuple[np.ndarray, np.ndarray]:
     """Concatenation of ``lists`` and its CSR row offsets."""
     off = np.zeros(len(lists) + 1, dtype=np.int64)
@@ -251,7 +251,6 @@ def freeze_csr(
     actions: tuple[np.ndarray, np.ndarray],
     children: tuple[np.ndarray, np.ndarray],
     payloads: tuple[np.ndarray, np.ndarray],
-    dec_meta,
 ) -> DagDecisionProblem:
     """Freeze a decision DAG given as three CSR tables in any numbering.
 
@@ -259,7 +258,8 @@ def freeze_csr(
     action order, ``children`` and ``payloads`` each observation
     point's children and payload; observation point 0 is the artificial
     root.  Decision points are renumbered by (longest-path level, id)
-    and observation points by (level, owner, id) after the root.
+    and observation points by (level, owner, id) after the root; the
+    problem's ``dec_old`` lists the input id of each decision point.
     """
     acts, aoff = actions
     kids, coff = children
@@ -313,73 +313,25 @@ def freeze_csr(
     obs_new = np.empty(n_obs, dtype=np.int64)
     obs_new[obs_order] = np.arange(n_obs)
 
-    def offsets(off, order):
-        out = np.zeros(len(order) + 1, dtype=np.int64)
-        np.cumsum(np.diff(off)[order], out=out[1:])
-        return out
-
     levels = lev_dec[dec_order]
     n_levels = (int(levels[-1]) if n_dec else 0) + 1
     level_off = np.zeros(n_levels + 1, dtype=np.int64)
     np.cumsum(np.bincount(levels, minlength=n_levels), out=level_off[1:])
     return DagDecisionProblem(
         side=side,
-        dec_aoff=offsets(aoff, dec_order),
+        dec_aoff=_offsets(aoff, dec_order),
         act_child_obs=obs_new[acts[_spans(aoff, dec_order)]],
-        obs_coff=offsets(coff, obs_order),
+        obs_coff=_offsets(coff, obs_order),
         obs_children=dec_new[kids[_spans(coff, obs_order)]],
-        obs_poff=offsets(poff, obs_order),
+        obs_poff=_offsets(poff, obs_order),
         payload=payload[_spans(poff, obs_order)],
-        dec_poff=offsets(poff_in, dec_order),
+        dec_poff=_offsets(poff_in, dec_order),
         dec_parent_obs=obs_new[parents[_spans(poff_in, dec_order)]],
         level_off=level_off,
         root_dec=int(dec_new[root_child]),
         n_slots=n_slots,
-        dec_meta=[dec_meta[old] for old in dec_order.tolist()],
+        dec_old=dec_order,
     )
-
-
-class ProblemBuilder:
-    """Accumulates decision/observation points, then freezes to arrays.
-
-    Observation point 0 (the artificial root) exists from the start;
-    attach the root decision to it via ``add_obs_child(0, d)``.
-    """
-
-    def __init__(self, side: str, n_slots: int):
-        self.side = side
-        self.n_slots = n_slots
-        self.dec_actions: list[list[int]] = []
-        self.obs_children: list[list[int]] = [[]]
-        self.obs_payload: list[list[int]] = [[]]
-        self.dec_meta: list = []
-
-    def add_dec(self, meta=None) -> int:
-        self.dec_actions.append([])
-        self.dec_meta.append(meta)
-        return len(self.dec_actions) - 1
-
-    def add_obs(self, payload=()) -> int:
-        self.obs_children.append([])
-        self.obs_payload.append(list(payload))
-        return len(self.obs_children) - 1
-
-    def add_action(self, d: int, o: int) -> None:
-        self.dec_actions[d].append(o)
-
-    def add_obs_child(self, o: int, d: int) -> None:
-        self.obs_children[o].append(d)
-
-    def finalize(self) -> DagDecisionProblem:
-        """Freeze the collected lists (see :func:`freeze_csr`)."""
-        return freeze_csr(
-            self.side,
-            self.n_slots,
-            csr_of(self.dec_actions),
-            csr_of(self.obs_children),
-            csr_of(self.obs_payload),
-            self.dec_meta,
-        )
 
 
 # ---------------------------------------------------------------------
@@ -597,43 +549,39 @@ def expand_to_tree(
     stays in lockstep with the original's and the projected iterates
     coincide — the property the tree serves as an oracle for.
     """
+    check_budget("tree budget", budget)
     p = problem
-    b = ProblemBuilder(p.side, p.n_slots)
-    act_map: list[int] = []
-    dec_map: list[int] = []
-
-    def copy_dec(d: int) -> int:
-        nd = b.add_dec(meta=d)
-        dec_map.append(d)
-        if len(dec_map) > budget:
+    # Copies are made one level at a time, each level's in (owner,
+    # action, child) order.  On a tree that is the (level, owner, id)
+    # order freeze_csr lays points out in, so the copy order is the
+    # frozen numbering and the maps need no remap.
+    decs, acts, obs = [], [], [np.zeros(1, dtype=np.int64)]
+    copies = 0
+    frontier = p.obs_children[p.obs_coff[0]: p.obs_coff[1]]  # the root
+    while len(frontier):
+        copies += len(frontier)
+        if copies > budget:
             raise BudgetExceededError(
                 f"tree expansion exceeded {budget} decision points"
             )
-        for a in range(p.dec_aoff[d], p.dec_aoff[d + 1]):
-            o = p.act_child_obs[a]
-            no = b.add_obs(payload=p.obs_payload(o))
-            b.add_action(nd, no)
-            act_map.append(a)
-            for d2 in p.obs_children[p.obs_coff[o]: p.obs_coff[o + 1]]:
-                b.add_obs_child(no, copy_dec(int(d2)))
-        return nd
-
-    b.obs_payload[0] = list(p.obs_payload(0))
-    b.add_obs_child(0, copy_dec(p.root_dec))
-    tree = b.finalize()
-    # finalize() renumbered; rebuild maps in the new numbering using
-    # the per-copy originals that rode along as metadata.
-    act_map_arr = np.zeros(tree.n_act, dtype=np.int64)
-    dec_map_arr = np.asarray(tree.dec_meta, dtype=np.int64)
-    for nd in range(tree.n_dec):
-        d = dec_map_arr[nd]
-        span_new = range(tree.dec_aoff[nd], tree.dec_aoff[nd + 1])
-        span_old = range(p.dec_aoff[d], p.dec_aoff[d + 1])
-        for na, a in zip(span_new, span_old):
-            act_map_arr[na] = a
-    obs_map_arr = np.zeros(tree.n_obs, dtype=np.int64)
-    obs_map_arr[tree.act_child_obs] = p.act_child_obs[act_map_arr]
-    return TreeExpansion(tree, act_map_arr, dec_map_arr, obs_map_arr)
+        decs.append(frontier)
+        acts.append(_spans(p.dec_aoff, frontier))
+        obs.append(p.act_child_obs[acts[-1]])
+        frontier = p.obs_children[_spans(p.obs_coff, obs[-1])]
+    dec_map, act_map, obs_map = map(np.concatenate, (decs, acts, obs))
+    # Every copy's children are the next copies in order, and every
+    # copy's actions lead to the next observation copies in order.
+    tree = freeze_csr(
+        p.side,
+        p.n_slots,
+        (np.arange(1, len(obs_map)), _offsets(p.dec_aoff, dec_map)),
+        (np.arange(len(dec_map)), _offsets(p.obs_coff, obs_map)),
+        (
+            p.payload[_spans(p.obs_poff, obs_map)],
+            _offsets(p.obs_poff, obs_map),
+        ),
+    )
+    return TreeExpansion(tree, act_map, dec_map, obs_map)
 
 
 # ---------------------------------------------------------------------
@@ -658,26 +606,36 @@ def sequence_form(game, side: str) -> DagDecisionProblem:
             f"side {side!r} lacks perfect recall at infoset {i}"
         )
 
-    b = ProblemBuilder(side, game.num_nodes)
+    # Decision point 0 is the start, then one per infoset in view
+    # order; observation points are numbered on first request.
+    actions: list[list[int]] = [[]]
+    children: list[list[int]] = [[0]]
+    payloads: list[list[int]] = [[]]
     obs_of_seq: dict[int, int] = {}
 
     def obs_for(s: int) -> int:
         if s not in obs_of_seq:
-            obs_of_seq[s] = b.add_obs()
+            obs_of_seq[s] = len(children)
+            children.append([])
+            payloads.append([])
         return obs_of_seq[s]
 
-    start = b.add_dec(meta="start")
-    b.add_obs_child(0, start)
-    b.add_action(start, obs_for(0))
-    dec_of_iset = {i: b.add_dec(meta=i) for i in view.infosets}
+    actions[0].append(obs_for(0))
     seq_index = {seq: s for s, seq in enumerate(view.sequences)}
     for i in view.infosets:
         sid = view.seq_of[game.infosets[i].members[0]]
-        b.add_obs_child(obs_for(sid), dec_of_iset[i])
+        children[obs_for(sid)].append(len(actions))
         base = view.sequences[sid]
-        for a in range(game.infosets[i].num_actions):
-            s = seq_index[base + ((i, a),)]
-            b.add_action(dec_of_iset[i], obs_for(s))
+        actions.append([
+            obs_for(seq_index[base + ((i, a),)])
+            for a in range(game.infosets[i].num_actions)
+        ])
     for z in game.terminals:
-        b.obs_payload[obs_for(view.seq_of[z])].append(z)
-    return b.finalize()
+        payloads[obs_for(view.seq_of[z])].append(z)
+    return freeze_csr(
+        side,
+        game.num_nodes,
+        csr_of(actions),
+        csr_of(children),
+        csr_of(payloads),
+    )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import ceil, log2
 
-from .analysis import analyze, coordinator_view
+from .analysis import _recall, coordinator_view
 from .game import (
     MAX,
     MIN,
@@ -48,7 +48,8 @@ def binarize_actions(g: ExtensiveFormGame) -> ExtensiveFormGame:
     for side in (MAX, MIN):
         if not g.side_players(side):
             continue
-        if not analyze(g, side).action_recall:
+        _, _, action_recall = _recall(g, coordinator_view(g, side))
+        if not action_recall:
             raise GameValidationError(
                 f"side {side!r} lacks action recall; cannot binarize"
             )

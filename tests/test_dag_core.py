@@ -20,11 +20,12 @@ from tbdag import (
 from tbdag.dag import (
     FlowVector,
     LocalRegretBank,
-    ProblemBuilder,
     best_response,
+    csr_of,
     dag_cfr_strategy,
     dag_cfr_utility,
     expand_to_tree,
+    freeze_csr,
     sequence_form,
 )
 from test_acceptance import SMALL_ZOO, game
@@ -36,20 +37,19 @@ def diamond_problem():
     Slots 0..2 are payoff slots (payload ids) reached through the
     shared point; slot 3 is reached directly from the first route.
     """
-    b = ProblemBuilder(MAX, 4)
-    top = b.add_dec()
-    b.add_obs_child(0, top)
-    o_left = b.add_obs(payload=[3])
-    o_right = b.add_obs()
-    b.add_action(top, o_left)
-    b.add_action(top, o_right)
-    shared = b.add_dec()
-    b.add_obs_child(o_left, shared)
-    b.add_obs_child(o_right, shared)
-    for z in range(3):
-        o = b.add_obs(payload=[z])
-        b.add_action(shared, o)
-    return b.finalize()
+    return freeze_problem(
+        MAX, 4,
+        actions=[[1, 2], [3, 4, 5]],  # the top point, the shared point
+        children=[[0], [1], [1], [], [], []],
+        payloads=[[], [3], [], [0], [1], [2]],
+    )
+
+
+def freeze_problem(side, n_slots, actions, children, payloads):
+    """Freeze a problem given as per-point lists."""
+    return freeze_csr(
+        side, n_slots, csr_of(actions), csr_of(children), csr_of(payloads)
+    )
 
 
 def pay_for(problem, slot_values):
@@ -132,56 +132,39 @@ class TestNonFinitePayoff:
         )
 
 
-class TestBuilderChecks:
-    """``ProblemBuilder.finalize`` rejects malformed DAGs."""
+class TestFreezeChecks:
+    """``freeze_csr`` rejects malformed DAGs."""
 
     def test_root_must_feed_one_decision_point(self):
-        b = ProblemBuilder(MAX, 1)
-        b.add_dec()
         with pytest.raises(GameValidationError, match="exactly one"):
-            b.finalize()
+            freeze_problem(MAX, 1, [[]], [[]], [[]])
 
     def test_decision_point_without_actions(self):
-        b = ProblemBuilder(MAX, 1)
-        top = b.add_dec()
-        b.add_obs_child(0, top)
-        b.add_action(top, b.add_obs(payload=[0]))
-        b.add_obs_child(1, b.add_dec())
         with pytest.raises(GameValidationError) as err:
-            b.finalize()
+            freeze_problem(MAX, 1, [[1], []], [[0], [1]], [[], [0]])
         assert str(err.value) == "decision point 1 has no actions"
 
     def test_cycle(self):
-        b = ProblemBuilder(MAX, 1)
-        top, loop = b.add_dec(), b.add_dec()
-        b.add_obs_child(0, top)
-        b.add_action(top, b.add_obs(payload=[0]))
-        o = b.add_obs()
-        b.add_action(loop, o)
-        b.add_obs_child(o, loop)
-        b.add_obs_child(1, loop)
+        # Decision point 1 is fed by observation point 2, which its own
+        # only action leads to.
         with pytest.raises(GameValidationError) as err:
-            b.finalize()
+            freeze_problem(
+                MAX, 1, [[1], [2]], [[0], [1], [1]], [[], [0], []]
+            )
         assert str(err.value) == "decision DAG contains a cycle"
 
     def test_numbering_is_by_level_owner_then_id(self):
-        # Points are added out of order: decision points before their
-        # parent, a decision point's actions against id order, and the
-        # deeper observation points against their owners' order.
-        b = ProblemBuilder(MAX, 4)
-        deep_b, top, deep_a = (
-            b.add_dec(meta="b"), b.add_dec(meta="top"), b.add_dec(meta="a")
+        # Points are listed out of order: decision points before their
+        # parent (0 is "b", 1 the top, 2 "a"), a decision point's
+        # actions against id order, and the deeper observation points
+        # against their owners' order.
+        p = freeze_problem(
+            MAX, 4,
+            actions=[[4], [2, 1], [3]],
+            children=[[1], [0], [2], [], []],
+            payloads=[[], [3], [0], [2], [1]],
         )
-        late, early = b.add_obs(payload=[3]), b.add_obs(payload=[0])
-        b.add_obs_child(0, top)
-        b.add_action(top, early)
-        b.add_action(top, late)
-        b.add_obs_child(early, deep_a)
-        b.add_obs_child(late, deep_b)
-        b.add_action(deep_a, b.add_obs(payload=[2]))
-        b.add_action(deep_b, b.add_obs(payload=[1]))
-        p = b.finalize()
-        assert p.dec_meta == ["top", "b", "a"]
+        assert p.dec_old.tolist() == [1, 0, 2]
         assert p.root_dec == 0
         assert p.level_off.tolist() == [0, 0, 1, 3]
         assert p.act_child_obs.tolist() == [2, 1, 3, 4]
@@ -189,6 +172,8 @@ class TestBuilderChecks:
         assert p.obs_coff.tolist() == [0, 1, 2, 3, 3, 3]
         assert p.payload.tolist() == [3, 0, 1, 2]
         assert p.dec_parent_obs.tolist() == [0, 1, 2]
+        with pytest.raises(ValueError):
+            p.dec_old[0] = 0
 
 
 class TestSequenceForm:
@@ -265,8 +250,16 @@ class TestTreeEquivalence:
         from tbdag import BudgetExceededError
 
         p = diamond_problem()
-        with pytest.raises(BudgetExceededError):
-            expand_to_tree(p, budget=1)
+        with pytest.raises(BudgetExceededError) as err:
+            expand_to_tree(p, budget=2)
+        assert str(err.value) == "tree expansion exceeded 2 decision points"
+        assert expand_to_tree(p, budget=3).problem.n_dec == 3
+        for bad in (float("nan"), True, 0, -5):
+            with pytest.raises(GameValidationError) as err:
+                expand_to_tree(p, budget=bad)
+            assert str(err.value) == (
+                f"tree budget must be a number of at least 1, not {bad!r}"
+            )
 
 
 class TestRegretBanks:
@@ -546,3 +539,54 @@ SOLVE_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(SOLVE_DIGESTS))
 def test_solve_outputs_pinned(case):
     assert solve_digest(*case) == SOLVE_DIGESTS[case]
+
+
+def reference_problem(case):
+    """The problem of one ``PROBLEM_DIGESTS`` case, with the tree's maps
+    (none for a sequence form)."""
+    form, name, side, reduce = case
+    if form == "sequence_form":
+        return sequence_form(game(name), side), ()
+    p = (
+        diamond_problem() if name == "diamond"
+        else build_tbdag(game(name), side, reduce=reduce).problem
+    )
+    tree = expand_to_tree(p)
+    return tree.problem, (tree.act_map, tree.dec_map, tree.obs_map)
+
+
+def problem_digest(p, maps):
+    """First 16 hex digits of a SHA-256 over every CSR array,
+    ``level_off``, the maps (as little-endian int64), ``root_dec`` and
+    ``n_slots``."""
+    h = hashlib.sha256()
+    for arr in (
+        p.dec_aoff, p.act_child_obs, p.obs_coff, p.obs_children,
+        p.obs_poff, p.payload, p.dec_poff, p.dec_parent_obs, p.level_off,
+        *maps,
+    ):
+        h.update(np.asarray(arr).astype("<i8").tobytes())
+    h.update(f"{p.root_dec},{p.n_slots}".encode())
+    return h.hexdigest()[:16]
+
+
+# The two reference forms the acceptance criteria compare the TB-DAG
+# against; recorded with the point-at-a-time builder and recursive copy.
+PROBLEM_DIGESTS = {
+    ("sequence_form", "2K3", MAX, None): "98e9ff566549f665",
+    ("sequence_form", "2K3", MIN, None): "1a3311a8b7056558",
+    ("tree", "diamond", MAX, None): "4192aa58acf21561",
+    ("tree", "fig2", MAX, True): "29f5fb52d836c401",
+    ("tree", "3K3[1]", MIN, True): "f7c24a7969320929",
+    ("tree", "3K3[1,2]", MAX, False): "4ed771140bea13e9",
+}
+
+
+@pytest.mark.parametrize("case", list(PROBLEM_DIGESTS), ids=str)
+def test_reference_problems_pinned(case):
+    p, maps = reference_problem(case)
+    assert problem_digest(p, maps) == PROBLEM_DIGESTS[case]
+    if maps:
+        # The tree's copy order is its frozen numbering, which is why
+        # expand_to_tree's maps need no remap.
+        assert np.array_equal(p.dec_old, np.arange(p.n_dec))

@@ -207,12 +207,6 @@ class TestSplits:
         with pytest.raises(ValueError):
             split_observation(a, [0, 1])
 
-    def test_wrong_side_rejected(self):
-        g = game("fig2")
-        a = analyze(g, MAX)
-        with pytest.raises(ValueError):
-            split_observation(a, [1, 12], side=MIN)
-
     def test_duplicates_collapse(self):
         g = game("fig2")
         a = analyze(g, MAX)
@@ -316,7 +310,7 @@ class TestSplitAgainstReference:
         a = cached_analysis(name, side)
         got = split_observation(a, nodes)
         assert got == reference_split_observation(a, nodes)
-        assert split_observation(a, reversed(nodes), side=side) == got
+        assert split_observation(a, reversed(nodes)) == got
 
     @pytest.mark.parametrize("name", ["fig2", "3K3[1,2]", "fig9-C8"])
     def test_mixed_depths_rejected_like_the_reference(self, name):
@@ -331,14 +325,6 @@ class TestSplitAgainstReference:
             assert str(err.value) == str(ref.value) == (
                 f"nodes span several depths: {[d - 1, d]}"
             )
-
-    def test_side_mismatch_names_both_sides(self):
-        a = cached_analysis("fig2", MAX)
-        with pytest.raises(ValueError) as err:
-            split_observation(a, [1, 12], side=MIN)
-        assert str(err.value) == "analysis is for side 'max', not 'min'"
-        with pytest.raises(ValueError):
-            split_observation(a, [], side=MIN)
 
     def test_empty_input(self):
         assert split_observation(cached_analysis("fig2", MAX), []) == ()

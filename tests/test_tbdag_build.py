@@ -215,6 +215,23 @@ class TestSizeBounds:
                 report = check_size_bounds(dag, a)
                 assert report["slack"] >= 1.0, name
 
+    def test_analysis_of_the_other_side_rejected(self):
+        g = game("fig2")
+        dag = build_tbdag(g, MAX)
+        with pytest.raises(GameValidationError) as err:
+            check_size_bounds(dag, analyze(g, MIN))
+        assert str(err.value) == "analysis is for side 'min', not 'max'"
+        report = check_size_bounds(dag, analyze(g, MAX))
+        assert (report["k"], report["bound"]) == (3, 1863)
+
+    def test_analysis_of_another_game_rejected(self):
+        dag = build_tbdag(game("3K3[1]"), MAX)
+        with pytest.raises(GameValidationError) as err:
+            check_size_bounds(dag, analyze(game("fig2"), MAX))
+        assert str(err.value) == "analysis is for a different game"
+        # An equal game built separately is the same game.
+        check_size_bounds(dag, analyze(game("3K3[1]"), MAX))
+
     def test_fanout_within_prescription_bound(self):
         for name in ("fig2", "3K3[2]", "worst-k2b2d6"):
             g = game(name)

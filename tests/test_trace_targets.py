@@ -4,14 +4,16 @@
 ``getattr``/``setattr`` on a module attribute such as
 ``tbdag.belief:build_game``.  A refactor that unbinds one of those names
 breaks the traced run; these tests catch it without installing any
-wrapper.
+wrapper.  The names the package exports are checked the same way.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import tbdag
 import tbdag.belief
+import tbdag.dag
 from tbdag import generate, list_presets, make_belief_game
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -34,6 +36,12 @@ def test_every_traced_target_resolves(monkeypatch):
     for target in targets:
         owner, attr = tracing._owner(target)
         assert callable(getattr(owner, attr)), target
+
+
+def test_every_export_resolves():
+    for module in (tbdag, tbdag.dag):
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_belief_game_is_assembled_through_its_module_name(monkeypatch):
