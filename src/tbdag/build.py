@@ -115,6 +115,23 @@ def _split_fn(split: str):
     )
 
 
+def _checked_analysis(g, side, analysis):
+    """``analysis`` if it is of ``g`` for ``side``, a fresh one if None.
+
+    The game is compared by identity first: callers nearly always pass
+    the analysed game itself, and ``==`` walks every column.
+    """
+    if analysis is None:
+        return analyze(g, side)
+    if analysis.side != side:
+        raise GameValidationError(
+            f"analysis is for side {analysis.side!r}, not {side!r}"
+        )
+    if analysis.game is not g and analysis.game != g:
+        raise GameValidationError("analysis is for a different game")
+    return analysis
+
+
 class _Workspace:
     """Mutable belief-DAG under construction (terminals as payload).
 
@@ -388,12 +405,7 @@ def build_tbdag(
     """Construct one side's belief DAG directly from the game tree."""
     check_budget("edge budget", edge_budget)
     split_parts = _split_fn(split)
-    if analysis is None:
-        analysis = analyze(g, side)
-    elif analysis.side != side:
-        raise GameValidationError(
-            f"analysis is for side {analysis.side!r}, not {side!r}"
-        )
+    analysis = _checked_analysis(g, side, analysis)
     if g.kind[g.root] == TERMINAL:
         raise GameValidationError("the game is a single terminal node")
     if reduce and analysis.view is None:
@@ -528,14 +540,7 @@ def check_size_bounds(dag: TbDag, analysis: GameAnalysis | None = None):
     the per-node edge ratio is also reported against 3^(k+1).
     """
     g = dag.game
-    if analysis is None:
-        analysis = analyze(g, dag.side)
-    elif analysis.side != dag.side:
-        raise GameValidationError(
-            f"analysis is for side {analysis.side!r}, not {dag.side!r}"
-        )
-    elif analysis.game is not g and analysis.game != g:
-        raise GameValidationError("analysis is for a different game")
+    analysis = _checked_analysis(g, dag.side, analysis)
     b = g.branching_factor
     k = analysis.k
     bound = g.num_nodes * (b + 1) ** (k + 1)
@@ -577,10 +582,20 @@ def count_tbdag(
     from enumerating whole prescriptions.  The observation split does
     not factor this way (components depend on the entire candidate
     set), so that path simply defers to :func:`build_tbdag`.
+
+    Two memos, both local to one call, keep the count from redoing
+    work.  An infoset's table (per public state: its miss count and its
+    distinct per-action child sets) is built once per move tuple, since
+    it is a function of those moves alone.  Child-belief discovery is
+    keyed on one public state's free members and the option sets of the
+    infosets with children there; the child beliefs are a function of
+    that key, and its first discovery already marked all of them seen,
+    so a repeated key would enqueue nothing and is skipped.  Totals
+    never depend on discovery, and the queue receives the same beliefs
+    in the same order.
     """
     check_budget("edge budget", edge_budget)
-    if analysis is None:
-        analysis = analyze(g, side)
+    analysis = _checked_analysis(g, side, analysis)
     if split != "public":
         dag = build_tbdag(
             g, side, split=split, reduce=False,
@@ -592,6 +607,8 @@ def count_tbdag(
     n_dec = n_obs = edges = 0
     seen = {(g.root,)}
     queue = [(g.root,)]
+    tables: dict[tuple, dict[int, tuple]] = {}
+    discovered: set[tuple] = set()
     while queue:
         belief = queue.pop()
         n_dec += 1
@@ -600,66 +617,68 @@ def count_tbdag(
         n_prescr = step.n_prescr
         n_obs += n_prescr
         edges += n_prescr
-        # Bucket every possible child by its public state.
+        # Bucket every free child by its public state.
         free_members: dict[int, list[int]] = {}
         for c in step.free:
             free_members.setdefault(public_id[c], []).append(c)
-        # per_iset[j]: public state -> per-action child sets there.
-        per_iset: list[dict[int, list[frozenset[int]]]] = []
-        pids: set[int] = set(free_members)
-        for c, by_action in zip(counts, step.moves):
-            action_kids: list[dict[int, set[int]]] = []
-            for children in by_action:
-                kids: dict[int, set[int]] = {}
-                for ch in children:
-                    kids.setdefault(public_id[ch], set()).add(ch)
-                action_kids.append(kids)
-            touched_pids = set().union(*action_kids)
-            pids |= touched_pids
-            per_iset.append({
-                pid: [
-                    frozenset(action_kids[a].get(pid, ()))
-                    for a in range(c)
-                ]
-                for pid in touched_pids
-            })
-        for pid in sorted(pids):
-            if pid in free_members:
-                touched = n_prescr
-            else:
-                # A prescription misses this public state exactly when
-                # every infoset picks an action with no child in it.
-                miss = 1
-                for c, by_action in zip(counts, per_iset):
-                    sets = by_action.get(pid)
-                    if sets is None:
-                        miss *= c
-                    else:
-                        miss *= sum(1 for s in sets if not s)
-                touched = n_prescr - miss
+        # Per public state: the action-count and miss products of the
+        # infosets with children there, and their option sets in
+        # infoset order.
+        touching: dict[int, list] = {}
+        for c, moves in zip(counts, step.moves):
+            table = tables.get(moves)
+            if table is None:
+                table = tables[moves] = _iset_table(public_id, moves)
+            for pid, (miss, options) in table.items():
+                acc = touching.get(pid)
+                if acc is None:
+                    touching[pid] = [c, miss, [options]]
+                else:
+                    acc[0] *= c
+                    acc[1] *= miss
+                    acc[2].append(options)
+        for pid in sorted(touching.keys() | free_members.keys()):
+            free = free_members.get(pid, ())
+            c, miss, options = touching.get(pid, (1, 1, ()))
+            # A prescription misses this public state exactly when it
+            # has no free child there and every infoset picks an action
+            # with no child in it; ``n_prescr // c`` counts the choices
+            # of the infosets with no children there at all.
+            touched = n_prescr if free else n_prescr - n_prescr // c * miss
             edges += touched
             if edges > edge_budget:
                 raise BudgetExceededError(
                     f"edge budget {edge_budget} exceeded while counting"
                 )
-            _discover(
-                g, pid, free_members.get(pid, ()), per_iset,
-                counts, seen, queue,
-            )
+            key = (frozenset(free), tuple(options))
+            if key not in discovered:
+                discovered.add(key)
+                _discover(g, key, seen, queue)
     return n_dec, n_obs, edges
 
 
-def _discover(g, pid, free_members, per_iset, counts, seen, queue):
+def _iset_table(public_id, moves):
+    """One infoset's children per public state: for each state it
+    touches, the number of actions with no child there and the
+    distinct per-action child sets, in first-seen action order."""
+    by_pid: dict[int, list[set[int]]] = {}
+    for a, children in enumerate(moves):
+        for ch in children:
+            sets = by_pid.get(public_id[ch])
+            if sets is None:
+                sets = by_pid[public_id[ch]] = [set() for _ in moves]
+            sets[a].add(ch)
+    table = {}
+    for pid, sets in by_pid.items():
+        distinct = tuple(dict.fromkeys(map(frozenset, sets)))
+        miss = sum(1 for s in sets if not s)
+        table[pid] = (miss, distinct)
+    return table
+
+
+def _discover(g, key, seen, queue):
     """Enqueue every distinct child belief inside one public state."""
-    base = frozenset(free_members)
-    options: list[list[frozenset[int]]] = []
-    for c, by_action in zip(counts, per_iset):
-        sets = by_action.get(pid)
-        if sets is None:
-            continue
-        distinct = list(dict.fromkeys(sets))
-        if len(distinct) > 1 or distinct[0]:
-            options.append(distinct)
+    base, options = key
     combo_count = math.prod(len(o) for o in options)
     if combo_count > 1_000_000:
         raise BudgetExceededError(
@@ -685,8 +704,7 @@ def compare_splits(
     edge_budget: int = 10**8,
 ) -> tuple[int, int]:
     """Raw edge counts of the observation- and public-split DAGs."""
-    if analysis is None:
-        analysis = analyze(g, side)
+    analysis = _checked_analysis(g, side, analysis)
     obs = build_tbdag(
         g, side, split="observation", reduce=False,
         analysis=analysis, edge_budget=edge_budget,
@@ -715,15 +733,22 @@ def dag_signature(dag: TbDag) -> str:
     coff, kids_of = p.obs_coff.tolist(), p.obs_children.tolist()
     poff, payload = p.obs_poff.tolist(), p.payload.tolist()
     beliefs, groups = dag.beliefs, dag.slot_groups
-    records = []
-    for d in range(p.n_dec):
-        obs_records = []
-        for o in child_obs[aoff[d]: aoff[d + 1]]:
-            kids = sorted(beliefs[c] for c in kids_of[coff[o]: coff[o + 1]])
-            pay = sorted(groups[s] for s in payload[poff[o]: poff[o + 1]])
-            obs_records.append((tuple(kids), tuple(pay)))
-        records.append((beliefs[d], tuple(sorted(obs_records))))
-    records.sort()
+    obs_records = [
+        (
+            tuple(sorted(map(beliefs.__getitem__, kids_of[c0:c1]))),
+            tuple(sorted(map(groups.__getitem__, payload[p0:p1]))),
+        )
+        for c0, c1, p0, p1 in zip(coff, coff[1:], poff, poff[1:])
+    ]
+    records = sorted(
+        (
+            beliefs[d],
+            tuple(sorted(map(
+                obs_records.__getitem__, child_obs[aoff[d]: aoff[d + 1]]
+            ))),
+        )
+        for d in range(p.n_dec)
+    )
     blob = json.dumps(records, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 

@@ -320,10 +320,16 @@ def cmd_build(args: argparse.Namespace) -> int:
     for side in sides:
         analysis = analyze(g, side)
         if args.count:
+            t0 = time.perf_counter()
             n_dec, n_obs, n_edges = count_tbdag(
                 g, side, split=split, analysis=analysis, edge_budget=args.budget
             )
-            payload["sides"][side] = {"dec": n_dec, "obs": n_obs, "edges": n_edges}
+            payload["sides"][side] = {
+                "dec": n_dec,
+                "obs": n_obs,
+                "edges": n_edges,
+                "count_ms": (time.perf_counter() - t0) * 1e3,
+            }
             lines.append(
                 f"side {side} ({split}, counted): {n_dec} decision / "
                 f"{n_obs} observation points, {n_edges} edges"

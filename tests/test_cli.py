@@ -136,6 +136,18 @@ class TestBuild:
         assert code == 0
         d = payload["sides"]["max"]
         assert (d["dec"], d["obs"], d["edges"]) == (509, 3985, 16598)
+        assert set(d) == {"dec", "obs", "edges", "count_ms"}
+        assert d["count_ms"] >= 0.0
+
+    def test_count_mode_text_has_no_timing(self, capsys):
+        code = main(
+            ["build", "fig9-C8", "--side", "max", "--split", "pub", "--count"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "side max (public, counted): 509 decision / 3985 observation "
+            "points, 16598 edges\n"
+        )
 
     def test_dump_dag_embeds_manifest(self, tmp_path, capsys):
         out = tmp_path / "dag.json"

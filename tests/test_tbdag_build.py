@@ -241,19 +241,33 @@ class TestSizeBounds:
 
 
 class TestCounting:
-    def test_count_matches_build(self):
-        cases = {
-            ("fig8", MAX): (21, 148, 552),
-            ("fig9-C8", MAX): (509, 3985, 16598),
-            ("3K3[1]", MAX): (53, 367, 1996),
-            ("3K3[1,3]", MIN): (59, 423, 2389),
-            ("3D2[3]", MAX): (545, 9024, 65197),
-        }
-        for (name, side), want in cases.items():
-            g = game(name)
-            cnt = count_tbdag(g, side)
-            dag = build_tbdag(g, side, split="public", reduce=False)
-            assert cnt == sizes(dag) == want, (name, side)
+    # Sides past this many edges (fig9-C16 max and the 13.9M-edge 3D2
+    # sides) are too large to build; there both must abort at the cap.
+    CAP = 10**6
+
+    @pytest.mark.parametrize("name", SMALL_ZOO)
+    def test_count_matches_build(self, name):
+        g = game(name)
+        for side in (MAX, MIN):
+            a = analyze(g, side)
+            try:
+                cnt = count_tbdag(g, side, analysis=a, edge_budget=self.CAP)
+            except BudgetExceededError:
+                with pytest.raises(BudgetExceededError):
+                    build_tbdag(
+                        g, side, split="public", reduce=False,
+                        analysis=a, edge_budget=self.CAP,
+                    )
+                continue
+            dag = build_tbdag(g, side, split="public", reduce=False, analysis=a)
+            assert cnt == sizes(dag), side
+
+    def test_count_budget_boundary(self):
+        g = game("fig9-C8")
+        assert count_tbdag(g, MAX, edge_budget=16_598) == (509, 3985, 16598)
+        with pytest.raises(BudgetExceededError) as err:
+            count_tbdag(g, MAX, edge_budget=16_597)
+        assert str(err.value) == "edge budget 16597 exceeded while counting"
 
     def test_count_observation_defers_to_build(self):
         g = game("fig2")
@@ -278,6 +292,22 @@ class TestCounting:
 
 
 class TestGuards:
+    @pytest.mark.parametrize("entry", [build_tbdag, count_tbdag])
+    def test_analysis_of_the_other_side_rejected(self, entry):
+        g = game("3K3[1]")
+        with pytest.raises(GameValidationError) as err:
+            entry(g, MAX, analysis=analyze(g, MIN))
+        assert str(err.value) == "analysis is for side 'min', not 'max'"
+
+    @pytest.mark.parametrize("entry", [build_tbdag, count_tbdag])
+    def test_analysis_of_another_game_rejected(self, entry):
+        g = game("3K3[1]")
+        with pytest.raises(GameValidationError) as err:
+            entry(g, MAX, analysis=analyze(game("fig2"), MAX))
+        assert str(err.value) == "analysis is for a different game"
+        # An equal game built separately is the same game.
+        entry(g, MAX, analysis=analyze(game("3K3[1]"), MAX))
+
     def test_edge_budget_enforced(self):
         g = game("3K3[2]")
         with pytest.raises(BudgetExceededError):
