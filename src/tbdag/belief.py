@@ -50,30 +50,43 @@ from .game import (
     serialize_game,
 )
 
+_ROLE_OF_PLAYER = {1: "max-prescribes", 2: "min-prescribes"}
+
+
 @dataclass(frozen=True)
 class BeliefGame:
     """A materialized belief game tied back to its source.
 
     ``annotations[n]`` is the ``(h, B_max, B_min)`` triple of node ``n``
-    (source node, both current beliefs, ``h`` a member of both) and
-    ``roles[n]`` names the slot the node occupies; terminals sit in the
-    resolution slot of their final step.  ``iset_beliefs`` and
-    ``iset_infosets`` give each proxy information set its belief and the
-    source infosets it prescribes for; ``successors`` maps an (infoset,
-    action) pair of a proxy to the own infosets reachable right after,
-    and ``root_iset`` holds each proxy's first infoset.  The last three
-    are empty on compacted games.
+    (source node, both current beliefs, ``h`` a member of both).
+    ``roles[n]`` names the slot the node occupies, read off its player:
+    the max proxy (player 1) prescribes, the min proxy (player 2)
+    prescribes, and every chance node and terminal resolves; terminals
+    sit in the resolution slot of their final step.
+
+    A proxy infoset is one (own history, belief) state, and its id is
+    the order in which the construction first met that state, counting
+    both proxies together; so ``root_iset`` is always ``{max: 0,
+    min: 1}``.  ``iset_beliefs`` and ``iset_infosets`` give each proxy
+    infoset its belief and the source infosets it prescribes for, and
+    ``successors`` maps an (infoset, action) pair of a proxy to the own
+    infosets reachable right after.  These four tables are empty on
+    compacted games.
     """
 
     game: ExtensiveFormGame
     source: ExtensiveFormGame
     compact: bool
     annotations: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
-    roles: tuple[str, ...]
     iset_beliefs: dict[int, tuple[int, ...]]
     iset_infosets: dict[int, tuple[int, ...]]
     root_iset: dict[str, int]
     successors: dict[tuple[int, int], tuple[int, ...]]
+
+    @property
+    def roles(self) -> tuple[str, ...]:
+        get = _ROLE_OF_PLAYER.get
+        return tuple(get(p, "chance-resolves") for p in self.game.player)
 
 
 def _unique_labels(labels: list[str]) -> list[str]:
@@ -131,7 +144,6 @@ def _moves(g: ExtensiveFormGame, side: str) -> dict[tuple, _Moves]:
 
 
 _SIDES = (MAX, MIN)
-_ROLES = ("max-prescribes", "min-prescribes")
 
 
 class _Builder:
@@ -139,58 +151,54 @@ class _Builder:
         self.g = g
         self.node_budget = node_budget
         self.moves = tuple(_moves(g, side) for side in _SIDES)
-        # A proxy node's infoset key is its (side, state) pair.
         self.w = GameWriter()
         self.ann: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
-        self.roles: list[str] = []
-        # Interned (own history, belief) states and own-play transitions.
-        self.states: dict[str, dict[tuple, int]] = {MAX: {}, MIN: {}}
-        self.trans: dict[str, dict[tuple[int, int], set[int]]] = {
-            MAX: {},
-            MIN: {},
-        }
+        # Proxy infosets: one id per (proxy, last own (infoset, action),
+        # belief) state, from one counter in order of first interning.
+        # A state is interned just before the first node using it, and
+        # nodes are emitted in preorder, so the id is also build_game's
+        # first-appearance infoset id.
+        self.isets: dict[tuple, int] = {}
+        self.iset_beliefs: dict[int, tuple[int, ...]] = {}
+        self.iset_infosets: dict[int, tuple[int, ...]] = {}
+        self.successors: dict[tuple[int, int], list[int]] = {}
 
-    def emit(self, annotation, role, kind, player=-1, infoset=None,
-             utility=0.0):
+    def emit(self, annotation, kind, player=-1, infoset=None, utility=0.0):
         """Append one node; returns its id and its action list."""
         if len(self.w.kind) >= self.node_budget:
             raise BudgetExceededError(
-                f"belief game exceeds node budget {self.node_budget}"
+                f"belief game exceeds node budget {self.node_budget} "
+                f"(emitting a node of source depth "
+                f"{self.g.depth[annotation[0]]}; "
+                f"{len(self.isets)} proxy infosets so far)"
             )
         self.ann.append(annotation)
-        self.roles.append(role)
         actions: list[tuple] = []
         return self.w.add(kind, player, infoset, actions, utility), actions
-
-    def intern(self, side, prev, belief) -> int:
-        """State id of (own history extended by ``prev``, ``belief``)."""
-        key = (prev, belief)
-        table = self.states[side]
-        s = table.get(key)
-        if s is None:
-            s = table[key] = len(table)
-        if prev is not None:
-            self.trans[side].setdefault(prev, set()).add(s)
-        return s
 
     # -- the three slots of one original step --------------------------
 
     def prescribe(self, i, h, beliefs, edges):
         """Slot of proxy ``i``, player ``i + 1``: max first, then min.
 
-        ``edges[j]`` is proxy ``j``'s last (state, prescription) pair,
+        ``edges[j]`` is proxy ``j``'s last (infoset, prescription) pair,
         already this step's for a proxy that has moved.
         """
-        side = _SIDES[i]
-        s = self.intern(side, edges[i], beliefs[i])
-        me, actions = self.emit(
-            (h, *beliefs), _ROLES[i], PLAYER, i + 1, (side, s)
-        )
-        for ai, label in enumerate(self.moves[i][beliefs[i]].labels):
+        belief, prev = beliefs[i], edges[i]
+        key = (i, prev, belief)
+        iset = self.isets.get(key)
+        if iset is None:
+            iset = self.isets[key] = len(self.isets)
+            self.iset_beliefs[iset] = belief
+            self.iset_infosets[iset] = self.moves[i][belief].isets
+            if prev is not None:
+                self.successors.setdefault(prev, []).append(iset)
+        me, actions = self.emit((h, *beliefs), PLAYER, i + 1, iset)
+        for ai, label in enumerate(self.moves[i][belief].labels):
             if i == 0:
-                child = self.prescribe(1, h, beliefs, ((s, ai), edges[1]))
+                child = self.prescribe(1, h, beliefs, ((iset, ai), edges[1]))
             else:
-                child = self.resolve(h, beliefs, (edges[0], (s, ai)))
+                child = self.resolve(h, beliefs, (edges[0], (iset, ai)))
             actions.append((label, child))
         return me
 
@@ -199,8 +207,7 @@ class _Builder:
         if g.kind[h] == TERMINAL:
             assert beliefs == ((h,), (h,))
             return self.emit(
-                (h, *beliefs), "chance-resolves",
-                TERMINAL, utility=g.utility[h],
+                (h, *beliefs), TERMINAL, utility=g.utility[h]
             )[0]
         moves = [m[b] for m, b in zip(self.moves, beliefs)]
         if g.kind[h] == CHANCE:
@@ -210,7 +217,7 @@ class _Builder:
             m = moves[i]
             a = m.prescriptions[edges[i][1]][m.isets.index(g.infoset[h])]
             acts = [(g.children[h][a], g.labels[h][a], 1.0)]
-        me, actions = self.emit((h, *beliefs), "chance-resolves", CHANCE)
+        me, actions = self.emit((h, *beliefs), CHANCE)
         nexts = [m.next[e[1]] for m, e in zip(moves, edges)]
         for child, label, prob in acts:
             sub = self.prescribe(
@@ -247,7 +254,7 @@ def _compacted(b: _Builder):
             w.utility[n],
         )
     root = new_id[resolve(0)]
-    return out, root, [b.ann[n] for n in order], [b.roles[n] for n in order]
+    return out, root, [b.ann[n] for n in order]
 
 
 def make_belief_game(
@@ -272,14 +279,13 @@ def make_belief_game(
     players = ("chance", "max-coordinator", "min-coordinator")
     teams = {MAX: [1], MIN: [2]}
     if compact:
-        columns, root, ann, roles = _compacted(b)
+        columns, root, ann = _compacted(b)
         game = build_game(players, teams, root, columns)
         return BeliefGame(
             game=game,
             source=g,
             compact=True,
             annotations=tuple(ann),
-            roles=tuple(roles),
             iset_beliefs={},
             iset_infosets={},
             root_iset={},
@@ -293,41 +299,19 @@ def make_belief_game(
             raise GameValidationError(
                 f"belief game lost perfect recall on side {side!r}"
             )
-    for n, (h, _, _) in enumerate(b.ann):
-        if game.kind[n] == TERMINAL:
-            assert game.depth[n] == 3 * g.depth[h] + 2
-
-    state_iset: dict[str, dict[int, int]] = {MAX: {}, MIN: {}}
-    iset_beliefs: dict[int, tuple[int, ...]] = {}
-    iset_infosets: dict[int, tuple[int, ...]] = {}
-    for n, slot in enumerate(b.w.infoset):
-        if slot is None:
-            continue
-        side, st = slot
-        assert game.kind[n] == PLAYER  # emission order is preorder
-        i_bg = game.infoset[n]
-        state_iset[side][st] = i_bg
-        i = _SIDES.index(side)
-        iset_beliefs[i_bg] = belief = b.ann[n][1 + i]
-        iset_infosets[i_bg] = b.moves[i][belief].isets
-    successors = {
-        (state_iset[side][st], ai): tuple(
-            sorted(state_iset[side][s2] for s2 in nxt)
-        )
-        for side in (MAX, MIN)
-        for (st, ai), nxt in b.trans[side].items()
-    }
+    for z in game.terminals:
+        assert game.depth[z] == 3 * g.depth[b.ann[z][0]] + 2
     return BeliefGame(
         game=game,
         source=g,
         compact=False,
         annotations=tuple(b.ann),
-        roles=tuple(b.roles),
-        iset_beliefs=iset_beliefs,
-        iset_infosets=iset_infosets,
-        # Each proxy's root state is the first one interned.
-        root_iset={side: state_iset[side][0] for side in (MAX, MIN)},
-        successors=successors,
+        iset_beliefs=b.iset_beliefs,
+        iset_infosets=b.iset_infosets,
+        # The max proxy moves at the root, the min proxy right below it.
+        root_iset={MAX: 0, MIN: 1},
+        # Ids only grow, so each successor list is already sorted.
+        successors={k: tuple(v) for k, v in b.successors.items()},
     )
 
 

@@ -384,7 +384,9 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_belief_game(args: argparse.Namespace) -> int:
     g, label, source = _resolve_game(args.game)
+    t0 = time.perf_counter()
     bg = make_belief_game(g, compact=args.compact, node_budget=args.budget)
+    build_ms = (time.perf_counter() - t0) * 1e3
     b = bg.game
     payload = {
         "manifest": _manifest(args, source),
@@ -398,6 +400,7 @@ def cmd_belief_game(args: argparse.Namespace) -> int:
             "min": len(b.side_infosets(MIN)),
         },
         "depth": b.max_depth,
+        "build_ms": build_ms,
     }
     lines = [
         f"belief game of {label}{' (compact)' if bg.compact else ''}: "
@@ -772,7 +775,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GameValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:  # after BudgetExceededError, which exits 2

@@ -178,10 +178,6 @@ class ExtensiveFormGame:
         return len(self.kind)
 
     @property
-    def num_players(self) -> int:
-        return len(self.players)
-
-    @property
     def root(self) -> int:
         return 0
 

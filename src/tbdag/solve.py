@@ -165,24 +165,17 @@ def terminal_realization(dag: TbDag, flow: FlowVector) -> dict[int, float]:
 _REAL_TOL = 1e-9
 
 
-def check_realization(
-    g: ExtensiveFormGame, real: Mapping[int, float] | np.ndarray
-) -> None:
+def check_realization(g: ExtensiveFormGame, real: Mapping[int, float]) -> None:
     """Reject a per-terminal realization that is not one: a key that
     names no terminal of ``g``, or a value that is not a finite number
-    in [0, 1] (up to 1e-9).  A dense array is indexed by node id and
-    only its terminal entries are read."""
-    if isinstance(real, np.ndarray):
-        items = ((z, real[z]) for z in g.terminals)
-    else:
-        terminals = set(g.terminals)
-        for z in real:
-            if z not in terminals:
-                raise GameValidationError(
-                    f"realization key {z!r} names no terminal"
-                )
-        items = real.items()
-    for z, p in items:
+    in [0, 1] (up to 1e-9)."""
+    terminals = set(g.terminals)
+    for z in real:
+        if z not in terminals:
+            raise GameValidationError(
+                f"realization key {z!r} names no terminal"
+            )
+    for z, p in real.items():
         try:
             x = float(p)
         except (TypeError, ValueError):
@@ -194,10 +187,18 @@ def check_realization(
             )
 
 
+def _terminal_weights(g: ExtensiveFormGame, side: str) -> list[float]:
+    """The side's weight sign·utility·chance_reach of each terminal, in
+    ``g.terminals`` order: its payoff there before any realization of
+    the players weighs it."""
+    sign = _SIGN[side]
+    return [sign * (g.utility[z] * g.chance_reach[z]) for z in g.terminals]
+
+
 class _UtilityAssembler:
-    """One side's terminal weights sign·utility·chance_reach, one per
-    terminal in ``g.terminals`` order, and the index plumbing from those
-    terminals to the side's payload slots and observation points."""
+    """One side's terminal weights (:func:`_terminal_weights`) and the
+    index plumbing from those terminals to the side's payload slots and
+    observation points."""
 
     def __init__(self, dag: TbDag, g: ExtensiveFormGame):
         if set(dag.slot_of_terminal) != set(g.terminals):
@@ -205,13 +206,10 @@ class _UtilityAssembler:
                 "dag terminal maps do not cover the game's terminals"
             )
         self.problem = dag.problem
-        tz = list(g.terminals)
         self._slot = np.array(
-            [dag.slot_of_terminal[z] for z in tz], dtype=np.int64
+            [dag.slot_of_terminal[z] for z in g.terminals], dtype=np.int64
         )
-        self.weight = _SIGN[dag.side] * np.array(
-            [g.utility[z] * g.chance_reach[z] for z in tz]
-        )
+        self.weight = np.array(_terminal_weights(g, dag.side))
 
     def reach(self, flow: FlowVector) -> np.ndarray:
         """Per-terminal realization of one of this side's flows."""
@@ -421,7 +419,7 @@ def solve(
 def enumeration_oracle(
     g: ExtensiveFormGame,
     side: str,
-    opponent_realization: Mapping[int, float] | np.ndarray,
+    opponent_realization: Mapping[int, float],
     budget: int = 10**7,
 ) -> tuple[float, dict[int, int]]:
     """Best pure reduced strategy by exhaustive tree search.
@@ -444,13 +442,10 @@ def enumeration_oracle(
     check_budget("reduced pure-strategy budget", budget)
     check_realization(g, opponent_realization)
     real = opponent_realization
-    dense = isinstance(real, np.ndarray)
-    sign = _SIGN[side]
     n = g.num_nodes
     ratios = {}
-    for z in g.terminals:
-        opp = float(real[z] if dense else real.get(z, 0.0))
-        w = sign * g.utility[z] * g.chance_reach[z] * opp
+    for z, w in zip(g.terminals, _terminal_weights(g, side)):
+        w *= float(real.get(z, 0.0))
         if w != 0.0:
             ratios[z] = w.as_integer_ratio()
     den = max((q for _, q in ratios.values()), default=1)

@@ -120,16 +120,6 @@ class TestConstruction:
         assert bg.game.side_players(MAX) == (1,)
         assert bg.game.side_players(MIN) == (2,)
 
-    def test_infoset_members_share_one_belief(self):
-        g = game("3K3[1]")
-        bg = make_belief_game(g)
-        for n in range(bg.game.num_nodes):
-            if bg.game.kind[n] != PLAYER:
-                continue
-            side = bg.game.node_side(n)
-            belief = bg.annotations[n][1 if side == MAX else 2]
-            assert bg.iset_beliefs[bg.game.infoset[n]] == belief
-
     def test_resolution_slots_copy_the_chance_distribution(self):
         g = game("2K3")
         bg = make_belief_game(g)
@@ -372,10 +362,73 @@ class TestOutOfRangeActions:
         assert pure_strategy_value(g, choice) == want
 
 
+class TestProxyInfosetTables:
+    """The strategy-map tables, read back from the built game itself."""
+
+    @staticmethod
+    def first_own_below(game_, n, player):
+        """Infosets of the first nodes of ``player`` in the subtree of
+        ``n``, ``n`` included."""
+        out, stack = set(), [n]
+        while stack:
+            m = stack.pop()
+            if game_.player[m] == player:
+                out.add(game_.infoset[m])
+            else:
+                stack.extend(game_.children[m])
+        return out
+
+    @pytest.mark.parametrize(
+        "name",
+        ["fig2", "fig9-C8", "2K3", "3K3[1]", "worst-k1b2d5",
+         "3K3[3]", "fig8", "worst-k2b2d6"],
+    )
+    def test_tables_match_the_game(self, name):
+        g = game(name)
+        bg = make_belief_game(g)
+        b = bg.game
+        for i, side in enumerate((MAX, MIN)):
+            player = i + 1
+            assert bg.root_iset[side] == b.infoset[b.player.index(player)]
+            for I in b.side_infosets(side):
+                members = b.infosets[I].members
+                for n in members:
+                    belief = bg.annotations[n][1 + i]
+                    assert bg.iset_beliefs[I] == belief
+                    assert bg.iset_infosets[I] == tuple(sorted({
+                        g.infoset[h] for h in belief
+                        if g.kind[h] == PLAYER and g.node_side(h) == side
+                    }))
+                for a in range(b.infosets[I].num_actions):
+                    below = set()
+                    for n in members:
+                        below |= self.first_own_below(
+                            b, b.children[n][a], player
+                        )
+                    assert below == set(bg.successors.get((I, a), ()))
+        slots = ("max-prescribes", "min-prescribes", "chance-resolves")
+        assert bg.roles == tuple(slots[d % 3] for d in b.depth)
+
+
 class TestGuards:
     def test_node_budget_is_a_hard_error(self):
         with pytest.raises(BudgetExceededError, match="budget"):
             make_belief_game(game("worst-k2b2d6"), node_budget=1000)
+
+    def test_budget_error_says_where_it_stopped(self):
+        # Emission order is preorder, so the full game shows where the
+        # 1001st node sits and how many proxy infosets were met by then.
+        g = game("worst-k2b2d6")
+        bg = make_belief_game(g)
+        b = bg.game
+        depth = g.depth[bg.annotations[1000][0]]
+        isets = len({b.infoset[n] for n in range(1001) if b.kind[n] == PLAYER})
+        with pytest.raises(BudgetExceededError) as exc:
+            make_belief_game(g, node_budget=1000)
+        assert str(exc.value) == (
+            f"belief game exceeds node budget 1000 (emitting a node of "
+            f"source depth {depth}; {isets} proxy infosets so far)"
+        )
 
 
 class TestSerialization:

@@ -174,8 +174,24 @@ class TestBeliefGame:
         assert len(doc["annotations"]) == 165
         assert doc["manifest"]["subcommand"] == "belief-game"
 
+    def test_json_reports_build_time_and_text_stays(self, capsys):
+        code, payload = run_json(capsys, "belief-game", "fig2")
+        assert code == 0
+        assert payload["build_ms"] > 0
+        assert main(["belief-game", "fig2"]) == 0
+        assert capsys.readouterr().out == (
+            "belief game of fig2: 165 nodes from 23, 24 terminals, depth 14\n"
+            "coordinator infosets: max 40, min 18\n"
+        )
+
     def test_budget_abort_exits_2(self, capsys):
         assert main(["belief-game", "worst-k2b2d6", "--budget", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "budget exceeded: belief game exceeds node budget 1000 "
+            "(emitting a node of source depth "
+        )
+        assert err.endswith(" proxy infosets so far)\n")
 
 
 class TestSolveCommand:
@@ -446,6 +462,21 @@ class TestPlumbing:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["info", str(bad)]) == 1
+
+    @pytest.mark.parametrize("command", ["info", "solve", "oracle-check"])
+    def test_non_utf8_file_exits_1_without_traceback(
+        self, command, tmp_path, capsys
+    ):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        if command == "oracle-check":
+            argv = ["oracle-check", "fig2", "--avg", str(bad)]
+        else:
+            argv = [command, str(bad)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_nan_utility_exits_1_without_traceback(self, tmp_path, capsys):
         doc = serialize_game(generate(list_presets()["fig2"]))

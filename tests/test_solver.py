@@ -354,19 +354,11 @@ class TestOracle:
         with pytest.raises(GameValidationError, match=message):
             check_realization(g, real)
 
-    def test_realization_tolerance_and_dense_form(self):
+    def test_realization_tolerance(self):
         g = game("fig2")
         real = {z: 0.5 for z in g.terminals}
         real[g.terminals[0]], real[g.terminals[1]] = 1.0 + 1e-10, -1e-10
         check_realization(g, real)
-        dense = np.zeros(g.num_nodes)
-        dense[list(g.terminals)] = 0.5
-        assert enumeration_oracle(g, MAX, dense) == enumeration_oracle(
-            g, MAX, {z: 0.5 for z in g.terminals}
-        )
-        dense[g.terminals[0]] = nan
-        with pytest.raises(GameValidationError, match="not a number in"):
-            enumeration_oracle(g, MAX, dense)
 
     def test_budget_abort(self):
         rep, reals = uniform_realizations("3K3[1]")
