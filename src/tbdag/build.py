@@ -17,13 +17,13 @@ components of the indistinguishability graph (the finest sound split),
 ``"public"`` groups candidates by public state (coarser, and
 exponentially larger on some games).
 
-Postprocessing (``reduce=True``) removes redundancy without changing
-the strategy polytope: terminals sharing the side's action history keep
-a single representative (their realization weights are always equal),
-sections left with no terminal below are dropped, and pass-through
-decision points with one parent and one action are spliced out.  On a
-perfect-recall side this collapses the DAG to the classic sequence
-form.
+Reduction (``reduce=True``) removes redundancy without changing the
+strategy polytope.  While expanding, terminals sharing the side's
+action history keep a single representative (their realization weights
+are always equal); afterwards, sections left with no terminal below are
+dropped, and pass-through decision points with one parent and one
+action are spliced out.  On a perfect-recall side this collapses the
+DAG to the classic sequence form.
 """
 
 from __future__ import annotations
@@ -54,6 +54,10 @@ from .game import (
 
 SPLITS = ("observation", "public")
 
+# A belief meeting more infosets than this aborts the build before its
+# prescriptions are enumerated.
+_FANOUT_GUARD = 24
+
 
 @dataclass(frozen=True)
 class BuildStats:
@@ -61,9 +65,9 @@ class BuildStats:
 
     ``n_obs`` and ``n_edges`` exclude the artificial root observation
     point and its edge, so they match hand counts on the drawn DAG.
-    ``phase_ms`` holds the milliseconds spent in ``expand``, ``dedup``,
-    ``prune``, ``splice`` and ``pack`` (zero for the phases an unreduced
-    build skips); it takes no part in comparisons.
+    ``phase_ms`` holds the milliseconds spent in ``expand`` (terminal
+    merging included), ``prune``, ``splice`` and ``pack`` (zero for the
+    phases an unreduced build skips); it takes no part in comparisons.
     """
 
     side: str
@@ -133,14 +137,18 @@ def _checked_analysis(g, side, analysis):
 
 
 class _Workspace:
-    """Mutable belief-DAG under construction (terminals as payload).
+    """Mutable belief-DAG under construction (payload lists hold slots).
 
     The observation points of one decision point are numbered
     consecutively, in prescription order, when it is expanded.
     ``edges`` counts the raw edges expanded so far, for the budget.
+
+    Terminals are grouped by ``slot_key`` (the coordinator sequence id
+    when reducing, the node id otherwise): ``groups[s]`` lists the
+    members of slot ``s`` in the order they were first reached.
     """
 
-    def __init__(self):
+    def __init__(self, slot_key):
         self.dec_belief: list[tuple[int, ...]] = []
         self.dec_isets: list[tuple[int, ...]] = []
         self.dec_actions: list[list[int]] = []
@@ -152,6 +160,10 @@ class _Workspace:
         self.obs_payload: list[list[int]] = []
         self.dedup_hits = 0
         self.edges = 0
+        self.slot_key = slot_key
+        self.groups: list[list[int]] = []
+        self.slot_by_key: dict[int, int] = {}
+        self.slot_of_rep: dict[int, int] = {}
 
     def new_dec(self, belief, isets):
         self.dec_belief.append(belief)
@@ -161,6 +173,27 @@ class _Workspace:
         self.dec_parents.append([])
         self.dec_alive.append(True)
         return len(self.dec_belief) - 1
+
+    def first_reach(self, z):
+        """Place terminal ``z`` in its group the first time the build
+        reaches it; return its slot if it represents the group.
+
+        All terminals with one coordinator action history have equal
+        realization weight under every coordinator strategy, so the
+        first one reached stands for the group and every payload
+        occurrence of it is emitted; the others join the group and are
+        never emitted, which may leave whole sections without payoff
+        entries for :func:`_prune_dead`.  Keyed by node id, every
+        terminal is its own group: the unreduced build's slots.
+        """
+        key = self.slot_key[z]
+        s = self.slot_by_key.get(key)
+        if s is None:
+            s = self.slot_by_key[key] = self.slot_of_rep[z] = len(self.groups)
+            self.groups.append([z])
+            return s
+        self.groups[s].append(z)
+        return None
 
 
 @dataclass(frozen=True)
@@ -223,15 +256,15 @@ def _where(g, belief, n_prescr, edges):
     )
 
 
-def _expand(ws, g, analysis, split_parts, d, budget, fanout_guard, memo, queue):
+def _expand(ws, g, analysis, split_parts, d, budget, memo, queue):
     belief = ws.dec_belief[d]
     step = expand_belief(g, analysis.side, belief)
     ws.dec_isets[d] = step.isets
     n_prescr = step.n_prescr
     edges = ws.edges
-    if len(step.isets) > fanout_guard:
+    if len(step.isets) > _FANOUT_GUARD:
         raise BudgetExceededError(
-            f"fan-out guard {fanout_guard} exceeded by {len(step.isets)} "
+            f"fan-out guard {_FANOUT_GUARD} exceeded by {len(step.isets)} "
             "infosets " + _where(g, belief, n_prescr, edges)
         )
     if edges + n_prescr > budget:
@@ -249,6 +282,7 @@ def _expand(ws, g, analysis, split_parts, d, budget, fanout_guard, memo, queue):
     obs_children, obs_payload = ws.obs_children, ws.obs_payload
     dec_parents, new_dec, kind = ws.dec_parents, ws.new_dec, g.kind
     candidates = step.candidates
+    first_reach, slot_of_rep = ws.first_reach, ws.slot_of_rep
     dedup_hits = 0
     for prescr in prescrs:
         kids: list[int] = []
@@ -257,17 +291,22 @@ def _expand(ws, g, analysis, split_parts, d, budget, fanout_guard, memo, queue):
         edges += 1 + len(parts)
         for part in parts:
             # The memo maps a terminal's singleton part to the
-            # complement of its id, so the terminal test runs once.
+            # complement of its id, so the terminal test runs once; only
+            # a group's representative is emitted, as its slot.
             child = memo.get(part)
             if child is None:
                 if len(part) == 1 and kind[part[0]] == TERMINAL:
                     memo[part] = ~part[0]
-                    pay.append(part[0])
+                    s = first_reach(part[0])
+                    if s is not None:
+                        pay.append(s)
                     continue
                 child = memo[part] = new_dec(part, ())
                 queue.append(child)
             elif child < 0:
-                pay.append(~child)
+                s = slot_of_rep.get(~child)
+                if s is not None:
+                    pay.append(s)
                 continue
             else:
                 dedup_hits += 1
@@ -283,47 +322,6 @@ def _expand(ws, g, analysis, split_parts, d, budget, fanout_guard, memo, queue):
             )
     ws.edges = edges
     ws.dedup_hits += dedup_hits
-
-
-def _dedup_terminals(ws, seq_of):
-    """Merge terminals that share a coordinator action history.
-
-    All such terminals have identical realization weight under every
-    coordinator strategy, so one representative per history suffices.
-    Every payload occurrence of a representative is kept (a terminal is
-    emitted once per prescription that produces it, and its realization
-    is the sum of flow over those occurrences); occurrences of the other
-    group members are dropped, which may leave whole sections without
-    payoff entries — those are pruned afterwards.  Payload entries are
-    rewritten from node ids to slot ids.  Keyed by node id instead
-    (``seq_of = range(num_nodes)``), every terminal is its own group and
-    every occurrence is kept: the unreduced build's slots.
-    """
-    groups: list[list[int]] = []
-    rep: list[int] = []  # slot -> its representative terminal
-    slot_by_seq: dict[int, int] = {}
-    seen: set[int] = set()
-    obs_payload = ws.obs_payload
-    for o, pay in enumerate(obs_payload):
-        if not pay:
-            continue
-        kept: list[int] = []
-        for z in pay:
-            key = seq_of[z]
-            s = slot_by_seq.get(key)
-            if s is None:
-                s = slot_by_seq[key] = len(groups)
-                groups.append([z])
-                rep.append(z)
-                seen.add(z)
-                kept.append(s)
-            elif z == rep[s]:
-                kept.append(s)
-            elif z not in seen:
-                seen.add(z)
-                groups[s].append(z)
-        obs_payload[o] = kept
-    return groups
 
 
 def _prune_dead(ws):
@@ -400,7 +398,6 @@ def build_tbdag(
     reduce: bool = True,
     analysis: GameAnalysis | None = None,
     edge_budget: int = 10**8,
-    fanout_guard: int = 24,
 ) -> TbDag:
     """Construct one side's belief DAG directly from the game tree."""
     check_budget("edge budget", edge_budget)
@@ -411,9 +408,7 @@ def build_tbdag(
     if reduce and analysis.view is None:
         raise GameValidationError(f"side {side!r} has no players")
 
-    phase_ms = dict.fromkeys(
-        ("expand", "dedup", "prune", "splice", "pack"), 0.0
-    )
+    phase_ms = dict.fromkeys(("expand", "prune", "splice", "pack"), 0.0)
     clock = time.perf_counter()
 
     def lap(phase):
@@ -422,7 +417,7 @@ def build_tbdag(
         phase_ms[phase] = (now - clock) * 1e3
         clock = now
 
-    ws = _Workspace()
+    ws = _Workspace(analysis.view.seq_of if reduce else range(g.num_nodes))
     memo: dict[tuple[int, ...], int] = {}
     root_belief = (g.root,)
     root_dec = memo[root_belief] = ws.new_dec(root_belief, ())
@@ -430,28 +425,21 @@ def build_tbdag(
     while queue:
         _expand(
             ws, g, analysis, split_parts, queue.pop(),
-            edge_budget, fanout_guard, memo, queue,
+            edge_budget, memo, queue,
         )
     lap("expand")
     if reduce:
-        groups = _dedup_terminals(ws, analysis.view.seq_of)
-        lap("dedup")
         _prune_dead(ws)
         lap("prune")
         _splice_passthrough(ws, root_dec)
         lap("splice")
-    else:
-        groups = _dedup_terminals(ws, range(g.num_nodes))
-        lap("dedup")
     # The stats hold ``phase_ms`` itself, so the pack time lands there.
-    dag = _pack(
-        g, side, split, reduce, analysis, ws, root_dec, groups, phase_ms
-    )
+    dag = _pack(g, side, split, reduce, analysis, ws, root_dec, phase_ms)
     lap("pack")
     return dag
 
 
-def _pack(g, side, split, reduce, analysis, ws, root_dec, groups, phase_ms):
+def _pack(g, side, split, reduce, analysis, ws, root_dec, phase_ms):
     # Live decision points keep their relative order and list their
     # actions as numbered from 1 on, after the artificial root.  The
     # workspace's own child and payload lists are laid out in that
@@ -470,7 +458,7 @@ def _pack(g, side, split, reduce, analysis, ws, root_dec, groups, phase_ms):
         kids = dec_id[kids]
     problem = freeze_csr(
         side,
-        len(groups),
+        len(ws.groups),
         (np.arange(1, len(obs) + 1), aoff),
         (kids, coff),
         csr_of([[], *map(ws.obs_payload.__getitem__, obs)]),
@@ -482,7 +470,7 @@ def _pack(g, side, split, reduce, analysis, ws, root_dec, groups, phase_ms):
     prescriptions = tuple(
         itertools.chain.from_iterable(map(ws.dec_prescr.__getitem__, order))
     )
-    slot_groups = tuple(tuple(sorted(grp)) for grp in groups)
+    slot_groups = tuple(tuple(sorted(grp)) for grp in ws.groups)
     slot_of = {
         z: s for s, grp in enumerate(slot_groups) for z in grp
     }

@@ -41,6 +41,8 @@ from .game import (
     serialize_game,
 )
 from .solve import (
+    ALGORITHMS,
+    MODES,
     SolveConfig,
     check_realization,
     enumeration_oracle,
@@ -105,9 +107,7 @@ def _resolve_game(target: str) -> tuple[ExtensiveFormGame, str, dict[str, Any]]:
     Returns the game, a short label, and the manifest source record.
     """
     if os.path.exists(target):
-        with open(target, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        g = parse_game(doc)
+        g = parse_game(_read_json(target))
         label = os.path.splitext(os.path.basename(target))[0]
         return g, label, {"input": target, "input_sha256": _sha256(target)}
     presets = list_presets()
@@ -117,6 +117,15 @@ def _resolve_game(target: str) -> tuple[ExtensiveFormGame, str, dict[str, Any]]:
         f"{target!r} is neither an existing file nor a preset; "
         f"presets: {', '.join(sorted(presets))}"
     )
+
+
+def _read_json(path: str) -> Any:
+    """Parse a UTF-8 JSON file; a decode error names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise GameValidationError(f"{path}: {exc}") from None
 
 
 def _write_json(path: str, payload: dict[str, Any]) -> None:
@@ -515,8 +524,7 @@ def _load_realizations(path: str, g: ExtensiveFormGame) -> dict[str, dict[int, f
     """Per-side terminal realizations from a ``solve --save-avg`` file: keys
     must be decimal strings and values numbers, and each side's realization
     must pass :func:`check_realization` against ``g``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     entries = doc.get("strategies", []) if isinstance(doc, dict) else None
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise GameValidationError(f"{path}: malformed strategies list")
@@ -733,11 +741,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[common], help="run a regret-matching solver to a gap target")
     p.add_argument("game", help="game JSON file or preset name")
-    p.add_argument("--algo", choices=("cfr", "cfr+", "pcfr+", "cfr-mwu"), default="pcfr+")
+    p.add_argument("--algo", choices=tuple(ALGORITHMS), default="pcfr+")
     p.add_argument("--eps", type=float, default=1e-3, help="target equilibrium gap")
     p.add_argument("--max-iters", type=int, default=100_000)
     p.add_argument("--log-every", type=int, default=50)
-    p.add_argument("--mode", choices=("simultaneous", "alternating"), default="simultaneous")
+    p.add_argument("--mode", choices=MODES, default="simultaneous")
     p.add_argument("--log", default=None, help="write the iteration log CSV here")
     p.add_argument("--save-avg", default=None, help="write averaged strategies JSON here")
     p.add_argument("--behavior", action="store_true", help="include behavioral strategies in --save-avg")
@@ -752,7 +760,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", parents=[common], help="sweep a suite of games into a CSV")
     p.add_argument("--games", default="fig2,fig8,worst-k1b2d5,2K3,3K3[1],3K3[1,2]")
-    p.add_argument("--algo", choices=("cfr", "cfr+", "pcfr+", "cfr-mwu"), default="pcfr+")
+    p.add_argument("--algo", choices=tuple(ALGORITHMS), default="pcfr+")
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--max-iters", type=int, default=20_000)
     p.add_argument("-o", "--out", default=None, help="CSV output path (default stdout)")
@@ -772,13 +780,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
-    except GameValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:  # after BudgetExceededError, which exits 2
+    # RuntimeError comes after BudgetExceededError, which exits 2.
+    except (GameValidationError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

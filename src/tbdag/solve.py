@@ -319,7 +319,8 @@ def solve(
     cum_pay_y = np.zeros(p_y.n_obs)
     cum_val_x = cum_val_y = 0.0
     weight_total = 0.0
-    y_latest = dag_cfr_strategy(p_y, bank_y.current())
+    simultaneous = config.mode == "simultaneous"
+    y_prev = dag_cfr_strategy(p_y, bank_y.current())
 
     at_x = _UtilityAssembler(dags[MAX], g)
     at_y = _UtilityAssembler(dags[MIN], g)
@@ -327,24 +328,18 @@ def solve(
     converged = False
     t = 0
     for t in range(1, config.max_iters + 1):
-        r_x = bank_x.current()
+        # The two regret banks are independent, so both iterates can be
+        # read first; the modes differ only in the max side's opponent.
+        r_x, r_y = bank_x.current(), bank_y.current()
         x_t = dag_cfr_strategy(p_x, r_x)
-        if config.mode == "simultaneous":
-            r_y = bank_y.current()
-            y_t = dag_cfr_strategy(p_y, r_y)
-            pay_x = at_x(at_y.reach(y_t))
-            pay_y = at_y(at_x.reach(x_t))
-        else:
-            pay_x = at_x(at_y.reach(y_latest))
+        y_t = dag_cfr_strategy(p_y, r_y)
+        pay_x = at_x(at_y.reach(y_t if simultaneous else y_prev))
+        pay_y = at_y(at_x.reach(x_t))
         va_x, vd_x = dag_cfr_utility(p_x, r_x, pay_x)
         bank_x.observe(va_x, vd_x)
-        if config.mode == "alternating":
-            r_y = bank_y.current()
-            y_t = dag_cfr_strategy(p_y, r_y)
-            pay_y = at_y(at_x.reach(x_t))
         va_y, vd_y = dag_cfr_utility(p_y, r_y, pay_y)
         bank_y.observe(va_y, vd_y)
-        y_latest = y_t
+        y_prev = y_t
 
         val_x = float(vd_x[p_x.root_dec])
         val_y = float(vd_y[p_y.root_dec])

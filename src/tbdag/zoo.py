@@ -40,16 +40,6 @@ from .game import (
     build_game,
 )
 
-FAMILIES = (
-    "kuhn",
-    "leduc",
-    "liars_dice",
-    "signaling_fig2",
-    "worst_case",
-    "public_counterexample_fig8",
-    "inflation_counterexample_fig9",
-)
-
 
 @dataclass(frozen=True)
 class ZooSpec:

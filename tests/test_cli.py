@@ -124,7 +124,7 @@ class TestBuild:
         )
         assert code == 0
         phases = payload["sides"]["max"]["phase_ms"]
-        assert set(phases) == {"expand", "dedup", "prune", "splice", "pack"}
+        assert set(phases) == {"expand", "prune", "splice", "pack"}
         assert all(v >= 0.0 for v in phases.values())
         # The dumped DAG stays free of timings, so dumps compare equal.
         assert "phase_ms" not in out.read_text()
@@ -458,25 +458,35 @@ class TestPlumbing:
     def test_missing_file_exits_1(self, capsys):
         assert main(["info", "/nonexistent/game.json"]) == 1
 
-    def test_corrupt_json_exits_1(self, tmp_path, capsys):
+    # Where an unreadable file goes: as the game, or as ``--avg``.  The
+    # game is read first, so the unread ``--avg`` file need not exist.
+    BAD_FILE_ARGVS = {
+        "info": ["info", "BAD"],
+        "solve": ["solve", "BAD"],
+        "oracle-check": ["oracle-check", "BAD", "--avg", "unread.json"],
+        "oracle-check --avg": ["oracle-check", "fig2", "--avg", "BAD"],
+    }
+
+    def _exits_1_naming(self, bad, where, capsys):
+        argv = [str(bad) if a == "BAD" else a for a in self.BAD_FILE_ARGVS[where]]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("where", BAD_FILE_ARGVS)
+    def test_corrupt_json_exits_1(self, where, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert main(["info", str(bad)]) == 1
+        self._exits_1_naming(bad, where, capsys)
 
-    @pytest.mark.parametrize("command", ["info", "solve", "oracle-check"])
+    @pytest.mark.parametrize("where", BAD_FILE_ARGVS)
     def test_non_utf8_file_exits_1_without_traceback(
-        self, command, tmp_path, capsys
+        self, where, tmp_path, capsys
     ):
         bad = tmp_path / "utf16.json"
         bad.write_bytes(b"\xff\xfe{\x00}\x00")
-        if command == "oracle-check":
-            argv = ["oracle-check", "fig2", "--avg", str(bad)]
-        else:
-            argv = [command, str(bad)]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "Traceback" not in err
+        self._exits_1_naming(bad, where, capsys)
 
     def test_nan_utility_exits_1_without_traceback(self, tmp_path, capsys):
         doc = serialize_game(generate(list_presets()["fig2"]))

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tbdag.build
 from tbdag import (
     BudgetExceededError,
     GameValidationError,
@@ -184,16 +185,30 @@ class TestReduction:
                 assert red.stats.n_edges <= raw.stats.n_edges
                 assert red.problem.n_dec <= raw.problem.n_dec
 
-    def test_every_terminal_lands_in_one_group(self):
-        g = game("3K3[3]")
-        dag = build_tbdag(g, MAX)
-        seen = [z for grp in dag.slot_groups for z in grp]
-        assert sorted(seen) == sorted(g.terminals)
-        assert all(
-            dag.slot_of_terminal[z] == s
-            for s, grp in enumerate(dag.slot_groups)
-            for z in grp
-        )
+    @pytest.mark.parametrize("name", SMALL_ZOO)
+    def test_every_terminal_lands_in_one_group(self, name):
+        # Slots are assigned while expanding, when a terminal is first
+        # reached; the groups must still cover every terminal once.
+        g = game(name)
+        for side in (MAX, MIN):
+            a = analyze(g, side)
+            for reduce in (False, True):
+                dag = build_tbdag(g, side, reduce=reduce, analysis=a)
+                groups = dag.slot_groups
+                seen = [z for grp in groups for z in grp]
+                assert sorted(seen) == sorted(g.terminals)
+                assert dag.slot_of_terminal == {
+                    z: s for s, grp in enumerate(groups) for z in grp
+                }
+                assert set(dag.problem.payload.tolist()) == set(
+                    range(len(groups))
+                )
+                if reduce:
+                    keys = [{a.view.seq_of[z] for z in grp} for grp in groups]
+                    assert all(len(k) == 1 for k in keys)
+                    assert len(set.union(*keys)) == len(groups)
+                else:
+                    assert all(len(grp) == 1 for grp in groups)
 
 
 class TestSizeBounds:
@@ -313,35 +328,38 @@ class TestGuards:
         with pytest.raises(BudgetExceededError):
             build_tbdag(g, MAX, edge_budget=20)
 
-    def test_fanout_guard_enforced(self):
+    def test_fanout_guard_enforced(self, monkeypatch):
+        monkeypatch.setattr(tbdag.build, "_FANOUT_GUARD", 1)
         g = game("fig2")
         with pytest.raises(BudgetExceededError, match="fan-out"):
-            build_tbdag(g, MAX, fanout_guard=1)
+            build_tbdag(g, MAX)
 
-    @pytest.mark.parametrize("limits, message", [
+    @pytest.mark.parametrize("edge_budget, fanout_guard, message", [
         (
-            {"edge_budget": 50},
+            50, tbdag.build._FANOUT_GUARD,
             "edge budget 50 exceeded while expanding a belief of 5 nodes "
             "at depth 2 with 4 prescriptions (51 edges built so far)",
         ),
         (
             # The whole belief would not fit: caught before expanding it.
-            {"edge_budget": 200},
+            200, tbdag.build._FANOUT_GUARD,
             "edge budget 200 exceeded while expanding a belief of 4 nodes "
             "at depth 2 with 4 prescriptions (200 edges built so far)",
         ),
         (
-            {"fanout_guard": 1},
+            # The fan-out guard, lowered from its module default.
+            10**8, 1,
             "fan-out guard 1 exceeded by 2 infosets while expanding a "
             "belief of 3 nodes at depth 1 with 4 prescriptions (22 edges "
             "built so far)",
         ),
     ])
     def test_budget_messages_say_where_the_build_stopped(
-        self, limits, message
+        self, edge_budget, fanout_guard, message, monkeypatch
     ):
+        monkeypatch.setattr(tbdag.build, "_FANOUT_GUARD", fanout_guard)
         with pytest.raises(BudgetExceededError) as err:
-            build_tbdag(game("worst-k2b2d6"), MAX, **limits)
+            build_tbdag(game("worst-k2b2d6"), MAX, edge_budget=edge_budget)
         assert str(err.value) == message
 
     def test_unknown_split_rejected(self):
@@ -381,7 +399,7 @@ class TestGuards:
 
 
 class TestBuildTimings:
-    PHASES = ["expand", "dedup", "prune", "splice", "pack"]
+    PHASES = ["expand", "prune", "splice", "pack"]
 
     @pytest.mark.parametrize("reduce", [True, False])
     @pytest.mark.parametrize("name", ["fig2", "3K3[1]", "fig9-C8"])
