@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable
 
 from .game import TERMINAL, ExtensiveFormGame, GameValidationError
@@ -264,12 +266,19 @@ def analyze(g: ExtensiveFormGame, side: str) -> GameAnalysis:
                 )))
         last_id[h] = t
 
-    # k: largest union of last-infoset sets across one public state,
-    # one update per distinct (public state, last tuple) pair.
+    # k: largest union of last-infoset sets across one public state.  A
+    # state holding one distinct tuple contributes its length, which no
+    # union in a state holding it and others falls below; only states
+    # holding two or more distinct tuples take a union.
+    pairs = list(set(zip(public_id, last_id)))
+    states = list(map(itemgetter(0), pairs))
+    lens = list(map(len, tuples))
+    k = max(map(lens.__getitem__, map(itemgetter(1), pairs)), default=0)
+    shared = {c for c, m in Counter(states).items() if m > 1}
     union_per_state: dict[int, set[int]] = {}
-    for c, t in set(zip(public_id, last_id)):
+    for c, t in compress(pairs, map(shared.__contains__, states)):
         union_per_state.setdefault(c, set()).update(tuples[t])
-    k = max(map(len, union_per_state.values()), default=0)
+    k = max(k, max(map(len, union_per_state.values()), default=0))
 
     # kappa: most infosets fully contained in one public state (every
     # infoset lies inside a single state since its members are mutually

@@ -22,7 +22,9 @@ beliefs a proxy can hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping, NamedTuple
 
 # ``split_observation`` is not called here; it stays bound because the
@@ -52,17 +54,21 @@ from .game import (
 
 _ROLE_OF_PLAYER = {1: "max-prescribes", 2: "min-prescribes"}
 
+# The phases of make_belief_game, as keys of ``BeliefGame.phase_ms``.
+PHASES = ("moves", "emit", "assemble", "recall")
+
 
 @dataclass(frozen=True)
 class BeliefGame:
     """A materialized belief game tied back to its source.
 
-    ``annotations[n]`` is the ``(h, B_max, B_min)`` triple of node ``n``
-    (source node, both current beliefs, ``h`` a member of both).
-    ``roles[n]`` names the slot the node occupies, read off its player:
-    the max proxy (player 1) prescribes, the min proxy (player 2)
-    prescribes, and every chance node and terminal resolves; terminals
-    sit in the resolution slot of their final step.
+    Node ``n`` replays source node ``node_state[n]`` while proxy ``i``
+    (0 for max, 1 for min) holds belief ``beliefs[i][node_beliefs[i][n]]``;
+    ``annotations[n]`` is that ``(h, B_max, B_min)`` triple, built on
+    first read.  ``roles[n]`` names the slot the node occupies, read off
+    its player: the max proxy (player 1) prescribes, the min proxy
+    (player 2) prescribes, and every chance node and terminal resolves;
+    terminals sit in the resolution slot of their final step.
 
     A proxy infoset is one (own history, belief) state, and its id is
     the order in which the construction first met that state, counting
@@ -71,22 +77,46 @@ class BeliefGame:
     infoset its belief and the source infosets it prescribes for, and
     ``successors`` maps an (infoset, action) pair of a proxy to the own
     infosets reachable right after.  These four tables are empty on
-    compacted games.
+    compacted games.  ``phase_ms`` holds the milliseconds of each of
+    :data:`PHASES` (``recall`` is 0 on compacted games, which are not
+    checked).
     """
 
     game: ExtensiveFormGame
     source: ExtensiveFormGame
     compact: bool
-    annotations: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
+    node_state: tuple[int, ...]
+    node_beliefs: tuple[tuple[int, ...], tuple[int, ...]]
+    beliefs: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
     iset_beliefs: dict[int, tuple[int, ...]]
     iset_infosets: dict[int, tuple[int, ...]]
     root_iset: dict[str, int]
     successors: dict[tuple[int, int], tuple[int, ...]]
+    phase_ms: dict[str, float] = field(compare=False, repr=False)
+
+    @cached_property
+    def annotations(
+        self,
+    ) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+        (b_max, b_min), (i_max, i_min) = self.beliefs, self.node_beliefs
+        return tuple(zip(
+            self.node_state,
+            map(b_max.__getitem__, i_max),
+            map(b_min.__getitem__, i_min),
+        ))
 
     @property
     def roles(self) -> tuple[str, ...]:
         get = _ROLE_OF_PLAYER.get
         return tuple(get(p, "chance-resolves") for p in self.game.player)
+
+    @cached_property
+    def _unplayed(self) -> dict[str, dict[int, int]]:
+        """Per side, the strategy playing action 0 at every proxy infoset."""
+        return {
+            side: dict.fromkeys(self.game.side_infosets(side), 0)
+            for side in _SIDES
+        }
 
 
 def _unique_labels(labels: list[str]) -> list[str]:
@@ -103,29 +133,41 @@ class _Moves(NamedTuple):
     isets: tuple[int, ...]
     prescriptions: tuple[tuple[int, ...], ...]
     labels: list[str]
-    next: list[dict[int, tuple[int, ...]]]
+    next: list[dict[int, int]]
 
 
-def _moves(g: ExtensiveFormGame, side: str) -> dict[tuple, _Moves]:
+# A terminal belief keeps the one empty prescription.
+_AT_TERMINAL = _Moves((), ((),), ["-"], [])
+
+
+class _Side(NamedTuple):
+    beliefs: tuple[tuple[int, ...], ...]
+    moves: list[_Moves]
+    root: int
+
+
+def _moves(g: ExtensiveFormGame, side: str) -> _Side:
     """Each belief's moves, read off the side's raw observation-split DAG.
 
-    A belief's prescriptions are its decision point's action slots, in
-    ``itertools.product`` order; ``next[a][c]`` is the belief that
-    follows prescription ``a`` when the true move reaches candidate
-    ``c``: the block of ``a``'s observation point holding ``c``, a child
-    decision point or a singleton terminal of the payload.  A terminal
-    belief ``(z,)`` is not a decision point; it keeps the one empty
-    prescription.
+    Beliefs are numbered: decision point ``d`` is belief ``d`` and
+    payload slot ``s`` (one terminal, as the build is raw) is belief
+    ``n_dec + s``.  A belief's prescriptions are its decision point's
+    action slots, in ``itertools.product`` order; ``next[a][c]`` is the
+    belief that follows prescription ``a`` when the true move reaches
+    candidate ``c``: the block of ``a``'s observation point holding
+    ``c``, a child decision point or a terminal of the payload.
     """
-    moves = {(z,): _Moves((), ((),), ["-"], []) for z in g.terminals}
     if g.kind[g.root] == TERMINAL:  # a lone terminal has no DAG
-        return moves
+        return _Side(((g.root,),), [_AT_TERMINAL], 0)
     dag = build_tbdag(g, side, reduce=False, analysis=analyze(g, side))
     p = dag.problem
+    n_dec = len(dag.beliefs)
+    beliefs = dag.beliefs + dag.slot_groups
     aoff, child_obs = p.dec_aoff.tolist(), p.act_child_obs.tolist()
     coff, kids = p.obs_coff.tolist(), p.obs_children.tolist()
     poff, payload = p.obs_poff.tolist(), p.payload.tolist()
-    for d, belief in enumerate(dag.beliefs):
+    moves = [_AT_TERMINAL] * len(beliefs)
+    for d in range(n_dec):
         isets = dag.dec_infosets[d]
         prescrs = dag.prescriptions[aoff[d]: aoff[d + 1]]
         labels = _unique_labels([
@@ -135,101 +177,133 @@ def _moves(g: ExtensiveFormGame, side: str) -> dict[tuple, _Moves]:
         ])
         nexts = []
         for o in child_obs[aoff[d]: aoff[d + 1]]:
-            blocks = [dag.beliefs[c] for c in kids[coff[o]: coff[o + 1]]]
-            blocks += map(dag.slot_groups.__getitem__,
-                          payload[poff[o]: poff[o + 1]])
-            nexts.append({h: blk for blk in blocks for h in blk})
-        moves[belief] = _Moves(isets, prescrs, labels, nexts)
-    return moves
+            blocks = kids[coff[o]: coff[o + 1]]
+            blocks += [n_dec + s for s in payload[poff[o]: poff[o + 1]]]
+            nexts.append({h: b for b in blocks for h in beliefs[b]})
+        moves[d] = _Moves(isets, prescrs, labels, nexts)
+    # The artificial root observation point holds the root belief.
+    return _Side(beliefs, moves, kids[coff[0]])
 
 
 _SIDES = (MAX, MIN)
 
 
 class _Builder:
-    def __init__(self, g, node_budget):
+    """The belief game's node columns, emitted in preorder.
+
+    Each node also records its source node and each proxy's belief id
+    (``state`` and ``belief_ids``).  Proxy infosets: one id per (proxy,
+    last own (infoset, action), belief) state, from one counter in
+    order of first interning.  A state is interned just before the
+    first node using it, and nodes are emitted in preorder, so the id is
+    also build_game's first-appearance infoset id.
+    """
+
+    def __init__(self, g, sides, node_budget):
         self.g = g
+        self.sides = sides
         self.node_budget = node_budget
-        self.moves = tuple(_moves(g, side) for side in _SIDES)
-        self.w = GameWriter()
-        self.ann: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
-        # Proxy infosets: one id per (proxy, last own (infoset, action),
-        # belief) state, from one counter in order of first interning.
-        # A state is interned just before the first node using it, and
-        # nodes are emitted in preorder, so the id is also build_game's
-        # first-appearance infoset id.
+        self.state: list[int] = []
+        self.belief_ids: tuple[list[int], list[int]] = ([], [])
         self.isets: dict[tuple, int] = {}
         self.iset_beliefs: dict[int, tuple[int, ...]] = {}
         self.iset_infosets: dict[int, tuple[int, ...]] = {}
         self.successors: dict[tuple[int, int], list[int]] = {}
 
-    def emit(self, annotation, kind, player=-1, infoset=None, utility=0.0):
-        """Append one node; returns its id and its action list."""
-        if len(self.w.kind) >= self.node_budget:
-            raise BudgetExceededError(
-                f"belief game exceeds node budget {self.node_budget} "
-                f"(emitting a node of source depth "
-                f"{self.g.depth[annotation[0]]}; "
-                f"{len(self.isets)} proxy infosets so far)"
-            )
-        self.ann.append(annotation)
-        actions: list[tuple] = []
-        return self.w.add(kind, player, infoset, actions, utility), actions
+    def run(self) -> GameWriter:
+        """Emit the whole game from an explicit stack of node tasks.
 
-    # -- the three slots of one original step --------------------------
-
-    def prescribe(self, i, h, beliefs, edges):
-        """Slot of proxy ``i``, player ``i + 1``: max first, then min.
-
-        ``edges[j]`` is proxy ``j``'s last (infoset, prescription) pair,
-        already this step's for a proxy that has moved.
+        Each original step takes three slots: the max proxy (slot 0)
+        commits a prescription, the min proxy (slot 1) does the same,
+        and a chance node (slot 2) resolves the true move.  A task is
+        ``(slot, h, b0, b1, e0, e1, up, label, prob)``: source node ``h``
+        with beliefs ``b0``/``b1``, each proxy's last own (infoset,
+        prescription) edge ``e0``/``e1``, and the parent's action list
+        ``up`` that receives the node as ``(label, id)`` (or ``(label,
+        id, prob)`` below a resolution).  Children are pushed last to
+        first, so they are emitted in action order.
         """
-        belief, prev = beliefs[i], edges[i]
-        key = (i, prev, belief)
-        iset = self.isets.get(key)
-        if iset is None:
-            iset = self.isets[key] = len(self.isets)
-            self.iset_beliefs[iset] = belief
-            self.iset_infosets[iset] = self.moves[i][belief].isets
-            if prev is not None:
-                self.successors.setdefault(prev, []).append(iset)
-        me, actions = self.emit((h, *beliefs), PLAYER, i + 1, iset)
-        for ai, label in enumerate(self.moves[i][belief].labels):
-            if i == 0:
-                child = self.prescribe(1, h, beliefs, ((iset, ai), edges[1]))
-            else:
-                child = self.resolve(h, beliefs, (edges[0], (iset, ai)))
-            actions.append((label, child))
-        return me
+        g, w = self.g, GameWriter()
+        kinds, players, keys = w.kind, w.player, w.infoset
+        actions, utility = w.actions, w.utility
+        state, (bel0, bel1) = self.state, self.belief_ids
+        (beliefs0, moves0, root0), (beliefs1, moves1, root1) = self.sides
+        moves = (moves0, moves1)
+        isets, budget = self.isets, self.node_budget
+        side_of = [
+            _SIDES.index(g.node_side(h)) if k == PLAYER else -1
+            for h, k in enumerate(g.kind)
+        ]
+        stack = [(0, g.root, root0, root1, None, None, None, None, None)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            slot, h, b0, b1, e0, e1, up, label, prob = pop()
+            if slot < 2:
+                belief, prev = (b0, e0) if slot == 0 else (b1, e1)
+                key = (slot, prev, belief)
+                iset = isets.get(key)
+                if iset is None:
+                    iset = isets[key] = len(isets)
+                    m = moves[slot][belief]
+                    self.iset_beliefs[iset] = self.sides[slot].beliefs[belief]
+                    self.iset_infosets[iset] = m.isets
+                    if prev is not None:
+                        self.successors.setdefault(prev, []).append(iset)
+            n = len(kinds)
+            if n >= budget:
+                raise BudgetExceededError(
+                    f"belief game exceeds node budget {budget} "
+                    f"(emitting a node of source depth {g.depth[h]}; "
+                    f"{len(isets)} proxy infosets so far)"
+                )
+            if up is not None:
+                up.append((label, n) if prob is None else (label, n, prob))
+            state.append(h)
+            bel0.append(b0)
+            bel1.append(b1)
+            acts: list[tuple] = []
+            actions.append(acts)
+            if slot < 2:
+                kinds.append(PLAYER)
+                players.append(slot + 1)
+                keys.append(iset)
+                utility.append(0.0)
+                labels = moves[slot][belief].labels
+                for a in range(len(labels) - 1, -1, -1):
+                    if slot == 0:
+                        push((1, h, b0, b1, (iset, a), e1, acts, labels[a],
+                              None))
+                    else:
+                        push((2, h, b0, b1, e0, (iset, a), acts, labels[a],
+                              None))
+                continue
+            players.append(-1)
+            keys.append(None)
+            if g.kind[h] == TERMINAL:
+                assert beliefs0[b0] == beliefs1[b1] == (h,)
+                kinds.append(TERMINAL)
+                utility.append(g.utility[h])
+                continue
+            kinds.append(CHANCE)
+            utility.append(0.0)
+            kids, labs = g.children[h], g.labels[h]
+            if g.kind[h] == CHANCE:
+                probs = g.probs[h]
+            else:  # the acting proxy's prescription fixes the move
+                i = side_of[h]
+                m, e = (moves0[b0], e0) if i == 0 else (moves1[b1], e1)
+                a = m.prescriptions[e[1]][m.isets.index(g.infoset[h])]
+                kids, labs, probs = (kids[a],), (labs[a],), (1.0,)
+            next0, next1 = moves0[b0].next[e0[1]], moves1[b1].next[e1[1]]
+            for j in range(len(kids) - 1, -1, -1):
+                c = kids[j]
+                push((0, c, next0[c], next1[c], e0, e1, acts, labs[j],
+                      probs[j]))
+        return w
 
-    def resolve(self, h, beliefs, edges):
-        g = self.g
-        if g.kind[h] == TERMINAL:
-            assert beliefs == ((h,), (h,))
-            return self.emit(
-                (h, *beliefs), TERMINAL, utility=g.utility[h]
-            )[0]
-        moves = [m[b] for m, b in zip(self.moves, beliefs)]
-        if g.kind[h] == CHANCE:
-            acts = zip(g.children[h], g.labels[h], g.probs[h])
-        else:
-            i = _SIDES.index(g.node_side(h))
-            m = moves[i]
-            a = m.prescriptions[edges[i][1]][m.isets.index(g.infoset[h])]
-            acts = [(g.children[h][a], g.labels[h][a], 1.0)]
-        me, actions = self.emit((h, *beliefs), CHANCE)
-        nexts = [m.next[e[1]] for m, e in zip(moves, edges)]
-        for child, label, prob in acts:
-            sub = self.prescribe(
-                0, child, (nexts[0][child], nexts[1][child]), edges
-            )
-            actions.append((label, sub, prob))
-        return me
 
-
-def _compacted(b: _Builder):
+def _compacted(w: GameWriter):
     """Splice out single-action internal nodes for size reporting."""
-    w = b.w
     keep = [
         k == TERMINAL or len(acts) > 1 for k, acts in zip(w.kind, w.actions)
     ]
@@ -254,7 +328,7 @@ def _compacted(b: _Builder):
             w.utility[n],
         )
     root = new_id[resolve(0)]
-    return out, root, [b.ann[n] for n in order]
+    return out, root, order
 
 
 def make_belief_game(
@@ -263,7 +337,7 @@ def make_belief_game(
     compact: bool = False,
     node_budget: int = 10**7,
 ) -> BeliefGame:
-    """Run the recursive three-slot construction over the whole game.
+    """Run the three-slot construction over the whole game.
 
     Each proxy's moves are read off its side's raw observation-split
     TB-DAG.  ``compact=True`` removes single-action chains, giving node
@@ -273,45 +347,71 @@ def make_belief_game(
     mixed depths).
     """
     check_budget("node budget", node_budget)
-    b = _Builder(g, node_budget)
-    b.prescribe(0, g.root, ((g.root,), (g.root,)), (None, None))
+    phase_ms = dict.fromkeys(PHASES, 0.0)
+    clock = time.perf_counter()
 
+    def lap(phase):
+        nonlocal clock
+        now = time.perf_counter()
+        phase_ms[phase] = (now - clock) * 1e3
+        clock = now
+
+    sides = tuple(_moves(g, side) for side in _SIDES)
+    lap("moves")
+    b = _Builder(g, sides, node_budget)
+    columns = b.run()
+    lap("emit")
+    beliefs = tuple(side.beliefs for side in sides)
     players = ("chance", "max-coordinator", "min-coordinator")
     teams = {MAX: [1], MIN: [2]}
     if compact:
-        columns, root, ann = _compacted(b)
+        columns, root, order = _compacted(columns)
         game = build_game(players, teams, root, columns)
+        lap("assemble")
         return BeliefGame(
             game=game,
             source=g,
             compact=True,
-            annotations=tuple(ann),
+            node_state=tuple(map(b.state.__getitem__, order)),
+            node_beliefs=tuple(
+                tuple(map(ids.__getitem__, order)) for ids in b.belief_ids
+            ),
+            beliefs=beliefs,
             iset_beliefs={},
             iset_infosets={},
             root_iset={},
             successors={},
+            phase_ms=phase_ms,
         )
 
-    game = build_game(players, teams, 0, b.w)
+    game = build_game(players, teams, 0, columns)
+    del columns  # free the node columns before the recall check
+    lap("assemble")
     for side in (MAX, MIN):
         view = coordinator_view(game, side)
         if imperfect_recall_at(game, view) is not None:
             raise GameValidationError(
                 f"belief game lost perfect recall on side {side!r}"
             )
-    for z in game.terminals:
-        assert game.depth[z] == 3 * g.depth[b.ann[z][0]] + 2
+    lap("recall")
+    state = b.state
+    assert all(
+        game.depth[z] == 3 * g.depth[state[z]] + 2 for z in game.terminals
+    )
     return BeliefGame(
         game=game,
         source=g,
         compact=False,
-        annotations=tuple(b.ann),
+        node_state=tuple(state),
+        node_beliefs=tuple(map(tuple, b.belief_ids)),
+        beliefs=beliefs,
         iset_beliefs=b.iset_beliefs,
         iset_infosets=b.iset_infosets,
         # The max proxy moves at the root, the min proxy right below it.
         root_iset={MAX: 0, MIN: 1},
         # Ids only grow, so each successor list is already sorted.
         successors={k: tuple(v) for k, v in b.successors.items()},
+        phase_ms=phase_ms,
     )
 
 
@@ -342,7 +442,7 @@ def map_pure_strategy(
         a, n = pi[i], g.infosets[i].num_actions
         if isinstance(a, bool) or not (isinstance(a, int) and 0 <= a < n):
             raise GameValidationError(bad_action(i, a, n))
-    out = {i: 0 for i in bg.game.side_infosets(side)}
+    out = bg._unplayed[side].copy()
     queue = [bg.root_iset[side]]
     visited = set(queue)
     while queue:

@@ -58,6 +58,10 @@ SPLITS = ("observation", "public")
 # prescriptions are enumerated.
 _FANOUT_GUARD = 24
 
+# The memo value of a terminal that joined an earlier terminal's group:
+# below the complement ``~s`` of every slot ``s``.
+_JOINED = -(2**62)
+
 
 @dataclass(frozen=True)
 class BuildStats:
@@ -163,7 +167,6 @@ class _Workspace:
         self.slot_key = slot_key
         self.groups: list[list[int]] = []
         self.slot_by_key: dict[int, int] = {}
-        self.slot_of_rep: dict[int, int] = {}
 
     def new_dec(self, belief, isets):
         self.dec_belief.append(belief)
@@ -189,7 +192,7 @@ class _Workspace:
         key = self.slot_key[z]
         s = self.slot_by_key.get(key)
         if s is None:
-            s = self.slot_by_key[key] = self.slot_of_rep[z] = len(self.groups)
+            s = self.slot_by_key[key] = len(self.groups)
             self.groups.append([z])
             return s
         self.groups[s].append(z)
@@ -282,7 +285,7 @@ def _expand(ws, g, analysis, split_parts, d, budget, memo, queue):
     obs_children, obs_payload = ws.obs_children, ws.obs_payload
     dec_parents, new_dec, kind = ws.dec_parents, ws.new_dec, g.kind
     candidates = step.candidates
-    first_reach, slot_of_rep = ws.first_reach, ws.slot_of_rep
+    first_reach = ws.first_reach
     dedup_hits = 0
     for prescr in prescrs:
         kids: list[int] = []
@@ -290,23 +293,25 @@ def _expand(ws, g, analysis, split_parts, d, budget, memo, queue):
         parts = split_parts(analysis, candidates(prescr))
         edges += 1 + len(parts)
         for part in parts:
-            # The memo maps a terminal's singleton part to the
-            # complement of its id, so the terminal test runs once; only
-            # a group's representative is emitted, as its slot.
+            # The memo maps a terminal's singleton part to the complement
+            # of its slot if it represents its group, else to _JOINED, so
+            # the terminal test runs once; only a group's representative
+            # is emitted, as its slot.
             child = memo.get(part)
             if child is None:
                 if len(part) == 1 and kind[part[0]] == TERMINAL:
-                    memo[part] = ~part[0]
                     s = first_reach(part[0])
-                    if s is not None:
+                    if s is None:
+                        memo[part] = _JOINED
+                    else:
+                        memo[part] = ~s
                         pay.append(s)
                     continue
                 child = memo[part] = new_dec(part, ())
                 queue.append(child)
             elif child < 0:
-                s = slot_of_rep.get(~child)
-                if s is not None:
-                    pay.append(s)
+                if child != _JOINED:
+                    pay.append(~child)
                 continue
             else:
                 dedup_hits += 1

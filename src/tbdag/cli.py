@@ -410,6 +410,7 @@ def cmd_belief_game(args: argparse.Namespace) -> int:
         },
         "depth": b.max_depth,
         "build_ms": build_ms,
+        "phase_ms": bg.phase_ms,
     }
     lines = [
         f"belief game of {label}{' (compact)' if bg.compact else ''}: "

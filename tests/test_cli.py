@@ -184,6 +184,17 @@ class TestBeliefGame:
             "coordinator infosets: max 40, min 18\n"
         )
 
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_json_reports_phase_times(self, capsys, compact):
+        args = ["belief-game", "fig2"] + (["--compact"] if compact else [])
+        code, payload = run_json(capsys, *args)
+        assert code == 0
+        phases = payload["phase_ms"]
+        assert sorted(phases) == ["assemble", "emit", "moves", "recall"]
+        assert all(v >= 0.0 for v in phases.values())
+        assert (phases["recall"] == 0.0) == compact
+        assert sum(phases.values()) <= payload["build_ms"]
+
     def test_budget_abort_exits_2(self, capsys):
         assert main(["belief-game", "worst-k2b2d6", "--budget", "1000"]) == 2
         err = capsys.readouterr().err

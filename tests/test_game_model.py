@@ -19,6 +19,7 @@ from tbdag import (
     parse_game,
     serialize_game,
 )
+from tbdag.game import GameWriter, build_game
 
 
 def tiny_doc():
@@ -323,6 +324,215 @@ class TestMalformedShapes:
         with pytest.raises(GameValidationError, match="nodes array is empty"):
             parse_game(doc)
 
+
+
+def _tiny_writer():
+    """The coin-matching game as writer columns, not in preorder.
+
+    Input ids: 2 is the root chance node, 1 and 4 are alice's two nodes
+    in infoset ``"k"``, and 0, 3, 5, 6 are terminals; preorder is
+    2, 1, 0, 3, 4, 5, 6.
+    """
+    w = GameWriter()
+    w.add(TERMINAL, -1, None, (), 1.0)
+    w.add(PLAYER, 1, "k", [("h", 0), ("t", 3)])
+    w.add(CHANCE, -1, None, [("h", 1, 0.5), ("t", 4, 0.5)])
+    w.add(TERMINAL, -1, None, (), -1.0)
+    w.add(PLAYER, 1, "k", [("h", 5), ("t", 6)])
+    w.add(TERMINAL, -1, None, (), -1.0)
+    w.add(TERMINAL, -1, None, (), 1.0)
+    return w
+
+
+_PLAYERS = ("chance", "alice", "bob")
+_TEAMS = {MAX: [1], MIN: [2]}
+
+
+def _fault(players=_PLAYERS, teams=_TEAMS, root=2, **edits):
+    """Build arguments for the tiny game with single-node edits.
+
+    Each edit ``node<i>=(kind, player, infoset, actions, utility)``
+    replaces input node ``i`` (appending it if ``i`` is new); a value of
+    None empties the writer.
+    """
+    w = _tiny_writer()
+    for key, row in edits.items():
+        if row is None:
+            w = GameWriter()
+            continue
+        i = int(key[4:])
+        if i == len(w.kind):
+            w.add(*row)
+        else:
+            w.kind[i], w.player[i], w.infoset[i], w.actions[i], w.utility[i] = row
+    return players, teams, root, w
+
+
+_NAN, _INF = float("nan"), float("inf")
+_BUILD_GAME_FAULTS = {
+    "players empty": (_fault(players=()), "players list is empty"),
+    "players[0]": (
+        _fault(players=("nature", "alice", "bob")),
+        'players[0] must be "chance"',
+    ),
+    "team keys": (
+        _fault(teams={MAX: [1]}),
+        'teams must have exactly the keys "max" and "min"',
+    ),
+    "team index": (
+        _fault(teams={MAX: [1], MIN: [3]}), "team 'min': bad player index 3"
+    ),
+    "team chance": (
+        _fault(teams={MAX: [0, 1], MIN: [2]}),
+        "team 'max': bad player index 0",
+    ),
+    "two teams": (
+        _fault(teams={MAX: [1, 2], MIN: [2]}), "player 2 listed in two teams"
+    ),
+    "no team": (
+        _fault(teams={MAX: [1], MIN: []}), "player 2 belongs to no team"
+    ),
+    "empty nodes": (_fault(node0=None), "nodes array is empty"),
+    "root out of range": (_fault(root=7), "bad root id 7"),
+    "root negative": (_fault(root=-1), "bad root id -1"),
+    "root bool": (_fault(root=False), "bad root id False"),
+    "shared child": (
+        _fault(node4=(PLAYER, 1, "k", [("h", 5), ("t", 3)], 0.0)),
+        "node 3: reached twice (not a tree)",
+    ),
+    "cycle": (
+        _fault(node1=(PLAYER, 1, "k", [("h", 2), ("t", 3)], 0.0)),
+        "node 2: reached twice (not a tree)",
+    ),
+    "dangling child": (
+        _fault(node1=(PLAYER, 1, "k", [("h", 0), ("t", 99)], 0.0)),
+        "node 1: dangling child reference 99",
+    ),
+    "negative child": (
+        _fault(node1=(PLAYER, 1, "k", [("h", 0), ("t", -3)], 0.0)),
+        "node 1: dangling child reference -3",
+    ),
+    "missing prob": (
+        _fault(node2=(CHANCE, -1, None, [("h", 1), ("t", 4, 0.5)], 0.0)),
+        "node 2: chance action missing prob",
+    ),
+    "prob on player action": (
+        _fault(node4=(PLAYER, 1, "k", [("h", 5), ("t", 6, 0.5)], 0.0)),
+        "node 4: probability on a player action",
+    ),
+    "bad kind": (
+        _fault(node1=("decision", 1, "k", [("h", 0), ("t", 3)], 0.0)),
+        "node 1: bad kind 'decision'",
+    ),
+    "unhashable kind": (
+        _fault(node1=(["player"], 1, "k", [("h", 0), ("t", 3)], 0.0)),
+        "node 1: bad kind ['player']",
+    ),
+    "zero actions": (
+        _fault(node1=(PLAYER, 1, "k", [], 0.0)),
+        "node 1: node with zero actions",
+    ),
+    "terminal with actions": (
+        _fault(node0=(TERMINAL, -1, None, [("x", 5)], 1.0)),
+        "node 0: terminal node with actions",
+    ),
+    "nan utility": (
+        _fault(node3=(TERMINAL, -1, None, (), _NAN)),
+        "node 3: terminal utility nan is not finite",
+    ),
+    "infinite utility": (
+        _fault(node6=(TERMINAL, -1, None, (), -_INF)),
+        "node 6: terminal utility -inf is not finite",
+    ),
+    "duplicate labels": (
+        _fault(node2=(CHANCE, -1, None, [("h", 1, 0.5), ("h", 4, 0.5)], 0.0)),
+        "node 2: duplicate action labels",
+    ),
+    "nan probability": (
+        _fault(node2=(CHANCE, -1, None, [("h", 1, 0.5), ("t", 4, _NAN)], 0.0)),
+        "node 2: non-finite probability nan",
+    ),
+    "infinite probability": (
+        _fault(node2=(CHANCE, -1, None, [("h", 1, _INF), ("t", 4, 0.5)], 0.0)),
+        "node 2: non-finite probability inf",
+    ),
+    "negative probability": (
+        _fault(node2=(CHANCE, -1, None, [("h", 1, -0.5), ("t", 4, 1.5)], 0.0)),
+        "node 2: negative probability",
+    ),
+    "probabilities sum": (
+        _fault(node2=(CHANCE, -1, None, [("h", 1, 0.4), ("t", 4, 0.5)], 0.0)),
+        "node 2: probabilities sum to 0.9, not 1",
+    ),
+    "chance player out of range": (
+        _fault(node4=(PLAYER, 3, "k", [("h", 5), ("t", 6)], 0.0)),
+        "node 4: bad acting player 3",
+    ),
+    "chance as acting player": (
+        _fault(node1=(PLAYER, 0, "k", [("h", 0), ("t", 3)], 0.0)),
+        "node 1: bad acting player 0",
+    ),
+    "acting player bool": (
+        _fault(node1=(PLAYER, True, "k", [("h", 0), ("t", 3)], 0.0)),
+        "node 1: bad acting player True",
+    ),
+    "acting player str": (
+        _fault(node1=(PLAYER, "1", "k", [("h", 0), ("t", 3)], 0.0)),
+        "node 1: bad acting player '1'",
+    ),
+    "missing infoset": (
+        _fault(node4=(PLAYER, 1, None, [("h", 5), ("t", 6)], 0.0)),
+        "node 4: player node missing infoset",
+    ),
+    "unreachable node": (
+        _fault(node7=(TERMINAL, -1, None, (), 0.0)),
+        "node 7: unreachable from root",
+    ),
+    "infoset player mismatch": (
+        _fault(node4=(PLAYER, 2, "k", [("h", 5), ("t", 6)], 0.0)),
+        "infoset 0: members owned by different players",
+    ),
+    "infoset label mismatch": (
+        _fault(node4=(PLAYER, 1, "k", [("h", 5), ("x", 6)], 0.0)),
+        "infoset 0: action-label mismatch between members",
+    ),
+    "infoset depth mismatch": (
+        _fault(
+            node3=(PLAYER, 1, "k", [("h", 7), ("t", 8)], 0.0),
+            node7=(TERMINAL, -1, None, (), 0.0),
+            node8=(TERMINAL, -1, None, (), 0.0),
+        ),
+        "infoset 0: members at different depths (not timeable)",
+    ),
+    "second infoset mismatch": (
+        _fault(
+            node1=(PLAYER, 1, "j", [("h", 0), ("t", 3)], 0.0),
+            node3=(PLAYER, 2, "m", [("a", 7)], 0.0),
+            node5=(PLAYER, 1, "m", [("a", 8)], 0.0),
+            node7=(TERMINAL, -1, None, (), 0.0),
+            node8=(TERMINAL, -1, None, (), 0.0),
+        ),
+        "infoset 1: members owned by different players",
+    ),
+}
+
+
+class TestBuildGameMessages:
+    """Each single fault of writer columns gets its exact message."""
+
+    def test_tiny_writer_builds(self):
+        g = build_game(*_fault())
+        assert g == parse_game(tiny_doc())
+
+    @pytest.mark.parametrize(
+        "args,message",
+        list(_BUILD_GAME_FAULTS.values()),
+        ids=list(_BUILD_GAME_FAULTS),
+    )
+    def test_exact_message(self, args, message):
+        with pytest.raises(GameValidationError) as exc:
+            build_game(*args)
+        assert str(exc.value) == message
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
