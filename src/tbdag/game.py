@@ -370,38 +370,32 @@ def _objects(items: Sequence) -> np.ndarray:
     return np.fromiter(items, dtype=object, count=len(items))
 
 
-def _walk(
-    root: int, kid: np.ndarray, follow: np.ndarray, aoff: np.ndarray, n: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The tree below ``root``, level by level, following ``follow[h]``
-    actions of each node ``h``: per level, its nodes and their action
-    slots, in preorder.  The first node (in level order) met a second
-    time is reported as reached twice."""
-    seen = np.zeros(n, dtype=bool)
-    seen[root] = True
-    stamp = np.zeros(n, dtype=_ID)
-    levels = []
-    level = np.array([root], dtype=_ID)
-    while True:
-        c = follow[level]
-        ends = c.cumsum()
-        if not len(ends) or not ends[-1]:
-            return levels
-        pos = np.arange(ends[-1], dtype=_ID)
-        slot = (aoff[level] - ends + c).repeat(c) + pos
-        level = kid[slot]
-        # ``stamp`` keeps one position per node, so a node held twice in
-        # the level shows as a position that did not stick.
-        stamp[level] = pos
-        if seen[level].any() or (stamp[level] != pos).any():
-            first = np.zeros(len(pos), dtype=bool)
-            first[np.unique(level, return_index=True)[1]] = True
-            old = int(level[np.argmax(seen[level] | ~first)])
-            raise GameValidationError(
-                f"node {old}: reached twice (not a tree)"
-            )
-        seen[level] = True
-        levels.append((level, slot))
+def _walk(root: int, children: list[tuple[int, ...]]) -> list[list[int]]:
+    """The tree below ``root`` as levels of node ids, each in preorder.
+
+    ``children[h]`` lists the children to follow from ``h``.  A tree of
+    ``n`` nodes has at most ``n``; once more are met, some node was met
+    twice, and the first one (in level order) is reported.
+    """
+    levels = [[root]]
+    met, n = 1, len(children)
+    while met <= n:
+        level = list(
+            chain.from_iterable(map(children.__getitem__, levels[-1]))
+        )
+        if not level:
+            break
+        levels.append(level)
+        met += len(level)
+    if met > n or met > len(set(chain.from_iterable(levels))):
+        seen: set[int] = set()
+        for old in chain.from_iterable(levels):
+            if old in seen:
+                raise GameValidationError(
+                    f"node {old}: reached twice (not a tree)"
+                )
+            seen.add(old)
+    return levels
 
 
 def _faults(
@@ -557,39 +551,40 @@ def build_game(
 
     # Walk the nodes that passed their checks; number the reached ones
     # by breadth-first position ``i`` (``bfs[i]`` is the input id).
+    follow = children
+    failing = err.nonzero()[0].tolist()
+    if failing:
+        follow = children.copy()
+        for h in failing:
+            follow[h] = ()
+    levels = _walk(root, follow)
+    bfs_ids = list(chain.from_iterable(levels))
+    bfs = np.array(bfs_ids, dtype=_ID)
+    m = len(bfs)
+    # The children of position ``p`` follow one another, in action
+    # order: ``up`` is each later position's parent position.
+    n_kids = np.where(err == 0, n_act, 0)[bfs]
+    up = np.arange(m, dtype=_ID).repeat(n_kids)
+    action = np.arange(m - 1, dtype=_ID) - (n_kids.cumsum() - n_kids)[up]
     aoff = np.zeros(n + 1, dtype=_ID)
     np.cumsum(n_act, out=aoff[1:])
-    kid = np.zeros(len(kids), dtype=_ID)
-    follow = np.where(err == 0, n_act, 0)
-    kid[follow.repeat(n_act) > 0] = list(
-        compress(kids, (follow > 0).repeat(n_act).tolist())
-    )
-    levels = _walk(root, kid, follow, aoff, n)
-    bfs = np.concatenate([[root], *(level for level, _ in levels)])
-    bfs = bfs.astype(_ID)
-    m = len(bfs)
-    position = np.zeros(n, dtype=_ID)
-    position[bfs] = np.arange(m, dtype=_ID)
-    slot = np.concatenate([[0], *(slot for _, slot in levels)])[1:]
-    owner = np.arange(n, dtype=_ID).repeat(n_act)[slot]
-    # Children follow their parent's position, in action order.
-    up = position[owner]
-    action = slot - aoff[owner]
-    edge_prob = prob[slot]
-    level_sizes = [1, *(len(level) for level, _ in levels)]
+    level_sizes = list(map(len, levels))
     bounds = list(accumulate(level_sizes, initial=0))
     size = np.ones(m, dtype=_ID)
     for a, b in zip(bounds[-2:0:-1], bounds[-1:1:-1]):
         np.add.at(size, up[a - 1:b - 1], size[a:b])
-    # Sizes of the earlier siblings: children are contiguous.
+    # A node's preorder id is its parent's plus one plus the sizes of its
+    # earlier siblings; chance reach is multiplied down each path.
     before = size[1:].cumsum() - size[1:]
-    step = np.concatenate(([0], before - before[np.arange(m - 1) - action]
-                           + 1))
+    step = before - before[np.arange(m - 1) - action] + 1
+    edge_prob = prob[aoff[bfs[up]] + action]
     pre = np.zeros(m, dtype=_ID)
     reach = np.ones(m, dtype=np.float64)
     for a, b in zip(bounds[1:-1], bounds[2:]):
-        pre[a:b] = pre[up[a - 1:b - 1]] + step[a:b]
-        reach[a:b] = reach[up[a - 1:b - 1]] * edge_prob[a - 1:b - 1]
+        parents = up[a - 1:b - 1]
+        pre[a:b] = pre[parents] + step[a - 1:b - 1]
+        reach[a:b] = reach[parents] * edge_prob[a - 1:b - 1]
+    del before, step, size, edge_prob
 
     failed = err[bfs].nonzero()[0]
     if len(failed):
@@ -602,17 +597,15 @@ def build_game(
             f"node {int(np.argmin(reached))}: unreachable from root"
         )
 
-    del levels, position, owner, slot, follow, err, prob, aoff
+    del levels, follow, err, prob, aoff
     # Renumber to preorder: ``order[new]`` is the input id of ``new``.
     order = np.empty(n, dtype=_ID)
     order[pre] = bfs
-    del bfs
     identity = bool((order == np.arange(n, dtype=_ID)).all())
     if identity:
         # The child ids hold one int object per node, for every column.
         node_id = np.empty(n, dtype=object)
-        node_id[0] = 0
-        node_id[kid] = kids
+        node_id[bfs] = bfs_ids
 
         def renumbered(col):
             return col
@@ -629,7 +622,7 @@ def build_game(
             return list(map(col.__getitem__, order_list))
 
     children = tuple(renumbered(children))
-    del kid, kids
+    del kids, bfs_ids, bfs
     column = np.full(n, -1, dtype=_ID)
     column[pre[1:]] = pre[up]
     parent = node_id[column].tolist()
@@ -642,7 +635,7 @@ def build_game(
     column = np.empty(n, dtype=np.float64)
     column[pre] = reach
     chance_reach = tuple(column.tolist())
-    del up, action, edge_prob, size, before, step, reach, pre, column
+    del up, action, reach, pre, column
     new_kind = kind[order]
     column = np.full(n, None, dtype=object)
     column[kind == 0] = _objects(probs_of)
