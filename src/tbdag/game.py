@@ -374,8 +374,8 @@ def _walk(root: int, children: list[tuple[int, ...]]) -> list[list[int]]:
     """The tree below ``root`` as levels of node ids, each in preorder.
 
     ``children[h]`` lists the children to follow from ``h``.  A tree of
-    ``n`` nodes has at most ``n``; once more are met, some node was met
-    twice, and the first one (in level order) is reported.
+    ``n`` nodes has at most ``n``, so the walk stops once more are met
+    (some node was met twice; see :func:`_reached_twice`).
     """
     levels = [[root]]
     met, n = 1, len(children)
@@ -387,15 +387,19 @@ def _walk(root: int, children: list[tuple[int, ...]]) -> list[list[int]]:
             break
         levels.append(level)
         met += len(level)
-    if met > n or met > len(set(chain.from_iterable(levels))):
-        seen: set[int] = set()
-        for old in chain.from_iterable(levels):
-            if old in seen:
-                raise GameValidationError(
-                    f"node {old}: reached twice (not a tree)"
-                )
-            seen.add(old)
     return levels
+
+
+def _reached_twice(ids: Iterable[int]) -> GameValidationError:
+    """The error for the first node met a second time in ``ids``."""
+    seen: set[int] = set()
+    for old in ids:
+        if old in seen:
+            return GameValidationError(
+                f"node {old}: reached twice (not a tree)"
+            )
+        seen.add(old)
+    raise AssertionError("no node is met twice")
 
 
 def _faults(
@@ -561,6 +565,10 @@ def build_game(
     bfs_ids = list(chain.from_iterable(levels))
     bfs = np.array(bfs_ids, dtype=_ID)
     m = len(bfs)
+    reached = np.zeros(n, dtype=bool)
+    reached[bfs] = True
+    if m > n or np.count_nonzero(reached) < m:
+        raise _reached_twice(bfs_ids)
     # The children of position ``p`` follow one another, in action
     # order: ``up`` is each later position's parent position.
     n_kids = np.where(err == 0, n_act, 0)[bfs]
@@ -591,8 +599,6 @@ def build_game(
         old = int(bfs[failed[np.argmin(pre[failed])]])
         raise _node_error(int(err[old]), old, columns, n)
     if m < n:
-        reached = np.zeros(n, dtype=bool)
-        reached[bfs] = True
         raise GameValidationError(
             f"node {int(np.argmin(reached))}: unreachable from root"
         )
