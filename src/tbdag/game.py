@@ -305,6 +305,7 @@ _BAD_KIND = 3
 
 
 def _kind_codes(kinds: Sequence[Any]) -> np.ndarray:
+    """Each node's kind as a small int; anything else is ``_BAD_KIND``."""
     try:
         codes = list(map(_KIND_CODE.get, kinds, repeat(_BAD_KIND)))
     except TypeError:  # an unhashable kind is a bad kind
@@ -436,7 +437,7 @@ def _faults(
         dangling = True
     if dangling:
         width[~np.array(list(map(range(n).__contains__, kids)))] = -1
-    # Each check is a mask, or None where nothing fails it.
+    # (mask, code) per check; a check no node can fail is left out.
     faults: list[tuple[Any, int]] = []
     act_checks = (
         (width != np.where(chance_action, 3, 2), _E_ACTION),

@@ -410,6 +410,26 @@ class TestProxyInfosetTables:
         assert bg.roles == tuple(slots[d % 3] for d in b.depth)
 
 
+class TestColumns:
+    def test_annotations_are_read_off_the_columns_once(self):
+        bg = make_belief_game(game("fig2"))
+        ann = bg.annotations
+        assert bg.annotations is ann
+        assert len(ann) == len(bg.node_state) == bg.game.num_nodes
+        for n, (h, b_max, b_min) in enumerate(ann):
+            assert h == bg.node_state[n]
+            assert b_max == bg.beliefs[0][bg.node_beliefs[0][n]]
+            assert b_min == bg.beliefs[1][bg.node_beliefs[1][n]]
+
+    def test_mapped_strategies_do_not_share_state(self):
+        g = game("fig2")
+        bg = make_belief_game(g)
+        pi = {i: 0 for i in g.side_infosets(MAX)}
+        first = map_pure_strategy(bg, MAX, pi)
+        first[next(iter(first))] = 99
+        assert map_pure_strategy(bg, MAX, pi) != first
+
+
 class TestGuards:
     def test_node_budget_is_a_hard_error(self):
         with pytest.raises(BudgetExceededError, match="budget"):

@@ -534,6 +534,39 @@ class TestBuildGameMessages:
             build_game(*args)
         assert str(exc.value) == message
 
+
+class TestBuildGameWalk:
+    def test_shared_chain_is_caught_without_walking_every_path(self):
+        # Every node's two actions lead to the same next node: 2**60
+        # paths, so a walk that followed each one would never end.
+        w = GameWriter()
+        for i in range(60):
+            w.add(PLAYER, 1, ("d", i), [("a", i + 1), ("b", i + 1)])
+        w.add(TERMINAL, -1, None, (), 0.0)
+        with pytest.raises(GameValidationError) as exc:
+            build_game(_PLAYERS, _TEAMS, 0, w)
+        assert str(exc.value) == "node 1: reached twice (not a tree)"
+
+    def test_huge_child_id_is_dangling(self):
+        doc = tiny_doc()
+        doc["nodes"][1]["actions"][1]["child"] = 10**30
+        with pytest.raises(GameValidationError) as exc:
+            parse_game(doc)
+        assert str(exc.value) == f"node 1: dangling child reference {10**30}"
+
+    def test_ids_need_not_be_preorder(self):
+        # The same tree written leaves first builds the same game.
+        doc = tiny_doc()
+        order = [6, 5, 3, 2, 4, 1, 0]  # new position of each old node
+        nodes = [None] * len(order)
+        for old, node in enumerate(doc["nodes"]):
+            for act in node.get("actions", ()):
+                act["child"] = order[act["child"]]
+            nodes[order[old]] = node
+        doc["nodes"], doc["root"] = nodes, order[0]
+        assert parse_game(doc) == parse_game(tiny_doc())
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_random_tree_round_trip(data):
