@@ -366,6 +366,11 @@ def _split(flat: Sequence, counts: list[int]) -> list[tuple]:
     return list(map(flat.__getitem__, map(slice, bounds, bounds[1:])))
 
 
+def _column(actions: Iterable[Sequence[tuple]], k: int) -> list[tuple]:
+    """Per node, the tuple of entry ``k`` of each of its actions."""
+    return list(map(tuple, map(map, repeat(itemgetter(k)), actions)))
+
+
 def _objects(items: Sequence) -> np.ndarray:
     """A 1-d object array of ``items``, even when they are tuples."""
     return np.fromiter(items, dtype=object, count=len(items))
@@ -407,7 +412,7 @@ def _faults(
     columns: GameWriter,
     kind: np.ndarray,
     counts: list[int],
-    flat: list[tuple],
+    kids: list[int],
     labels: list[tuple[str, ...]],
     n_players: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple], np.ndarray]:
@@ -423,14 +428,12 @@ def _faults(
     chance_action = (kind == 0).repeat(n_act)
     # A probability is its chance action's last entry, so a missing one
     # (already a fault) leaves the columns aligned.
-    probs_of = _split(
-        list(compress(map(itemgetter(-1), flat), chance_action.tolist())),
-        n_act[kind == 0].tolist(),
-    )
-    prob = np.ones(len(flat), dtype=np.float64)
+    actions = columns.actions
+    probs_of = _column(compress(actions, (kind == 0).tolist()), -1)
+    prob = np.ones(len(kids), dtype=np.float64)
     prob[chance_action] = list(chain.from_iterable(probs_of))
-    width = np.fromiter(map(len, flat), _ID, len(flat))
-    kids = list(map(itemgetter(1), flat))
+    width = np.fromiter(map(len, chain.from_iterable(actions)), _ID,
+                        len(kids))
     try:
         dangling = kids and not 0 <= min(kids) <= max(kids) < n
     except TypeError:
@@ -545,14 +548,12 @@ def build_game(
 
     kind = _kind_codes(columns.kind)
     counts = list(map(len, columns.actions))
-    flat = list(chain.from_iterable(columns.actions))
-    labels = _split(map(itemgetter(0), flat), counts)
+    labels = _column(columns.actions, 0)
+    children = _column(columns.actions, 1)
+    kids = list(chain.from_iterable(children))
     err, n_act, prob, probs_of, acting = _faults(
-        columns, kind, counts, flat, labels, n_players
+        columns, kind, counts, kids, labels, n_players
     )
-    kids = list(map(itemgetter(1), flat))
-    children = _split(kids, counts)
-    del flat
 
     # Walk the nodes that passed their checks; number the reached ones
     # by breadth-first position ``i`` (``bfs[i]`` is the input id).
