@@ -32,14 +32,11 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import compress
 from math import fsum, inf, isfinite, isnan
 from numbers import Real
-from operator import attrgetter, itemgetter, or_
+from operator import attrgetter
 from typing import Any
-
-import numpy as np
 
 MAX = "max"
 MIN = "min"
@@ -278,7 +275,7 @@ def _is_id(value: Any) -> bool:
 def _action_error(
     old: int, kind: str, acts: Sequence[tuple], n: int
 ) -> GameValidationError:
-    """The error for a node whose actions fail the per-action checks."""
+    """The error for a node whose actions fail the walk's checks."""
     for act in acts:
         if not 0 <= act[1] < n:
             return GameValidationError(
@@ -289,212 +286,6 @@ def _action_error(
     return GameValidationError(f"node {old}: probability on a player action")
 
 
-# Node kinds as small ints, and the per-node faults in the order they
-# are checked at one node; the lowest code present is the one reported.
-_KIND_CODE = {CHANCE: 0, PLAYER: 1, TERMINAL: 2}
-_KINDS = (CHANCE, PLAYER, TERMINAL)
-# Node and action ids in index arrays: a game of 2**31 nodes would not
-# fit in memory as Python objects anyway.
-_ID = np.int32
-_BAD_KIND = 3
-(
-    _E_TERMINAL_ACTIONS, _E_UTILITY, _E_KIND, _E_NO_ACTIONS, _E_ACTION,
-    _E_DUPLICATE, _E_PROB_FINITE, _E_PROB_NEGATIVE, _E_PROB_SUM,
-    _E_PLAYER, _E_INFOSET,
-) = range(1, 12)
-
-
-def _kind_codes(kinds: Sequence[Any]) -> np.ndarray:
-    """Each node's kind as a small int; anything else is ``_BAD_KIND``."""
-    try:
-        codes = list(map(_KIND_CODE.get, kinds, repeat(_BAD_KIND)))
-    except TypeError:  # an unhashable kind is a bad kind
-        codes = [
-            _KIND_CODE.get(k, _BAD_KIND) if isinstance(k, str) else _BAD_KIND
-            for k in kinds
-        ]
-    return np.array(codes, dtype=np.int8)
-
-
-def _node_error(
-    code: int, old: int, columns: GameWriter, n: int
-) -> GameValidationError:
-    """The message of fault ``code`` at input node ``old``."""
-    acts = columns.actions[old]
-    if code == _E_TERMINAL_ACTIONS:
-        return GameValidationError(f"node {old}: terminal node with actions")
-    if code == _E_UTILITY:
-        u = columns.utility[old]
-        return GameValidationError(
-            f"node {old}: terminal utility {u!r} is not finite"
-        )
-    if code == _E_KIND:
-        return GameValidationError(
-            f"node {old}: bad kind {columns.kind[old]!r}"
-        )
-    if code == _E_NO_ACTIONS:
-        return GameValidationError(f"node {old}: node with zero actions")
-    if code == _E_ACTION:
-        return _action_error(old, columns.kind[old], acts, n)
-    if code == _E_DUPLICATE:
-        return GameValidationError(f"node {old}: duplicate action labels")
-    if code == _E_PLAYER:
-        return GameValidationError(
-            f"node {old}: bad acting player {columns.player[old]!r}"
-        )
-    if code == _E_INFOSET:
-        return GameValidationError(
-            f"node {old}: player node missing infoset"
-        )
-    ps = [act[2] for act in acts]
-    if code == _E_PROB_FINITE:
-        bad = next(x for x in ps if not isfinite(x))
-        return GameValidationError(
-            f"node {old}: non-finite probability {bad!r}"
-        )
-    if code == _E_PROB_NEGATIVE:
-        return GameValidationError(f"node {old}: negative probability")
-    return GameValidationError(
-        f"node {old}: probabilities sum to {sum(ps)!r}, not 1"
-    )
-
-
-def _split(flat: Sequence, counts: list[int]) -> list[tuple]:
-    """``flat`` cut into consecutive tuples of the given lengths."""
-    bounds = list(accumulate(counts, initial=0))
-    flat = tuple(flat)
-    return list(map(flat.__getitem__, map(slice, bounds, bounds[1:])))
-
-
-def _column(actions: Iterable[Sequence[tuple]], k: int) -> list[tuple]:
-    """Per node, the tuple of entry ``k`` of each of its actions."""
-    return list(map(tuple, map(map, repeat(itemgetter(k)), actions)))
-
-
-def _objects(items: Sequence) -> np.ndarray:
-    """A 1-d object array of ``items``, even when they are tuples."""
-    return np.fromiter(items, dtype=object, count=len(items))
-
-
-def _walk(root: int, children: list[tuple[int, ...]]) -> list[list[int]]:
-    """The tree below ``root`` as levels of node ids, each in preorder.
-
-    ``children[h]`` lists the children to follow from ``h``.  A tree of
-    ``n`` nodes has at most ``n``, so the walk stops once more are met
-    (some node was met twice; see :func:`_reached_twice`).
-    """
-    levels = [[root]]
-    met, n = 1, len(children)
-    while met <= n:
-        level = list(
-            chain.from_iterable(map(children.__getitem__, levels[-1]))
-        )
-        if not level:
-            break
-        levels.append(level)
-        met += len(level)
-    return levels
-
-
-def _reached_twice(ids: Iterable[int]) -> GameValidationError:
-    """The error for the first node met a second time in ``ids``."""
-    seen: set[int] = set()
-    for old in ids:
-        if old in seen:
-            return GameValidationError(
-                f"node {old}: reached twice (not a tree)"
-            )
-        seen.add(old)
-    raise AssertionError("no node is met twice")
-
-
-def _faults(
-    columns: GameWriter,
-    kind: np.ndarray,
-    counts: list[int],
-    kids: list[int],
-    labels: list[tuple[str, ...]],
-    n_players: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple], np.ndarray]:
-    """Each node's own checks as whole-column masks.
-
-    Returns the first fault code of every node (0 if it passes), its
-    action count, each action's probability (1.0 below player nodes),
-    each chance node's probability tuple and each player node's acting
-    player.
-    """
-    n, n_act = len(kind), np.array(counts, dtype=_ID)
-    internal, terminal, has_acts = kind <= 1, kind == 2, n_act > 0
-    chance_action = (kind == 0).repeat(n_act)
-    # A probability is its chance action's last entry, so a missing one
-    # (already a fault) leaves the columns aligned.
-    actions = columns.actions
-    probs_of = _column(compress(actions, (kind == 0).tolist()), -1)
-    prob = np.ones(len(kids), dtype=np.float64)
-    prob[chance_action] = list(chain.from_iterable(probs_of))
-    width = np.fromiter(map(len, chain.from_iterable(actions)), _ID,
-                        len(kids))
-    try:
-        dangling = kids and not 0 <= min(kids) <= max(kids) < n
-    except TypeError:
-        dangling = True
-    if dangling:
-        width[~np.array(list(map(range(n).__contains__, kids)))] = -1
-    # (mask, code) per check; a check no node can fail is left out.
-    faults: list[tuple[Any, int]] = []
-    act_checks = (
-        (width != np.where(chance_action, 3, 2), _E_ACTION),
-        (~np.isfinite(prob), _E_PROB_FINITE),
-        (prob < 0.0, _E_PROB_NEGATIVE),
-    )
-    if (act_checks[0][0] | act_checks[1][0] | act_checks[2][0]).any():
-        # Per node, the first of these checks any of its actions fails.
-        first = np.select(*zip(*act_checks), 99)
-        node_act = np.full(n, 99)
-        node_act[has_acts] = np.minimum.reduceat(
-            first, n_act.cumsum()[has_acts] - n_act[has_acts]
-        )
-        faults += [(internal & (node_act == code), code)
-                   for _, code in act_checks]
-    repeated = {t for t in dict.fromkeys(labels) if len(set(t)) < len(t)}
-    if repeated:
-        faults.append((np.fromiter(map(repeated.__contains__, labels), bool,
-                                   n), _E_DUPLICATE))
-    sums_ok = np.ones(n, dtype=bool)
-    sums_ok[kind == 0] = np.abs(np.array(list(map(sum, probs_of))) - 1.0) <= (
-        _PROB_TOL
-    )
-    is_player = (kind == 1).tolist()
-    owners = list(compress(columns.player, is_player))
-    if not (set(map(type, owners)) <= {int} and (
-        not owners or 0 < min(owners) <= max(owners) < n_players
-    )):
-        bad = [not (_is_id(p) and 0 < p < n_players) for p in owners]
-        owners = [0 if b else p for p, b in zip(owners, bad)]
-        bad_player = np.zeros(n, dtype=bool)
-        bad_player[kind == 1] = bad
-        faults.append((bad_player, _E_PLAYER))
-    keys = list(compress(columns.infoset, is_player))
-    if None in keys:
-        missing = np.zeros(n, dtype=bool)
-        missing[kind == 1] = [k is None for k in keys]
-        faults.append((missing, _E_INFOSET))
-    faults += [
-        (terminal & has_acts, _E_TERMINAL_ACTIONS),
-        (terminal & ~np.isfinite(np.array(columns.utility, dtype=np.float64)),
-         _E_UTILITY),
-        (kind == _BAD_KIND, _E_KIND),
-        (internal & ~has_acts, _E_NO_ACTIONS),
-        (~sums_ok, _E_PROB_SUM),
-    ]
-    err = np.zeros(n, dtype=np.int8)
-    if reduce(or_, (mask for mask, _ in faults)).any():
-        # The lowest code is the check a node meets first.
-        faults.sort(key=itemgetter(1))
-        err = np.select(*zip(*faults), 0).astype(np.int8)
-    return err, n_act, prob, probs_of, np.array(owners, dtype=_ID)
-
-
 def build_game(
     players: Sequence[str],
     teams: Mapping[str, Iterable[int]],
@@ -503,17 +294,11 @@ def build_game(
 ) -> ExtensiveFormGame:
     """Validate node columns and assemble a game.
 
-    Every step works on whole columns.  Each node's own checks run
-    first, as masks.  The tree is then walked level by level from
-    ``root``, following only nodes that passed them; subtree sizes are
-    summed back up, and a node's preorder id is its parent's plus one
-    plus the sizes of its earlier siblings.  Of several failing nodes
-    the first in that preorder is reported, with the first fault its
-    checks meet; a node reached twice is reported as soon as a level
-    holds it.  Node ids are renumbered to preorder and infoset keys to
-    dense ids in order of first appearance, so two structurally
-    identical inputs produce identical games no matter how their ids
-    were assigned.
+    One walk from ``root`` in preorder (following action order) checks
+    the tree and every node.  Node ids are renumbered to that preorder
+    and infoset keys to dense ids in order of first appearance, so two
+    structurally identical inputs produce identical games no matter how
+    their ids were assigned.
     """
     players = tuple(str(p) for p in players)
     if not players:
@@ -540,176 +325,173 @@ def build_game(
         if team_of[p] is None:
             raise GameValidationError(f"player {p} belongs to no team")
 
-    n = len(columns.kind)
+    kinds, owners, keys = columns.kind, columns.player, columns.infoset
+    actions, utils = columns.actions, columns.utility
+    n = len(kinds)
     if n == 0:
         raise GameValidationError("nodes array is empty")
     if not (_is_id(root) and 0 <= root < n):
         raise GameValidationError(f"bad root id {root!r}")
 
-    kind = _kind_codes(columns.kind)
-    counts = list(map(len, columns.actions))
-    labels = _column(columns.actions, 0)
-    children = _column(columns.actions, 1)
-    kids = list(chain.from_iterable(children))
-    err, n_act, prob, probs_of, acting = _faults(
-        columns, kind, counts, kids, labels, n_players
-    )
+    kind: list[str] = [TERMINAL] * n
+    parent = [-1] * n
+    parent_action = [-1] * n
+    depth = [0] * n
+    player = [-1] * n
+    infoset = [-1] * n
+    children: list[tuple[int, ...]] = [()] * n
+    labels: list[tuple[str, ...]] = [()] * n
+    probs: list[tuple[float, ...] | None] = [None] * n
+    utility = [0.0] * n
+    reach = [1.0] * n
+    infoset_ids: dict[Hashable, int] = {}
+    infoset_members: list[list[int]] = []
 
-    # Walk the nodes that passed their checks; number the reached ones
-    # by breadth-first position ``i`` (``bfs[i]`` is the input id).
-    follow = children
-    failing = err.nonzero()[0].tolist()
-    if failing:
-        follow = children.copy()
-        for h in failing:
-            follow[h] = ()
-    levels = _walk(root, follow)
-    bfs_ids = list(chain.from_iterable(levels))
-    bfs = np.array(bfs_ids, dtype=_ID)
-    m = len(bfs)
-    reached = np.zeros(n, dtype=bool)
-    reached[bfs] = True
-    if m > n or np.count_nonzero(reached) < m:
-        raise _reached_twice(bfs_ids)
-    # The children of position ``p`` follow one another, in action
-    # order: ``up`` is each later position's parent position.
-    n_kids = np.where(err == 0, n_act, 0)[bfs]
-    up = np.arange(m, dtype=_ID).repeat(n_kids)
-    action = np.arange(m - 1, dtype=_ID) - (n_kids.cumsum() - n_kids)[up]
-    aoff = np.zeros(n + 1, dtype=_ID)
-    np.cumsum(n_act, out=aoff[1:])
-    level_sizes = list(map(len, levels))
-    bounds = list(accumulate(level_sizes, initial=0))
-    size = np.ones(m, dtype=_ID)
-    for a, b in zip(bounds[-2:0:-1], bounds[-1:1:-1]):
-        np.add.at(size, up[a - 1:b - 1], size[a:b])
-    # A node's preorder id is its parent's plus one plus the sizes of its
-    # earlier siblings; chance reach is multiplied down each path.
-    before = size[1:].cumsum() - size[1:]
-    step = before - before[np.arange(m - 1) - action] + 1
-    edge_prob = prob[aoff[bfs[up]] + action]
-    pre = np.zeros(m, dtype=_ID)
-    reach = np.ones(m, dtype=np.float64)
-    for a, b in zip(bounds[1:-1], bounds[2:]):
-        parents = up[a - 1:b - 1]
-        pre[a:b] = pre[parents] + step[a - 1:b - 1]
-        reach[a:b] = reach[parents] * edge_prob[a - 1:b - 1]
-    del before, step, size, edge_prob
+    # One preorder walk: renumber nodes, detect sharing and cycles, check
+    # each node and multiply chance reach down the tree.  ``up`` and
+    # ``up_action`` hold the new parent id and the entering action by
+    # input id; ``children`` holds input ids until the end.
+    new_id = [-1] * n
+    up = [-1] * n
+    up_action = [-1] * n
+    stack = [root]
+    h = -1
+    while stack:
+        old = stack.pop()
+        if new_id[old] >= 0:
+            raise GameValidationError(
+                f"node {old}: reached twice (not a tree)"
+            )
+        h += 1
+        new_id[old] = h
+        p = up[old]
+        if p >= 0:
+            parent[h] = p
+            a = parent_action[h] = up_action[old]
+            depth[h] = depth[p] + 1
+            edge = probs[p]  # None below a player node
+            reach[h] = reach[p] if edge is None else reach[p] * edge[a]
+        k = kinds[old]
+        acts = actions[old]
 
-    failed = err[bfs].nonzero()[0]
-    if len(failed):
-        old = int(bfs[failed[np.argmin(pre[failed])]])
-        raise _node_error(int(err[old]), old, columns, n)
-    if m < n:
+        if k == TERMINAL:
+            if acts:
+                raise GameValidationError(
+                    f"node {old}: terminal node with actions"
+                )
+            u = utility[h] = utils[old]
+            if not isfinite(u):
+                raise GameValidationError(
+                    f"node {old}: terminal utility {u!r} is not finite"
+                )
+            continue
+        if k == PLAYER:
+            width = 2
+        elif k == CHANCE:
+            width = 3
+        else:
+            raise GameValidationError(f"node {old}: bad kind {k!r}")
+        if not acts:
+            raise GameValidationError(f"node {old}: node with zero actions")
+        kind[h] = k
+        j = len(acts)
+        while j:  # push last to first, so children pop in action order
+            j -= 1
+            act = acts[j]
+            c = act[1]
+            if len(act) != width or not 0 <= c < n:
+                raise _action_error(old, k, acts, n)
+            up[c] = h
+            up_action[c] = j
+            stack.append(c)
+        labs, kids, *ps = zip(*acts)
+        if len(labs) > 1 and len(set(labs)) != len(labs):
+            raise GameValidationError(f"node {old}: duplicate action labels")
+
+        if k == CHANCE:
+            ps = ps[0]
+            if not all(map(isfinite, ps)):
+                bad = next(x for x in ps if not isfinite(x))
+                raise GameValidationError(
+                    f"node {old}: non-finite probability {bad!r}"
+                )
+            if min(ps) < 0.0:
+                raise GameValidationError(f"node {old}: negative probability")
+            if not (abs(sum(ps) - 1.0) <= _PROB_TOL):
+                raise GameValidationError(
+                    f"node {old}: probabilities sum to {sum(ps)!r}, not 1"
+                )
+            probs[h] = ps
+        else:  # player node
+            pl = owners[old]
+            if not (
+                isinstance(pl, int) and pl is not True and 0 < pl < n_players
+            ):
+                raise GameValidationError(
+                    f"node {old}: bad acting player {pl!r}"
+                )
+            player[h] = pl
+            key = keys[old]
+            if key is None:
+                raise GameValidationError(
+                    f"node {old}: player node missing infoset"
+                )
+            i = infoset_ids.get(key)
+            if i is None:
+                i = infoset_ids[key] = len(infoset_members)
+                infoset_members.append([h])
+            else:
+                infoset_members[i].append(h)
+            infoset[h] = i
+        labels[h] = labs
+        children[h] = kids
+    if h + 1 < n:
         raise GameValidationError(
-            f"node {int(np.argmin(reached))}: unreachable from root"
+            f"node {new_id.index(-1)}: unreachable from root"
+        )
+    if new_id != list(range(n)):
+        children = [tuple(map(new_id.__getitem__, c)) for c in children]
+
+    # Infoset consistency: one owner, identical action labels, one depth.
+    infosets = []
+    for i, members in enumerate(infoset_members):
+        first = members[0]
+        for h in members[1:]:
+            if player[h] != player[first]:
+                raise GameValidationError(
+                    f"infoset {i}: members owned by different players"
+                )
+            if labels[h] != labels[first]:
+                raise GameValidationError(
+                    f"infoset {i}: action-label mismatch between members"
+                )
+            if depth[h] != depth[first]:
+                raise GameValidationError(
+                    f"infoset {i}: members at different depths (not timeable)"
+                )
+        infosets.append(
+            Infoset(
+                player=player[first],
+                members=tuple(members),
+                actions=labels[first],
+            )
         )
 
-    del levels, follow, err, prob, aoff
-    # Renumber to preorder: ``order[new]`` is the input id of ``new``.
-    order = np.empty(n, dtype=_ID)
-    order[pre] = bfs
-    identity = bool((order == np.arange(n, dtype=_ID)).all())
-    if identity:
-        # The child ids hold one int object per node, for every column.
-        node_id = np.empty(n, dtype=object)
-        node_id[bfs] = bfs_ids
-
-        def renumbered(col):
-            return col
-    else:
-        order_list = order.tolist()
-        new_of = np.empty(n, dtype=_ID)
-        new_of[order] = np.arange(n, dtype=_ID)
-        node_id = np.arange(n).astype(object)
-        children = _split(
-            new_of[list(chain.from_iterable(children))].tolist(), counts
-        )
-
-        def renumbered(col):
-            return list(map(col.__getitem__, order_list))
-
-    children = tuple(renumbered(children))
-    del kids, bfs_ids, bfs
-    column = np.full(n, -1, dtype=_ID)
-    column[pre[1:]] = pre[up]
-    parent = node_id[column].tolist()
-    parent[0] = -1
-    parent = tuple(parent)
-    column[pre[1:]] = action
-    parent_action = tuple(column.tolist())
-    depth = np.zeros(n, dtype=_ID)
-    depth[pre] = np.arange(len(level_sizes), dtype=_ID).repeat(level_sizes)
-    column = np.empty(n, dtype=np.float64)
-    column[pre] = reach
-    chance_reach = tuple(column.tolist())
-    del up, action, reach, pre, column
-    new_kind = kind[order]
-    column = np.full(n, None, dtype=object)
-    column[kind == 0] = _objects(probs_of)
-    probs = tuple(renumbered(column.tolist()))
-    del probs_of
-    column = np.array(columns.utility, dtype=object)
-    column[kind != 2] = 0.0
-    utility = tuple(renumbered(column.tolist()))
-    player_col = np.full(n, -1, dtype=_ID)
-    player_col[kind == 1] = acting
-    player_col = player_col[order]
-    del column, acting
-
-    # Infosets: ids by first appearance in preorder, members in preorder.
-    is_player = (new_kind == 1).tolist()
-    pl_new = (new_kind == 1).nonzero()[0]
-    keys = list(compress(renumbered(columns.infoset), is_player))
-    ids = dict(zip(dict.fromkeys(keys), count()))
-    iset = np.fromiter(map(ids.__getitem__, keys), _ID, len(keys))
-    labels = tuple(renumbered(labels))
-    pl_labels = _objects(list(compress(labels, is_player)))
-    label_ids = dict(zip(dict.fromkeys(pl_labels), count()))
-    pl_label = np.fromiter(map(label_ids.__getitem__, pl_labels), _ID,
-                           len(pl_labels))
-    pl_player = player_col[pl_new]
-    pl_depth = depth[pl_new]
-    sizes = np.bincount(iset, minlength=len(ids))
-    grouped = iset.argsort(kind="stable")
-    head = grouped[sizes.cumsum() - sizes]  # each infoset's first member
-    lead = head[iset]
-    checks = (
-        (pl_player != pl_player[lead], "members owned by different players"),
-        (pl_label != pl_label[lead], "action-label mismatch between members"),
-        (pl_depth != pl_depth[lead],
-         "members at different depths (not timeable)"),
-    )
-    mismatch = checks[0][0] | checks[1][0] | checks[2][0]
-    if mismatch.any():
-        i = int(iset[mismatch].min())
-        at = (mismatch & (iset == i)).nonzero()[0][0]
-        message = next(msg for bad, msg in checks if bad[at])
-        raise GameValidationError(f"infoset {i}: {message}")
-    infosets = tuple(map(
-        Infoset,
-        pl_player[head].tolist(),
-        _split(node_id[pl_new[grouped]].tolist(), sizes.tolist()),
-        pl_labels[head].tolist(),
-    ))
-    del node_id, pl_labels, pl_label, grouped, lead, mismatch, checks
-    iset_col = np.full(n, -1, dtype=object)
-    iset_col[pl_new] = _objects(list(ids.values()))[iset]
     return ExtensiveFormGame(
         players=players,
         team_of=tuple(team_of),
-        kind=tuple(map(_KINDS.__getitem__, new_kind.tolist())),
-        parent=parent,
-        parent_action=parent_action,
-        depth=tuple(depth.tolist()),
-        player=tuple(player_col.tolist()),
-        infoset=tuple(iset_col.tolist()),
-        children=children,
-        labels=labels,
-        probs=probs,
-        utility=utility,
-        infosets=infosets,
-        chance_reach=chance_reach,
+        kind=tuple(kind),
+        parent=tuple(parent),
+        parent_action=tuple(parent_action),
+        depth=tuple(depth),
+        player=tuple(player),
+        infoset=tuple(infoset),
+        children=tuple(children),
+        labels=tuple(labels),
+        probs=tuple(probs),
+        utility=tuple(utility),
+        infosets=tuple(infosets),
+        chance_reach=tuple(reach),
     )
 
 

@@ -538,14 +538,16 @@ class TestBuildGameMessages:
 class TestBuildGameWalk:
     def test_shared_chain_is_caught_without_walking_every_path(self):
         # Every node's two actions lead to the same next node: 2**60
-        # paths, so a walk that followed each one would never end.
+        # paths, so a walk that followed each one would never end.  The
+        # preorder walk goes down the first actions to the last node and
+        # meets it again through the second action of node 59.
         w = GameWriter()
         for i in range(60):
             w.add(PLAYER, 1, ("d", i), [("a", i + 1), ("b", i + 1)])
         w.add(TERMINAL, -1, None, (), 0.0)
         with pytest.raises(GameValidationError) as exc:
             build_game(_PLAYERS, _TEAMS, 0, w)
-        assert str(exc.value) == "node 1: reached twice (not a tree)"
+        assert str(exc.value) == "node 60: reached twice (not a tree)"
 
     def test_huge_child_id_is_dangling(self):
         doc = tiny_doc()
@@ -553,6 +555,17 @@ class TestBuildGameWalk:
         with pytest.raises(GameValidationError) as exc:
             parse_game(doc)
         assert str(exc.value) == f"node 1: dangling child reference {10**30}"
+
+    def test_child_too_large_for_a_float_without_prob_is_dangling(self):
+        # The action's width is wrong and its last entry is no probability;
+        # it is reported by its child, never converted to a float.
+        doc = tiny_doc()
+        act = doc["nodes"][0]["actions"][1]
+        del act["prob"]
+        act["child"] = 10**309
+        with pytest.raises(GameValidationError) as exc:
+            parse_game(doc)
+        assert str(exc.value) == f"node 0: dangling child reference {10**309}"
 
     def test_ids_need_not_be_preorder(self):
         # The same tree written leaves first builds the same game.
