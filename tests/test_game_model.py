@@ -549,23 +549,21 @@ class TestBuildGameWalk:
             build_game(_PLAYERS, _TEAMS, 0, w)
         assert str(exc.value) == "node 60: reached twice (not a tree)"
 
-    def test_huge_child_id_is_dangling(self):
+    @pytest.mark.parametrize("node,action,child,drop_prob", [
+        (1, 1, 10**30, False),
+        # The action's width is wrong and its last entry is no
+        # probability; it is reported by its child, never converted.
+        (0, 1, 10**309, True),
+    ], ids=["10**30", "10**309 without prob"])
+    def test_huge_child_id_is_dangling(self, node, action, child, drop_prob):
         doc = tiny_doc()
-        doc["nodes"][1]["actions"][1]["child"] = 10**30
+        act = doc["nodes"][node]["actions"][action]
+        act["child"] = child
+        if drop_prob:
+            del act["prob"]
         with pytest.raises(GameValidationError) as exc:
             parse_game(doc)
-        assert str(exc.value) == f"node 1: dangling child reference {10**30}"
-
-    def test_child_too_large_for_a_float_without_prob_is_dangling(self):
-        # The action's width is wrong and its last entry is no probability;
-        # it is reported by its child, never converted to a float.
-        doc = tiny_doc()
-        act = doc["nodes"][0]["actions"][1]
-        del act["prob"]
-        act["child"] = 10**309
-        with pytest.raises(GameValidationError) as exc:
-            parse_game(doc)
-        assert str(exc.value) == f"node 0: dangling child reference {10**309}"
+        assert str(exc.value) == f"node {node}: dangling child reference {child}"
 
     def test_ids_need_not_be_preorder(self):
         # The same tree written leaves first builds the same game.
