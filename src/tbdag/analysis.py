@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
+from functools import cached_property
+from itertools import compress, pairwise
 from operator import itemgetter
 from typing import Iterable
 
@@ -43,16 +44,29 @@ SeqPair = tuple[int, int]  # (infoset id, action index)
 
 @dataclass(frozen=True)
 class CoordinatorView:
-    """One side's merged agent: owned infosets and per-node sequences."""
+    """One side's merged agent: owned infosets and per-node sequences.
+
+    Sequence ``s >= 1`` is sequence ``seq_keys[s - 1][0]`` extended by
+    the pair ``seq_keys[s - 1][1:]``; ``sequences`` spells every one out
+    on first read.
+    """
 
     side: str
     infosets: tuple[int, ...]
-    seq_of: tuple[int, ...]  # node id -> sequence id
-    sequences: tuple[tuple[SeqPair, ...], ...]  # sequence id -> pair list
+    seq_of: list[int]  # node id -> sequence id
+    seq_keys: tuple[tuple[int, int, int], ...]  # (parent seq, infoset, action)
 
     @property
     def num_sequences(self) -> int:
-        return len(self.sequences)
+        return len(self.seq_keys) + 1
+
+    @cached_property
+    def sequences(self) -> tuple[tuple[SeqPair, ...], ...]:
+        """Sequence id -> its (infoset, action) pairs, root first."""
+        out: list[tuple[SeqPair, ...]] = [()]
+        for parent, i, a in self.seq_keys:
+            out.append(out[parent] + ((i, a),))
+        return tuple(out)
 
 
 def coordinator_view(g: ExtensiveFormGame, side: str) -> CoordinatorView:
@@ -69,7 +83,6 @@ def coordinator_view(g: ExtensiveFormGame, side: str) -> CoordinatorView:
     mine = frozenset(g.side_infosets(side))
     infoset, parent_action = g.infoset, g.parent_action
     intern: dict[tuple[int, int, int], int] = {}
-    sequences: list[tuple[SeqPair, ...]] = [()]
     seq_of = [0] * g.num_nodes
     for h in range(1, g.num_nodes):  # preorder: parents first
         p = g.parent[h]
@@ -79,14 +92,13 @@ def coordinator_view(g: ExtensiveFormGame, side: str) -> CoordinatorView:
         key = (seq_of[p], infoset[p], parent_action[h])
         sid = intern.get(key)
         if sid is None:
-            sid = intern[key] = len(sequences)
-            sequences.append(sequences[key[0]] + (key[1:],))
+            sid = intern[key] = len(intern) + 1
         seq_of[h] = sid
     return CoordinatorView(
         side=side,
         infosets=g.side_infosets(side),
-        seq_of=tuple(seq_of),
-        sequences=tuple(sequences),
+        seq_of=seq_of,
+        seq_keys=tuple(intern),
     )
 
 
@@ -235,8 +247,9 @@ def analyze(g: ExtensiveFormGame, side: str) -> GameAnalysis:
     # them apart without conditioning on how the side itself played.
     # Terminal nodes never join a group — game over is always observed.
     # The sibling unions go into the same forest as the clique unions.
-    for h in range(n):
-        live = [c for c in g.children[h] if g.kind[c] != TERMINAL]
+    kids = g.action_child
+    for a0, a1 in pairwise(g.action_offset):
+        live = [c for c in kids[a0:a1] if g.kind[c] != TERMINAL]
         for c in live[1:]:
             union(live[0], c)
     unconditional_id = _label(parent)

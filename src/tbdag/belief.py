@@ -23,6 +23,7 @@ beliefs a proxy can hold.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping, NamedTuple
@@ -205,7 +206,6 @@ class _Builder:
         self.node_budget = node_budget
         self.state: list[int] = []
         self.belief_ids: tuple[list[int], list[int]] = ([], [])
-        self.isets: dict[tuple, int] = {}
         self.iset_beliefs: dict[int, tuple[int, ...]] = {}
         self.iset_infosets: dict[int, tuple[int, ...]] = {}
         self.successors: dict[tuple[int, int], list[int]] = {}
@@ -216,28 +216,30 @@ class _Builder:
         Each original step takes three slots: the max proxy (slot 0)
         commits a prescription, the min proxy (slot 1) does the same,
         and a chance node (slot 2) resolves the true move.  A task is
-        ``(slot, h, b0, b1, e0, e1, up, label, prob)``: source node ``h``
-        with beliefs ``b0``/``b1``, each proxy's last own (infoset,
-        prescription) edge ``e0``/``e1``, and the parent's action list
-        ``up`` that receives the node as ``(label, id)`` (or ``(label,
-        id, prob)`` below a resolution).  Children are pushed last to
-        first, so they are emitted in action order.
+        ``(slot, h, b0, b1, e0, e1, up)``: source node ``h`` with
+        beliefs ``b0``/``b1``, each proxy's last own (infoset,
+        prescription) edge ``e0``/``e1``, and the writer's action ``up``
+        that leads to the node.  A node's actions are written with it,
+        their children left unset until each child is emitted.
+        Children are pushed last to first, so they are emitted in
+        action order.
         """
         g, w = self.g, GameWriter()
         kinds, players, keys = w.kind, w.player, w.infoset
-        actions, utility = w.actions, w.utility
+        utility, offsets = w.utility, w.action_offset
+        label, child, prob = w.label, w.child, w.prob
         state, (bel0, bel1) = self.state, self.belief_ids
         (beliefs0, moves0, root0), (beliefs1, moves1, root1) = self.sides
         moves = (moves0, moves1)
-        isets, budget = self.isets, self.node_budget
-        side_of = [
-            _SIDES.index(g.node_side(h)) if k == PLAYER else -1
-            for h, k in enumerate(g.kind)
-        ]
-        stack = [(0, g.root, root0, root1, None, None, None, None, None)]
+        isets: dict[tuple, int] = {}  # (slot, prev, belief) -> proxy infoset
+        budget = self.node_budget
+        src_kind, src_labels, src_probs = g.kind, g.labels, g.probs
+        src_off, src_child = g.action_offset, g.action_child
+        own0 = g.own_infoset(MAX)
+        stack = [(0, g.root, root0, root1, None, None, -1)]
         pop, push = stack.pop, stack.append
         while stack:
-            slot, h, b0, b1, e0, e1, up, label, prob = pop()
+            slot, h, b0, b1, e0, e1, up = pop()
             if slot < 2:
                 belief, prev = (b0, e0) if slot == 0 else (b1, e1)
                 key = (slot, prev, belief)
@@ -256,77 +258,82 @@ class _Builder:
                     f"(emitting a node of source depth {g.depth[h]}; "
                     f"{len(isets)} proxy infosets so far)"
                 )
-            if up is not None:
-                up.append((label, n) if prob is None else (label, n, prob))
+            if up >= 0:
+                child[up] = n
             state.append(h)
             bel0.append(b0)
             bel1.append(b1)
-            acts: list[tuple] = []
-            actions.append(acts)
+            a0 = len(child)
             if slot < 2:
                 kinds.append(PLAYER)
                 players.append(slot + 1)
                 keys.append(iset)
                 utility.append(0.0)
                 labels = moves[slot][belief].labels
-                for a in range(len(labels) - 1, -1, -1):
+                k = len(labels)
+                label.extend(labels)
+                child += [-1] * k
+                prob += [None] * k
+                offsets.append(a0 + k)
+                for a in range(k - 1, -1, -1):
                     if slot == 0:
-                        push((1, h, b0, b1, (iset, a), e1, acts, labels[a],
-                              None))
+                        push((1, h, b0, b1, (iset, a), e1, a0 + a))
                     else:
-                        push((2, h, b0, b1, e0, (iset, a), acts, labels[a],
-                              None))
+                        push((2, h, b0, b1, e0, (iset, a), a0 + a))
                 continue
             players.append(-1)
             keys.append(None)
-            if g.kind[h] == TERMINAL:
+            if src_kind[h] == TERMINAL:
                 assert beliefs0[b0] == beliefs1[b1] == (h,)
                 kinds.append(TERMINAL)
                 utility.append(g.utility[h])
+                offsets.append(a0)
                 continue
             kinds.append(CHANCE)
             utility.append(0.0)
-            kids, labs = g.children[h], g.labels[h]
-            if g.kind[h] == CHANCE:
-                probs = g.probs[h]
+            s0, s1 = src_off[h], src_off[h + 1]
+            if src_kind[h] == CHANCE:
+                label.extend(src_labels[h])
+                prob.extend(src_probs[h])
             else:  # the acting proxy's prescription fixes the move
-                i = side_of[h]
-                m, e = (moves0[b0], e0) if i == 0 else (moves1[b1], e1)
+                m, e = (moves0[b0], e0) if own0[h] >= 0 else (moves1[b1], e1)
                 a = m.prescriptions[e[1]][m.isets.index(g.infoset[h])]
-                kids, labs, probs = (kids[a],), (labs[a],), (1.0,)
+                label.append(src_labels[h][a])
+                prob.append(1.0)
+                s0 += a
+                s1 = s0 + 1
+            child += [-1] * (s1 - s0)
+            offsets.append(a0 + s1 - s0)
             next0, next1 = moves0[b0].next[e0[1]], moves1[b1].next[e1[1]]
-            for j in range(len(kids) - 1, -1, -1):
-                c = kids[j]
-                push((0, c, next0[c], next1[c], e0, e1, acts, labs[j],
-                      probs[j]))
+            for j in range(s1 - 1, s0 - 1, -1):  # j: the source action's slot
+                c = src_child[j]
+                push((0, c, next0[c], next1[c], e0, e1, a0 + j - s0))
+        # As int arrays, no int object per node stays alive into build_game.
+        w.child, w.action_offset = array("q", child), array("q", offsets)
         return w
 
 
 def _compacted(w: GameWriter):
     """Splice out single-action internal nodes for size reporting."""
+    first, child = w.action_offset, w.child
     keep = [
-        k == TERMINAL or len(acts) > 1 for k, acts in zip(w.kind, w.actions)
+        k == TERMINAL or first[n + 1] - first[n] > 1
+        for n, k in enumerate(w.kind)
     ]
 
     def resolve(n: int) -> int:
         while not keep[n]:
-            n = w.actions[n][0][1]
+            n = child[first[n]]
         return n
 
     order = [n for n in range(len(w.kind)) if keep[n]]
     new_id = {n: i for i, n in enumerate(order)}
     out = GameWriter()
     for n in order:
-        out.add(
-            w.kind[n],
-            w.player[n],
-            w.infoset[n],
-            [
-                (act[0], new_id[resolve(act[1])], *act[2:])
-                for act in w.actions[n]
-            ],
-            w.utility[n],
-        )
+        a0, a1 = first[n], first[n + 1]
+        kids = [new_id[resolve(c)] for c in child[a0:a1]]
+        out.add(w.kind[n], w.player[n], w.infoset[n],
+                zip(w.label[a0:a1], kids, w.prob[a0:a1]), w.utility[n])
     root = new_id[resolve(0)]
     return out, root, order
 

@@ -34,6 +34,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -199,8 +200,7 @@ class _Workspace:
         return None
 
 
-@dataclass(frozen=True)
-class BeliefExpansion:
+class BeliefExpansion(NamedTuple):
     """One belief's expansion step for one side.
 
     ``isets`` are the side's infosets meeting the belief, ascending, and
@@ -234,19 +234,22 @@ def expand_belief(
     g: ExtensiveFormGame, side: str, belief: tuple[int, ...]
 ) -> BeliefExpansion:
     """Partition a belief into the side's infosets and free nodes."""
+    own, off, kids = g.own_infoset(side), g.action_offset, g.action_child
     by_iset: dict[int, list[int]] = {}
     free: list[int] = []
     for h in belief:
-        if g.node_side(h) == side:
-            by_iset.setdefault(g.infoset[h], []).append(h)
+        i = own[h]
+        if i < 0:
+            free.extend(kids[off[h]: off[h + 1]])
         else:
-            free.extend(g.children[h])
+            by_iset.setdefault(i, []).append(h)
     isets = tuple(sorted(by_iset))
     # Members of one infoset share its action count, so zipping their
     # child lists gives one tuple of children per action.
-    moves = tuple(
-        [tuple(zip(*[g.children[h] for h in by_iset[i]])) for i in isets]
-    )
+    moves = tuple([
+        tuple(zip(*[kids[off[h]: off[h + 1]] for h in by_iset[i]]))
+        for i in isets
+    ])
     counts = tuple(map(len, moves))
     return BeliefExpansion(isets, counts, moves, tuple(free))
 

@@ -621,13 +621,12 @@ def sequence_form(game, side: str) -> DagDecisionProblem:
         return obs_of_seq[s]
 
     actions[0].append(obs_for(0))
-    seq_index = {seq: s for s, seq in enumerate(view.sequences)}
+    seq_id = {key: s for s, key in enumerate(view.seq_keys, 1)}
     for i in view.infosets:
         sid = view.seq_of[game.infosets[i].members[0]]
         children[obs_for(sid)].append(len(actions))
-        base = view.sequences[sid]
         actions.append([
-            obs_for(seq_index[base + ((i, a),)])
+            obs_for(seq_id[sid, i, a])
             for a in range(game.infosets[i].num_actions)
         ])
     for z in game.terminals:

@@ -1,15 +1,18 @@
 """Arena-indexed extensive-form game trees.
 
-A game is stored as parallel tuples indexed by dense node id, with ids
+A game is stored as flat columns indexed by dense node id, with ids
 assigned in preorder (every parent id is smaller than its children's).
-All structures are immutable after construction, so games can be shared
+Children are kept in CSR form: one offset per node into one child
+column.  Action labels are held once per infoset (shared by its member
+nodes) and once per chance node, probabilities only at chance nodes.
+The columns are read-only after construction, so games can be shared
 freely between analyses and builders.
 
-Every game is assembled by :func:`build_game` from node columns held by
-a :class:`GameWriter`.  In-process producers (the zoo generators, the
-belief game, binarization and inflation) append to a writer directly.
-Dict node records are the JSON wire format only: :func:`parse_game`
-reads them and :func:`serialize_game` writes them.
+Every game is assembled by :func:`build_game` from the node and action
+columns of a :class:`GameWriter`.  In-process producers (the zoo
+generators, the belief game, binarization and inflation) append to a
+writer directly.  Dict node records are the JSON wire format only:
+:func:`parse_game` reads them and :func:`serialize_game` writes them.
 
 The JSON wire format is
 ``{"players": [...], "teams": {"max": [...], "min": [...]}, "root": n,
@@ -32,10 +35,10 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from math import fsum, inf, isfinite, isnan
+from itertools import compress, islice
+from math import fsum, inf, isfinite, isnan, nan
 from numbers import Real
-from operator import attrgetter
+from operator import attrgetter, sub
 from typing import Any
 
 MAX = "max"
@@ -71,9 +74,9 @@ class Infoset:
 
 
 class ExtensiveFormGame:
-    """Immutable timeable game tree in struct-of-arrays form.
+    """Timeable game tree in struct-of-arrays form; treat it as read-only.
 
-    Per-node fields (all tuples of length ``num_nodes``):
+    Per-node columns (lists of length ``num_nodes``):
 
     - ``kind``: one of ``"chance"``, ``"player"``, ``"terminal"``.
     - ``parent`` / ``parent_action``: id and action index of the edge
@@ -81,73 +84,48 @@ class ExtensiveFormGame:
     - ``depth``: edge distance from the root.
     - ``player``: acting player (``-1`` off player nodes).
     - ``infoset``: infoset id for player nodes, else ``-1``.
-    - ``children`` / ``labels``: ordered child ids and action labels.
-    - ``probs``: chance outcome probabilities (``None`` off chance nodes).
+    - ``labels``: action labels.  A player node holds its infoset's
+      ``actions`` tuple (the one copy), a chance node a tuple shared by
+      every chance node with equal labels, a terminal ``()``.
+    - ``probs``: chance outcome probabilities, a tuple at chance nodes
+      (shared like their labels) and ``None`` elsewhere.
     - ``utility``: max-side payoff (``0.0`` off terminals).
     - ``chance_reach``: product of chance probabilities along the path
       from the root.
+
+    Children are in CSR form: node ``h``'s actions are entries
+    ``action_offset[h]`` up to ``action_offset[h + 1]`` (``num_nodes +
+    1`` offsets) of ``action_child``, which holds one child id per edge
+    of the tree.  ``children(h)`` is that slice.
     """
 
     __slots__ = (
-        "players",
-        "team_of",
-        "kind",
-        "parent",
-        "parent_action",
-        "depth",
-        "player",
-        "infoset",
-        "children",
-        "labels",
-        "probs",
-        "utility",
-        "chance_reach",
-        "infosets",
-        "terminals",
-        "max_depth",
-        "branching_factor",
-        "utility_scale",
-        "_side_players",
-        "_side_infosets",
+        "players", "team_of", "kind", "parent", "parent_action", "depth",
+        "player", "infoset", "action_offset", "action_child", "labels",
+        "probs", "utility", "chance_reach", "infosets", "terminals",
+        "max_depth", "branching_factor", "utility_scale", "_side_players",
+        "_side_infosets", "_own_infoset",
     )
 
     def __init__(
-        self,
-        players: tuple[str, ...],
-        team_of: tuple[str | None, ...],
-        kind: tuple[str, ...],
-        parent: tuple[int, ...],
-        parent_action: tuple[int, ...],
-        depth: tuple[int, ...],
-        player: tuple[int, ...],
-        infoset: tuple[int, ...],
-        children: tuple[tuple[int, ...], ...],
-        labels: tuple[tuple[str, ...], ...],
-        probs: tuple[tuple[float, ...] | None, ...],
-        utility: tuple[float, ...],
-        infosets: tuple[Infoset, ...],
-        chance_reach: tuple[float, ...],
+        self, players, team_of, kind, parent, parent_action, depth, player,
+        infoset, action_offset, action_child, labels, probs, utility,
+        infosets, chance_reach,
     ):
-        self.players = players
-        self.team_of = team_of
-        self.kind = kind
-        self.parent = parent
-        self.parent_action = parent_action
-        self.depth = depth
-        self.player = player
-        self.infoset = infoset
-        self.children = children
-        self.labels = labels
-        self.probs = probs
-        self.utility = utility
-        self.infosets = infosets
+        self.players, self.team_of, self.infosets = players, team_of, infosets
+        self.kind, self.parent, self.depth = kind, parent, depth
+        self.parent_action, self.player = parent_action, player
+        self.infoset, self.utility = infoset, utility
+        self.action_offset, self.action_child = action_offset, action_child
+        self.labels, self.probs = labels, probs
         self.chance_reach = chance_reach
         self.terminals = tuple(
             compress(range(len(kind)), map(TERMINAL.__eq__, kind))
         )
         self.max_depth = max(depth, default=0)
         # Only internal nodes have children, and each has at least one.
-        self.branching_factor = max(map(len, children), default=0)
+        widths = map(sub, islice(action_offset, 1, None), action_offset)
+        self.branching_factor = max(widths, default=0)
         self.utility_scale = max(
             map(abs, map(utility.__getitem__, self.terminals)), default=0.0
         )
@@ -163,6 +141,7 @@ class ExtensiveFormGame:
                                  map(side.__eq__, iset_side)))
             for side in (MAX, MIN)
         }
+        self._own_infoset: dict[str, list[int]] = {}
 
     # -- basic accessors -------------------------------------------------
 
@@ -182,17 +161,31 @@ class ExtensiveFormGame:
         """Infoset ids owned by any player of the given team."""
         return self._side_infosets[side]
 
+    def own_infoset(self, side: str) -> list[int]:
+        """Per node, its infoset id where a player of ``side`` acts and
+        ``-1`` elsewhere; built on first use."""
+        col = self._own_infoset.get(side)
+        if col is None:
+            # Indexed by player; the extra last entry serves player -1.
+            mine = [t == side for t in self.team_of] + [False]
+            col = self._own_infoset[side] = [
+                i if mine[p] else -1 for i, p in zip(self.infoset, self.player)
+            ]
+        return col
+
     def node_side(self, h: int) -> str | None:
         """Team acting at node ``h``, or None for chance/terminal nodes."""
         if self.kind[h] != PLAYER:
             return None
         return self.team_of[self.player[h]]
 
-    def is_internal(self, h: int) -> bool:
-        return self.kind[h] != TERMINAL
+    def children(self, h: int) -> list[int]:
+        """Child ids of node ``h`` in action order."""
+        off = self.action_offset
+        return self.action_child[off[h]: off[h + 1]]
 
     def num_actions(self, h: int) -> int:
-        return len(self.children[h])
+        return self.action_offset[h + 1] - self.action_offset[h]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExtensiveFormGame):
@@ -202,7 +195,8 @@ class ExtensiveFormGame:
             and self.team_of == other.team_of
             and self.kind == other.kind
             and self.parent == other.parent
-            and self.children == other.children
+            and self.action_offset == other.action_offset
+            and self.action_child == other.action_child
             and self.labels == other.labels
             and self.probs == other.probs
             and self.utility == other.utility
@@ -225,43 +219,57 @@ class ExtensiveFormGame:
 
 
 class GameWriter:
-    """Node columns for :func:`build_game`, appended one node at a time.
+    """Node and action columns for :func:`build_game`.
 
-    ``kind``, ``player`` (``-1`` off player nodes), ``infoset`` (any
-    hashable key; ``None`` off player nodes), ``actions`` and ``utility``
-    (``0.0`` off terminals) are parallel lists indexed by node id.  An
-    action is a ``(label, child)`` tuple, or ``(label, child, prob)`` at a
-    chance node; probabilities and utilities are floats.  Nodes may be
-    written in any order: ``build_game`` renumbers them to preorder.
+    Per node: ``kind``, ``player`` (``-1`` off player nodes), ``infoset``
+    (any hashable key; ``None`` off player nodes) and ``utility``
+    (``0.0`` off terminals).  Per action: ``label``, ``child`` and
+    ``prob`` (a float at chance actions, ``None`` elsewhere).  Node
+    ``n`` owns actions ``action_offset[n]`` up to ``action_offset[n +
+    1]``: the actions appended after node ``n - 1`` and up to node ``n``
+    itself, so each node's actions are contiguous.  A producer that
+    numbers a child after its parent appends the action with child
+    ``-1`` and sets ``child`` once the child exists.  A large producer
+    may make ``child`` and ``action_offset`` int arrays, so that no int
+    object per action stays alive.  Nodes may be written in any order:
+    ``build_game`` renumbers them to preorder.
     """
 
-    __slots__ = ("kind", "player", "infoset", "actions", "utility")
+    __slots__ = (
+        "kind", "player", "infoset", "utility", "action_offset",
+        "label", "child", "prob",
+    )
 
     def __init__(self):
         self.kind: list[str] = []
         self.player: list[Any] = []
         self.infoset: list[Hashable] = []
-        self.actions: list[Sequence[tuple]] = []
         self.utility: list[float] = []
+        self.action_offset: list[int] = [0]
+        self.label: list[str] = []
+        self.child: list[int] = []
+        self.prob: list[float | None] = []
 
-    def add(self, kind, player, infoset, actions, utility=0.0):
-        """Append one node; returns its id."""
+    def add(self, kind, player, infoset, actions=(), utility=0.0) -> int:
+        """Append one node with its actions, ``(label, child)`` tuples or
+        ``(label, child, prob)`` at a chance node; returns its id."""
+        label, child, prob = self.label, self.child, self.prob
+        for act in actions:
+            label.append(act[0])
+            child.append(act[1])
+            prob.append(act[2] if len(act) > 2 else None)
         self.kind.append(kind)
         self.player.append(player)
         self.infoset.append(infoset)
-        self.actions.append(actions)
         self.utility.append(utility)
+        self.action_offset.append(len(child))
         return len(self.kind) - 1
 
-    def add_chance(self) -> tuple[int, list[tuple]]:
-        """A chance node and its action list, to be filled by the caller."""
-        actions: list[tuple] = []
-        return self.add(CHANCE, -1, None, actions), actions
+    def add_chance(self, actions: Iterable[tuple]) -> int:
+        return self.add(CHANCE, -1, None, actions)
 
-    def add_player(self, player: int, infoset: Hashable):
-        """A player node and its action list, to be filled by the caller."""
-        actions: list[tuple] = []
-        return self.add(PLAYER, player, infoset, actions), actions
+    def add_player(self, player: int, infoset: Hashable, actions) -> int:
+        return self.add(PLAYER, player, infoset, actions)
 
     def add_terminal(self, utility: float) -> int:
         return self.add(TERMINAL, -1, None, (), utility)
@@ -272,14 +280,12 @@ def _is_id(value: Any) -> bool:
     return isinstance(value, int) and value is not True and value is not False
 
 
-def _action_error(
-    old: int, kind: str, acts: Sequence[tuple], n: int
-) -> GameValidationError:
+def _action_error(old: int, kind: str, kids, n: int) -> GameValidationError:
     """The error for a node whose actions fail the walk's checks."""
-    for act in acts:
-        if not 0 <= act[1] < n:
+    for c in kids:
+        if not 0 <= c < n:
             return GameValidationError(
-                f"node {old}: dangling child reference {act[1]!r}"
+                f"node {old}: dangling child reference {c!r}"
             )
     if kind == CHANCE:
         return GameValidationError(f"node {old}: chance action missing prob")
@@ -292,13 +298,16 @@ def build_game(
     root: int,
     columns: GameWriter,
 ) -> ExtensiveFormGame:
-    """Validate node columns and assemble a game.
+    """Validate writer columns and assemble a game.
 
     One walk from ``root`` in preorder (following action order) checks
-    the tree and every node.  Node ids are renumbered to that preorder
-    and infoset keys to dense ids in order of first appearance, so two
-    structurally identical inputs produce identical games no matter how
-    their ids were assigned.
+    the tree and every node, and writes each finished column once, in
+    the new ids: node ids are renumbered to that preorder and infoset
+    keys to dense ids in order of first appearance, so two structurally
+    identical inputs produce identical games no matter how their ids
+    were assigned.  The CSR child column is filled as each child gets
+    its id.  A player node keeps its infoset's label tuple rather than a
+    copy, and equal chance label and probability tuples are shared.
     """
     players = tuple(str(p) for p in players)
     if not players:
@@ -326,7 +335,8 @@ def build_game(
             raise GameValidationError(f"player {p} belongs to no team")
 
     kinds, owners, keys = columns.kind, columns.player, columns.infoset
-    actions, utils = columns.actions, columns.utility
+    utils, first = columns.utility, columns.action_offset
+    label, child, prob = columns.label, columns.child, columns.prob
     n = len(kinds)
     if n == 0:
         raise GameValidationError("nodes array is empty")
@@ -334,48 +344,51 @@ def build_game(
         raise GameValidationError(f"bad root id {root!r}")
 
     kind: list[str] = [TERMINAL] * n
-    parent = [-1] * n
-    parent_action = [-1] * n
-    depth = [0] * n
-    player = [-1] * n
-    infoset = [-1] * n
-    children: list[tuple[int, ...]] = [()] * n
+    parent, parent_action, player, infoset = ([-1] * n for _ in range(4))
+    depth, offset, kids = [0] * n, [0] * (n + 1), [-1] * len(child)
     labels: list[tuple[str, ...]] = [()] * n
     probs: list[tuple[float, ...] | None] = [None] * n
-    utility = [0.0] * n
-    reach = [1.0] * n
+    utility, reach = [0.0] * n, [1.0] * n
     infoset_ids: dict[Hashable, int] = {}
     infoset_members: list[list[int]] = []
+    infoset_labels: list[tuple[str, ...]] = []
+    mislabeled: set[int] = set()
+    shared: dict[tuple, tuple] = {}
 
     # One preorder walk: renumber nodes, detect sharing and cycles, check
-    # each node and multiply chance reach down the tree.  ``up`` and
+    # each node, multiply chance reach down the tree and fill the CSR
+    # columns.  ``walked`` marks the input ids already met; ``up`` and
     # ``up_action`` hold the new parent id and the entering action by
-    # input id; ``children`` holds input ids until the end.
-    new_id = [-1] * n
-    up = [-1] * n
-    up_action = [-1] * n
+    # input id.
+    walked = bytearray(n)
+    up, up_action = [-1] * n, [-1] * n
     stack = [root]
+    push = stack.append
     h = -1
+    pos = 0  # CSR offset of the next node's first action
     while stack:
         old = stack.pop()
-        if new_id[old] >= 0:
+        if walked[old]:
             raise GameValidationError(
                 f"node {old}: reached twice (not a tree)"
             )
+        walked[old] = 1
         h += 1
-        new_id[old] = h
+        offset[h] = pos
         p = up[old]
         if p >= 0:
             parent[h] = p
             a = parent_action[h] = up_action[old]
+            kids[offset[p] + a] = h
             depth[h] = depth[p] + 1
-            edge = probs[p]  # None below a player node
-            reach[h] = reach[p] if edge is None else reach[p] * edge[a]
+            edge = probs[p]  # None below a player node; x * 1.0 is x
+            reach[h] = (reach[p] if edge is None or edge[a] == 1.0
+                        else reach[p] * edge[a])
         k = kinds[old]
-        acts = actions[old]
+        a0, a1 = first[old], first[old + 1]
 
         if k == TERMINAL:
-            if acts:
+            if a1 > a0:
                 raise GameValidationError(
                     f"node {old}: terminal node with actions"
                 )
@@ -385,31 +398,40 @@ def build_game(
                     f"node {old}: terminal utility {u!r} is not finite"
                 )
             continue
-        if k == PLAYER:
-            width = 2
-        elif k == CHANCE:
-            width = 3
-        else:
+        if k != PLAYER and k != CHANCE:
             raise GameValidationError(f"node {old}: bad kind {k!r}")
-        if not acts:
+        if a1 == a0:
             raise GameValidationError(f"node {old}: node with zero actions")
         kind[h] = k
-        j = len(acts)
+        cs, ps = child[a0:a1], prob[a0:a1]
+        j = a1 - a0
+        # A chance node needs every probability, a player node none.
+        if ps.count(None) != (0 if k == CHANCE else j):
+            raise _action_error(old, k, cs, n)
         while j:  # push last to first, so children pop in action order
             j -= 1
-            act = acts[j]
-            c = act[1]
-            if len(act) != width or not 0 <= c < n:
-                raise _action_error(old, k, acts, n)
+            c = cs[j]
+            if not 0 <= c < n:
+                raise _action_error(old, k, cs, n)
             up[c] = h
             up_action[c] = j
-            stack.append(c)
-        labs, kids, *ps = zip(*acts)
-        if len(labs) > 1 and len(set(labs)) != len(labs):
+            push(c)
+        pos += a1 - a0
+        # Labels seen before passed the duplicate check then: a chance
+        # node's in ``shared``, a player node's as its infoset's labels.
+        labs = tuple(label[a0:a1])
+        if k == CHANCE:
+            seen = shared.get(labs)
+        else:
+            key = keys[old]
+            i = None if key is None else infoset_ids.get(key)
+            seen = None if i is None else infoset_labels[i]
+        if labs != seen and len(labs) > 1 and len(set(labs)) != len(labs):
             raise GameValidationError(f"node {old}: duplicate action labels")
 
         if k == CHANCE:
-            ps = ps[0]
+            labels[h] = seen or shared.setdefault(labs, labs)
+            ps = tuple(ps)
             if not all(map(isfinite, ps)):
                 bad = next(x for x in ps if not isfinite(x))
                 raise GameValidationError(
@@ -421,77 +443,56 @@ def build_game(
                 raise GameValidationError(
                     f"node {old}: probabilities sum to {sum(ps)!r}, not 1"
                 )
-            probs[h] = ps
-        else:  # player node
-            pl = owners[old]
-            if not (
-                isinstance(pl, int) and pl is not True and 0 < pl < n_players
-            ):
-                raise GameValidationError(
-                    f"node {old}: bad acting player {pl!r}"
-                )
-            player[h] = pl
-            key = keys[old]
-            if key is None:
-                raise GameValidationError(
-                    f"node {old}: player node missing infoset"
-                )
-            i = infoset_ids.get(key)
-            if i is None:
-                i = infoset_ids[key] = len(infoset_members)
-                infoset_members.append([h])
-            else:
-                infoset_members[i].append(h)
-            infoset[h] = i
-        labels[h] = labs
-        children[h] = kids
+            # 0.0 == -0.0, so a tuple holding a zero keeps its own signs.
+            probs[h] = ps if 0.0 in ps else shared.setdefault(ps, ps)
+            continue
+        pl = owners[old]
+        if not (isinstance(pl, int) and pl is not True and 0 < pl < n_players):
+            raise GameValidationError(f"node {old}: bad acting player {pl!r}")
+        player[h] = pl
+        if key is None:
+            raise GameValidationError(f"node {old}: player node missing infoset")
+        if i is None:
+            i = infoset_ids[key] = len(infoset_members)
+            infoset_members.append([h])
+            infoset_labels.append(shared.setdefault(labs, labs))
+        else:
+            infoset_members[i].append(h)
+            if labs != seen:
+                mislabeled.add(h)
+        infoset[h] = i
+        labels[h] = infoset_labels[i]
     if h + 1 < n:
         raise GameValidationError(
-            f"node {new_id.index(-1)}: unreachable from root"
+            f"node {walked.index(0)}: unreachable from root"
         )
-    if new_id != list(range(n)):
-        children = [tuple(map(new_id.__getitem__, c)) for c in children]
+    offset[n] = pos
+    del walked, up, up_action, shared, infoset_ids
 
     # Infoset consistency: one owner, identical action labels, one depth.
     infosets = []
     for i, members in enumerate(infoset_members):
-        first = members[0]
+        first_member = members[0]
         for h in members[1:]:
-            if player[h] != player[first]:
+            if player[h] != player[first_member]:
                 raise GameValidationError(
                     f"infoset {i}: members owned by different players"
                 )
-            if labels[h] != labels[first]:
+            if h in mislabeled:
                 raise GameValidationError(
                     f"infoset {i}: action-label mismatch between members"
                 )
-            if depth[h] != depth[first]:
+            if depth[h] != depth[first_member]:
                 raise GameValidationError(
                     f"infoset {i}: members at different depths (not timeable)"
                 )
-        infosets.append(
-            Infoset(
-                player=player[first],
-                members=tuple(members),
-                actions=labels[first],
-            )
-        )
+        infosets.append(Infoset(
+            player[first_member], tuple(members), infoset_labels[i]
+        ))
 
     return ExtensiveFormGame(
-        players=players,
-        team_of=tuple(team_of),
-        kind=tuple(kind),
-        parent=tuple(parent),
-        parent_action=tuple(parent_action),
-        depth=tuple(depth),
-        player=tuple(player),
-        infoset=tuple(infoset),
-        children=tuple(children),
-        labels=tuple(labels),
-        probs=tuple(probs),
-        utility=tuple(utility),
-        infosets=tuple(infosets),
-        chance_reach=tuple(reach),
+        players, tuple(team_of), kind, parent, parent_action, depth, player,
+        infoset, offset, kids, labels, probs, utility, tuple(infosets), reach,
     )
 
 
@@ -500,28 +501,40 @@ def pure_strategy_value(
 ) -> float:
     """Expected max-side utility when every infoset plays one fixed action.
 
-    ``choice`` maps infoset id to action index for all players' infosets;
-    an index out of range is an error at the first node that plays it.
+    ``choice`` maps infoset id to action index for all players' infosets.
+    Each player node the walk reaches checks its infoset's entry the way
+    :func:`tbdag.belief.map_pure_strategy` does: a missing entry, or one
+    that is not an int index into the actions (a bool included), is an
+    error there; entries the walk never reaches are ignored.
     Contributions are combined with an exactly-rounded sum, so the result
     does not depend on traversal order.
     """
+    kind, infoset, utility, probs = g.kind, g.infoset, g.utility, g.probs
+    off, kids = g.action_offset, g.action_child
     parts: list[float] = []
     stack: list[tuple[int, float]] = [(g.root, 1.0)]
+    pop, push = stack.pop, stack.append
     while stack:
-        h, p = stack.pop()
-        k = g.kind[h]
+        h, p = pop()
+        k = kind[h]
         if k == TERMINAL:
-            parts.append(p * g.utility[h])
+            parts.append(p * utility[h])
         elif k == CHANCE:
-            for c, pr in zip(g.children[h], g.probs[h]):
+            for j, pr in enumerate(probs[h], off[h]):  # j: the action's slot
                 if pr:
-                    stack.append((c, p * pr))
+                    push((kids[j], p * pr))
         else:
-            kids, i = g.children[h], g.infoset[h]
-            a = choice[i]
-            if not 0 <= a < len(kids):
-                raise GameValidationError(bad_action(i, a, len(kids)))
-            stack.append((kids[a], p))
+            i, a0 = infoset[h], off[h]
+            try:
+                a = choice[i]
+            except KeyError:
+                raise GameValidationError(
+                    f"strategy has no action at infoset {i}"
+                ) from None
+            width = off[h + 1] - a0
+            if type(a) is not int and not _is_id(a) or not 0 <= a < width:
+                raise GameValidationError(bad_action(i, a, width))
+            push((kids[a0 + a], p))
     return fsum(parts)
 
 
@@ -599,6 +612,7 @@ def parse_game(doc: Mapping[str, Any]) -> ExtensiveFormGame:
         raise GameValidationError('"nodes" must be a list')
 
     w = GameWriter()
+    label, child_of, prob = w.label, w.child, w.prob
     for old, raw in enumerate(nodes):
         if not (type(raw) is dict or isinstance(raw, Mapping)):
             raise GameValidationError(f"node {old}: not an object")
@@ -606,7 +620,6 @@ def parse_game(doc: Mapping[str, Any]) -> ExtensiveFormGame:
         acts = raw.get("actions", [])
         if not isinstance(acts, list):
             raise GameValidationError(f"node {old}: actions must be a list")
-        row = []
         for j, act in enumerate(acts):
             if not (type(act) is dict or isinstance(act, Mapping)) or (
                 "child" not in act
@@ -619,24 +632,27 @@ def parse_game(doc: Mapping[str, Any]) -> ExtensiveFormGame:
                 raise GameValidationError(
                     f"node {old}: dangling child reference {child!r}"
                 )
-            label = act.get("label")
-            if not isinstance(label, str):
+            lab = act.get("label")
+            if not isinstance(lab, str):
                 raise GameValidationError(
                     f"node {old}: action {j} missing label"
                 )
+            label.append(lab)
+            child_of.append(child)
             if "prob" not in act:
-                row.append((label, child))
+                prob.append(None)
             elif k == CHANCE:
-                row.append((label, child, _parse_prob(act["prob"], old)))
+                prob.append(_parse_prob(act["prob"], old))
             else:
-                row.append((label, child, act["prob"]))
-        if k == TERMINAL:
+                # An error off a chance node, a JSON null one included.
+                prob.append(nan if act["prob"] is None else act["prob"])
+        if k == TERMINAL:  # the node owns the actions just appended
             u = raw.get("utility")
             if not (isinstance(u, (int, float)) and not isinstance(u, bool)):
                 raise GameValidationError(
                     f"node {old}: terminal needs a numeric utility"
                 )
-            w.add(k, -1, None, row, _float(u))
+            w.add(k, -1, None, (), _float(u))
             continue
         if "utility" in raw:
             raise GameValidationError(
@@ -648,12 +664,15 @@ def parse_game(doc: Mapping[str, Any]) -> ExtensiveFormGame:
                 f"node {old}: infoset must be a number or a string, "
                 f"not {key!r}"
             )
-        w.add(k, raw.get("player"), key, row)
+        w.add(k, raw.get("player"), key)
     return build_game(players, teams, doc["root"], w)
 
 
 def serialize_game(g: ExtensiveFormGame) -> dict[str, Any]:
     """Inverse of :func:`parse_game` (up to id renumbering, exactly)."""
+    # Actions are in node order, so each node takes the next ones from
+    # one iterator; zip reads its labels first and stops on them.
+    child_of = iter(g.action_child)
     nodes: list[dict[str, Any]] = []
     for h in range(g.num_nodes):
         k = g.kind[h]
@@ -661,16 +680,15 @@ def serialize_game(g: ExtensiveFormGame) -> dict[str, Any]:
             nodes.append({"kind": TERMINAL, "utility": g.utility[h]})
             continue
         actions: list[dict[str, Any]] = []
-        for j, c in enumerate(g.children[h]):
-            act: dict[str, Any] = {"label": g.labels[h][j], "child": c}
-            if k == CHANCE:
-                act["prob"] = g.probs[h][j]
-            actions.append(act)
-        node: dict[str, Any] = {"kind": k, "actions": actions}
-        if k == PLAYER:
-            node["player"] = g.player[h]
-            node["infoset"] = g.infoset[h]
-        nodes.append(node)
+        if k == CHANCE:
+            for lab, c, p in zip(g.labels[h], child_of, g.probs[h]):
+                actions.append({"label": lab, "child": c, "prob": p})
+            nodes.append({"kind": k, "actions": actions})
+            continue
+        for lab, c in zip(g.labels[h], child_of):
+            actions.append({"label": lab, "child": c})
+        nodes.append({"kind": k, "actions": actions, "player": g.player[h],
+                      "infoset": g.infoset[h]})
     return {
         "players": list(g.players),
         "teams": {

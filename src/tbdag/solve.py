@@ -451,9 +451,10 @@ def enumeration_oracle(
     settled = [0] * n
     for z, (p, q) in ratios.items():
         settled[z] = p * (den // q)
+    own = g.own_infoset(side)
     for h in range(n - 1, 0, -1):
         up = g.parent[h]
-        if settled[h] and g.node_side(up) != side:
+        if settled[h] and own[up] < 0:
             settled[up] += settled[h]
 
     # Node sets are int bitsets over node ids.  The subtree of h is the
@@ -474,10 +475,10 @@ def enumeration_oracle(
         members[i] = sum(1 << m for m in iset.members)
         through = [
             sum(((1 << size[c]) - 1) << c for c in cs)
-            for cs in zip(*(g.children[m] for m in iset.members))
+            for cs in zip(*map(g.children, iset.members))
         ]
         ok[i] = [full ^ sum(through) ^ t for t in through]
-        rows = ((m, [settled[c] for c in g.children[m]]) for m in iset.members)
+        rows = ((m, [settled[c] for c in g.children(m)]) for m in iset.members)
         gains[i] = [(1 << m, row) for m, row in rows if any(row)]
 
     level = {i: g.depth[g.infosets[i].members[0]] for i in members}

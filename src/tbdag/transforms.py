@@ -56,7 +56,7 @@ def binarize_actions(g: ExtensiveFormGame) -> ExtensiveFormGame:
 
     width = [0] * (g.max_depth + 1)
     for h in range(g.num_nodes):
-        if g.is_internal(h):
+        if g.kind[h] != TERMINAL:
             width[g.depth[h]] = max(
                 width[g.depth[h]], _bits_needed(g.num_actions(h))
             )
@@ -92,35 +92,32 @@ def binarize_actions(g: ExtensiveFormGame) -> ExtensiveFormGame:
             a for a in range(len(codes)) if codes[a].startswith(prefix)
         ]
         if depth_in == len(codes[0]):
-            return build(g.children[h][consistent[0]])
-        if g.kind[h] == PLAYER:
-            me, actions = w.add_player(g.player[h], (g.infoset[h], prefix))
-        else:
-            me, actions = w.add_chance()
-            mass_all = sum(g.probs[h][a] for a in consistent)
+            return build(g.children(h)[consistent[0]])
         present = [
             bit
             for bit in ("0", "1")
             if any(codes[a][depth_in] == bit for a in consistent)
         ]
+        if g.kind[h] == PLAYER:
+            return w.add_player(g.player[h], (g.infoset[h], prefix), [
+                (bit, build_prefix(h, codes, prefix + bit)) for bit in present
+            ])
+        probs = g.probs[h]
+        mass_all = sum(probs[a] for a in consistent)
+        actions = []
         for bit in present:
             child = build_prefix(h, codes, prefix + bit)
-            if g.kind[h] == PLAYER:
-                actions.append((bit, child))
-                continue
             mass = sum(
-                g.probs[h][a] for a in consistent if codes[a][depth_in] == bit
+                probs[a] for a in consistent if codes[a][depth_in] == bit
             )
             prob = mass / mass_all if mass_all > 0 else 1 / len(present)
             actions.append((bit, child, prob))
-        return me
+        return w.add_chance(actions)
 
-    root = build(0)
-    assert root == 0
     return build_game(
         g.players,
         {MAX: g.side_players(MAX), MIN: g.side_players(MIN)},
-        0,
+        build(0),
         w,
     )
 
@@ -175,7 +172,7 @@ def inflate(g: ExtensiveFormGame, side: str) -> ExtensiveFormGame:
             g.kind[h],
             g.player[h],
             group_of.get(h, ("keep", g.infoset[h])),
-            list(zip(g.labels[h], g.children[h], *extra)),
+            zip(g.labels[h], g.children(h), *extra),
             g.utility[h],
         )
     return build_game(

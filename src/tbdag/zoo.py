@@ -179,14 +179,11 @@ def _gen_kuhn(spec: ZooSpec) -> ExtensiveFormGame:
         if st.done():
             return w.add_terminal(showdown(deal, st))
         seat = st.pending[0]
-        node, actions = w.add_player(seat + 1, (seat, deal[seat], history))
-        for label, nxt in _bet_actions(st):
-            child = betting(deal, history + (label,), nxt)
-            actions.append((label, child))
-        return node
+        return w.add_player(seat + 1, (seat, deal[seat], history), [
+            (label, betting(deal, history + (label,), nxt))
+            for label, nxt in _bet_actions(st)
+        ])
 
-    root, outcomes = w.add_chance()
-    assert root == 0
     deals = sorted(permutations(range(r), n))
     start = _BetState(
         contrib=(1.0,) * n,
@@ -196,13 +193,13 @@ def _gen_kuhn(spec: ZooSpec) -> ExtensiveFormGame:
         raises_left=1,
         raise_size=1.0,
     )
-    for deal in deals:
-        child = betting(deal, (), start)
-        outcomes.append(
-            ("".join(str(c) for c in deal), child, 1 / len(deals))
-        )
+    root = w.add_chance([
+        ("".join(str(c) for c in deal), betting(deal, (), start),
+         1 / len(deals))
+        for deal in deals
+    ])
     return build_game(
-        ["chance"] + [f"p{i}" for i in range(1, n + 1)], teams, 0, w
+        ["chance"] + [f"p{i}" for i in range(1, n + 1)], teams, root, w
     )
 
 
@@ -237,15 +234,14 @@ def _gen_leduc(spec: ZooSpec) -> ExtensiveFormGame:
         if st.done():
             return w.add_terminal(showdown(score, st))
         seat = st.pending[0]
-        node, actions = w.add_player(seat + 1, (seat, deal[seat], history))
-        for label, nxt in bet_actions(st):
-            child = round2(deal, score, history + (label,), nxt)
-            actions.append((label, child))
-        return node
+        return w.add_player(seat + 1, (seat, deal[seat], history), [
+            (label, round2(deal, score, history + (label,), nxt))
+            for label, nxt in bet_actions(st)
+        ])
 
     def reveal_board(deal, history, st: _BetState) -> int:
-        node, outcomes = w.add_chance()
         remaining = sorted(set(deck) - set(deal))
+        outcomes = []
         for board in remaining:
             nxt = _BetState(
                 contrib=st.contrib,
@@ -262,7 +258,7 @@ def _gen_leduc(spec: ZooSpec) -> ExtensiveFormGame:
             outcomes.append(
                 (card_label(board), child, 1 / len(remaining))
             )
-        return node
+        return w.add_chance(outcomes)
 
     def round1(deal, history, st: _BetState) -> int:
         if st.done():
@@ -270,14 +266,11 @@ def _gen_leduc(spec: ZooSpec) -> ExtensiveFormGame:
                 return w.add_terminal(showdown(None, st))
             return reveal_board(deal, history, st)
         seat = st.pending[0]
-        node, actions = w.add_player(seat + 1, (seat, deal[seat], history))
-        for label, nxt in bet_actions(st):
-            child = round1(deal, history + (label,), nxt)
-            actions.append((label, child))
-        return node
+        return w.add_player(seat + 1, (seat, deal[seat], history), [
+            (label, round1(deal, history + (label,), nxt))
+            for label, nxt in bet_actions(st)
+        ])
 
-    root, outcomes = w.add_chance()
-    assert root == 0
     deals = sorted(permutations(deck, n))
     start = _BetState(
         contrib=(1.0,) * n,
@@ -287,13 +280,13 @@ def _gen_leduc(spec: ZooSpec) -> ExtensiveFormGame:
         raises_left=cap,
         raise_size=2.0,
     )
-    for deal in deals:
-        child = round1(deal, (), start)
-        outcomes.append(
-            ("|".join(card_label(c) for c in deal), child, 1 / len(deals))
-        )
+    root = w.add_chance([
+        ("|".join(card_label(c) for c in deal), round1(deal, (), start),
+         1 / len(deals))
+        for deal in deals
+    ])
     return build_game(
-        ["chance"] + [f"p{i}" for i in range(1, n + 1)], teams, 0, w
+        ["chance"] + [f"p{i}" for i in range(1, n + 1)], teams, root, w
     )
 
 
@@ -325,26 +318,24 @@ def _gen_liars_dice(spec: ZooSpec) -> ExtensiveFormGame:
         return sum(payoff[p - 1] for p in teams[MAX])
 
     def turn(rolls, history: tuple[int, ...], seat: int) -> int:
-        node, actions = w.add_player(seat + 1, (seat, rolls[seat], history))
         last = history[-1] if history else -1
-        for b in range(last + 1, len(bids)):
-            child = turn(rolls, history + (b,), (seat + 1) % n)
-            actions.append((bid_label(bids[b]), child))
+        actions = [
+            (bid_label(bids[b]), turn(rolls, history + (b,), (seat + 1) % n))
+            for b in range(last + 1, len(bids))
+        ]
         if history:
             z = w.add_terminal(challenge(rolls, last, seat))
             actions.append(("liar", z))
-        return node
+        return w.add_player(seat + 1, (seat, rolls[seat], history), actions)
 
-    root, outcomes = w.add_chance()
-    assert root == 0
     all_rolls = sorted(product(range(1, d + 1), repeat=n))
-    for rolls in all_rolls:
-        child = turn(rolls, (), 0)
-        outcomes.append(
-            ("".join(str(f) for f in rolls), child, 1 / len(all_rolls))
-        )
+    root = w.add_chance([
+        ("".join(str(f) for f in rolls), turn(rolls, (), 0),
+         1 / len(all_rolls))
+        for rolls in all_rolls
+    ])
     return build_game(
-        ["chance"] + [f"p{i}" for i in range(1, n + 1)], teams, 0, w
+        ["chance"] + [f"p{i}" for i in range(1, n + 1)], teams, root, w
     )
 
 
@@ -360,45 +351,33 @@ def _gen_fig2(spec: ZooSpec) -> ExtensiveFormGame:
     w = GameWriter()
 
     def guess(iset: str, win_first: bool) -> int:
-        node, actions = w.add_player(3, iset)
         u = 1.0 if win_first else -1.0
-        actions.append(("0", w.add_terminal(u)))
-        actions.append(("1", w.add_terminal(-u)))
-        return node
+        return w.add_player(3, iset, [
+            ("0", w.add_terminal(u)), ("1", w.add_terminal(-u)),
+        ])
 
-    root, outcomes = w.add_chance()
-    assert root == 0
-
-    # State x: signaler node b; state y: signaler node c.
-    b, b_actions = w.add_player(1, "sig_x")
-    c, c_actions = w.add_player(1, "sig_y")
-    outcomes.append(("x", b, 0.5))
-    outcomes.append(("y", c, 0.5))
-
-    d, d_actions = w.add_player(2, "relay_l")
-    f, f_actions = w.add_player(2, "relay_r")
-    b_actions.append(("l", d))
-    b_actions.append(("r", f))
-
-    e, e_actions = w.add_player(2, "relay_l")
-    g, g_actions = w.add_player(2, "relay_r")
-    c_actions.append(("l", e))
-    c_actions.append(("r", g))
-
-    d_actions.append(("0", guess("guess_l", True)))
-    d_actions.append(("1", w.add_terminal(-1.0)))
-    e_actions.append(("0", w.add_terminal(-1.0)))
-    e_actions.append(("1", guess("guess_l", False)))
-
-    f_actions.append(("0", guess("guess_r", True)))
-    f_actions.append(("1", w.add_terminal(-1.0)))
-    g_actions.append(("0", w.add_terminal(-1.0)))
-    g_actions.append(("1", guess("guess_r", False)))
+    # Written leaves first.  State x: signaler b and relays d, f; state
+    # y: signaler c and relays e, g.
+    d = w.add_player(2, "relay_l", [
+        ("0", guess("guess_l", True)), ("1", w.add_terminal(-1.0)),
+    ])
+    e = w.add_player(2, "relay_l", [
+        ("0", w.add_terminal(-1.0)), ("1", guess("guess_l", False)),
+    ])
+    f = w.add_player(2, "relay_r", [
+        ("0", guess("guess_r", True)), ("1", w.add_terminal(-1.0)),
+    ])
+    g = w.add_player(2, "relay_r", [
+        ("0", w.add_terminal(-1.0)), ("1", guess("guess_r", False)),
+    ])
+    b = w.add_player(1, "sig_x", [("l", d), ("r", f)])
+    c = w.add_player(1, "sig_y", [("l", e), ("r", g)])
+    root = w.add_chance([("x", b, 0.5), ("y", c, 0.5)])
 
     return build_game(
         ["chance", "sender", "relay", "guesser"],
         {MAX: [1, 2], MIN: [3]},
-        0,
+        root,
         w,
     )
 
@@ -408,8 +387,6 @@ def _gen_fig8(spec: ZooSpec) -> ExtensiveFormGame:
     public state by overlapping bottom infosets, though only the odd or
     even triple is ever live at once."""
     w = GameWriter()
-    root, root_actions = w.add_player(1, "top")
-    assert root == 0
 
     # Bottom infosets overlap adjacent middle nodes, (C,2)+(D,1) and so
     # on, so that the middle layer chains C-D-E-F-G-H.
@@ -419,25 +396,22 @@ def _gen_fig8(spec: ZooSpec) -> ExtensiveFormGame:
 
     def bottom(name: str, j: str) -> int:
         iset = chain.get((name, j), ("bot", name, j))
-        node, actions = w.add_player(1, iset)
-        actions.append(("0", w.add_terminal(0.0)))
-        actions.append(("1", w.add_terminal(0.0)))
-        return node
+        return w.add_player(1, iset, [
+            ("0", w.add_terminal(0.0)), ("1", w.add_terminal(0.0)),
+        ])
 
-    middles = {}
-    for name in "CDEFGH":
-        node, actions = w.add_player(1, f"mid_{name}")
-        for j in ("1", "2"):
-            actions.append((j, bottom(name, j)))
-        middles[name] = node
-
-    for label, names in (("l", "CEG"), ("r", "DFH")):
-        spread, spread_actions = w.add_chance()
-        for name in names:
-            spread_actions.append((name, middles[name], 1 / 3))
-        root_actions.append((label, spread))
+    middles = {
+        name: w.add_player(
+            1, f"mid_{name}", [(j, bottom(name, j)) for j in ("1", "2")]
+        )
+        for name in "CDEFGH"
+    }
+    root = w.add_player(1, "top", [
+        (label, w.add_chance([(name, middles[name], 1 / 3) for name in names]))
+        for label, names in (("l", "CEG"), ("r", "DFH"))
+    ])
     return build_game(
-        ["chance", "team", "dummy"], {MAX: [1], MIN: [2]}, 0, w
+        ["chance", "team", "dummy"], {MAX: [1], MIN: [2]}, root, w
     )
 
 
@@ -453,39 +427,32 @@ def _gen_fig9(spec: ZooSpec) -> ExtensiveFormGame:
     C = spec.columns
     _require(C >= 2, "fig9 needs at least 2 columns")
     w = GameWriter()
-    root, outcomes = w.add_chance()
-    assert root == 0
 
     def final_two(c: int) -> int:
-        node, actions = w.add_player(1, ("know", c))
-        for number in (c, c + 1):
-            seen, seen_actions = w.add_player(1, ("number", number))
-            for opt in ("0", "1"):
-                seen_actions.append((opt, w.add_terminal(0.0)))
-            actions.append((str(number), seen))
-        return node
+        return w.add_player(1, ("know", c), [
+            (str(number), w.add_player(1, ("number", number), [
+                (opt, w.add_terminal(0.0)) for opt in ("0", "1")
+            ]))
+            for number in (c, c + 1)
+        ])
 
     def column(c: int, t: int) -> int:
         if t == C - 1:
             return final_two(c)
         active = c == t or c == t + 2
         if not active:
-            node, actions = w.add_chance()
-            actions.append(("pass", column(c, t + 1), 1.0))
-            return node
+            return w.add_chance([("pass", column(c, t + 1), 1.0)])
         # The layer-t infoset joins the columns t and t+2 nodes.
-        node, actions = w.add_player(1, ("layer", t))
-        for a in ("0", "2"):
-            survives = c == t + int(a)
-            child = column(c, t + 1) if survives else w.add_terminal(0.0)
-            actions.append((a, child))
-        return node
+        return w.add_player(1, ("layer", t), [
+            (a, column(c, t + 1) if c == t + int(a) else w.add_terminal(0.0))
+            for a in ("0", "2")
+        ])
 
-    for c in range(1, C + 1):
-        child = column(c, 1)
-        outcomes.append((f"c{c}", child, 1 / C))
+    root = w.add_chance(
+        [(f"c{c}", column(c, 1), 1 / C) for c in range(1, C + 1)]
+    )
     return build_game(
-        ["chance", "team", "dummy"], {MAX: [1], MIN: [2]}, 0, w
+        ["chance", "team", "dummy"], {MAX: [1], MIN: [2]}, root, w
     )
 
 
@@ -502,24 +469,19 @@ def _gen_worst_case(spec: ZooSpec) -> ExtensiveFormGame:
     n_minis = d - 3
 
     def subgame(side_player: int, m: int, j: int) -> int:
-        node, actions = w.add_player(side_player, ("root", side_player, m, j))
-        for c in range(b - 1):
-            mid, mid_actions = w.add_player(
-                side_player, ("wide", side_player, m + 2)
-            )
-            mid_actions.append(("t", w.add_terminal(0.0)))
-            actions.append((f"a{c}", mid))
-        q, q_actions = w.add_chance()
-        deep, deep_actions = w.add_player(
-            side_player, ("wide", side_player, m + 3)
+        actions = [
+            (f"a{c}", w.add_player(side_player, ("wide", side_player, m + 2),
+                                   [("t", w.add_terminal(0.0))]))
+            for c in range(b - 1)
+        ]
+        deep = w.add_player(
+            side_player, ("wide", side_player, m + 3),
+            [("t", w.add_terminal(0.0))],
         )
-        deep_actions.append(("t", w.add_terminal(0.0)))
-        q_actions.append(("n", deep, 1.0))
-        actions.append((f"a{b - 1}", q))
-        return node
+        actions.append((f"a{b - 1}", w.add_chance([("n", deep, 1.0)])))
+        return w.add_player(side_player, ("root", side_player, m, j), actions)
 
     def mini(m: int) -> int:
-        node, actions = w.add_chance()
         kids = []
         for side_player in (1, 2):
             for j in range(k):
@@ -528,14 +490,12 @@ def _gen_worst_case(spec: ZooSpec) -> ExtensiveFormGame:
                 )
         if m + 1 < n_minis:
             kids.append(("next", mini(m + 1)))
-        for label, child in kids:
-            actions.append((label, child, 1 / len(kids)))
-        return node
+        return w.add_chance(
+            [(label, child, 1 / len(kids)) for label, child in kids]
+        )
 
-    root = mini(0)
-    assert root == 0
     return build_game(
-        ["chance", "p1", "p2"], {MAX: [1], MIN: [2]}, 0, w
+        ["chance", "p1", "p2"], {MAX: [1], MIN: [2]}, mini(0), w
     )
 
 

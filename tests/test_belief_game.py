@@ -157,7 +157,7 @@ class TestConstruction:
         assert bg.roles == (
             "max-prescribes", "min-prescribes", "chance-resolves"
         )
-        assert bg.game.labels[:2] == (("-",), ("-",))
+        assert bg.game.labels[:2] == [("-",), ("-",)]
         assert bg.root_iset == {MAX: 0, MIN: 1}
 
     def test_proxies_have_perfect_recall(self):
@@ -187,7 +187,8 @@ class TestCompaction:
         assert c.num_nodes == g.num_nodes
         assert all(bg.annotations[n][0] == n for n in range(c.num_nodes))
         assert c.kind == g.kind
-        assert c.children == g.children
+        assert c.action_offset == g.action_offset
+        assert c.action_child == g.action_child
         assert c.labels == g.labels
         assert c.probs == g.probs
         assert c.utility == g.utility
@@ -339,7 +340,7 @@ class TestOutOfRangeActions:
         ):
             map_pure_strategy(bg, MAX, pi)
 
-    @pytest.mark.parametrize("bad", [-1, "count"])
+    @pytest.mark.parametrize("bad", [-1, "count", True, 1.5, "missing"])
     def test_value_rejects_it_where_it_is_played(self, bad):
         g = game("fig2")
         choice = {i: 0 for i in range(len(g.infosets))}
@@ -347,12 +348,18 @@ class TestOutOfRangeActions:
         h = g.kind.index(PLAYER)
         i = g.infoset[h]
         n = g.infosets[i].num_actions
-        choice[i] = n if bad == "count" else bad
-        with pytest.raises(
-            GameValidationError,
-            match=f"action {choice[i]} at infoset {i}, which has {n} actions",
-        ):
+        if bad == "missing":
+            del choice[i]
+            message = f"strategy has no action at infoset {i}"
+        else:
+            choice[i] = n if bad == "count" else bad
+            message = (
+                f"strategy plays action {choice[i]!r} at infoset {i}, "
+                f"which has {n} actions"
+            )
+        with pytest.raises(GameValidationError) as exc:
             pure_strategy_value(g, choice)
+        assert str(exc.value) == message
 
     def test_value_ignores_entries_it_never_plays(self):
         g = game("fig2")
@@ -375,7 +382,7 @@ class TestProxyInfosetTables:
             if game_.player[m] == player:
                 out.add(game_.infoset[m])
             else:
-                stack.extend(game_.children[m])
+                stack.extend(game_.children(m))
         return out
 
     @pytest.mark.parametrize(
@@ -403,7 +410,7 @@ class TestProxyInfosetTables:
                     below = set()
                     for n in members:
                         below |= self.first_own_below(
-                            b, b.children[n][a], player
+                            b, b.children(n)[a], player
                         )
                     assert below == set(bg.successors.get((I, a), ()))
         slots = ("max-prescribes", "min-prescribes", "chance-resolves")

@@ -492,6 +492,12 @@ class TestPlumbing:
         self._exits_1_naming(bad, where, capsys)
 
     @pytest.mark.parametrize("where", BAD_FILE_ARGVS)
+    def test_too_deeply_nested_json_exits_1(self, where, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        self._exits_1_naming(bad, where, capsys)
+
+    @pytest.mark.parametrize("where", BAD_FILE_ARGVS)
     def test_non_utf8_file_exits_1_without_traceback(
         self, where, tmp_path, capsys
     ):

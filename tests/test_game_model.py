@@ -16,10 +16,14 @@ from tbdag import (
     TERMINAL,
     generate,
     list_presets,
+    make_belief_game,
     parse_game,
     serialize_game,
 )
 from tbdag.game import GameWriter, build_game
+from tbdag.transforms import binarize_actions, inflate
+
+from test_acceptance import SMALL_ZOO
 
 
 def tiny_doc():
@@ -94,7 +98,7 @@ class TestParsing:
             seen = [False] * g.num_nodes
             seen[0] = True
             for h in range(g.num_nodes):
-                for c in g.children[h]:
+                for c in g.children(h):
                     assert c > h, "children must come after parents"
                     seen[c] = True
             assert all(seen)
@@ -326,22 +330,19 @@ class TestMalformedShapes:
 
 
 
-def _tiny_writer():
-    """The coin-matching game as writer columns, not in preorder.
-
-    Input ids: 2 is the root chance node, 1 and 4 are alice's two nodes
-    in infoset ``"k"``, and 0, 3, 5, 6 are terminals; preorder is
-    2, 1, 0, 3, 4, 5, 6.
-    """
-    w = GameWriter()
-    w.add(TERMINAL, -1, None, (), 1.0)
-    w.add(PLAYER, 1, "k", [("h", 0), ("t", 3)])
-    w.add(CHANCE, -1, None, [("h", 1, 0.5), ("t", 4, 0.5)])
-    w.add(TERMINAL, -1, None, (), -1.0)
-    w.add(PLAYER, 1, "k", [("h", 5), ("t", 6)])
-    w.add(TERMINAL, -1, None, (), -1.0)
-    w.add(TERMINAL, -1, None, (), 1.0)
-    return w
+# The coin-matching game as writer rows ``(kind, player, infoset,
+# actions, utility)``, not in preorder.  Input ids: 2 is the root chance
+# node, 1 and 4 are alice's two nodes in infoset ``"k"``, and 0, 3, 5, 6
+# are terminals; preorder is 2, 1, 0, 3, 4, 5, 6.
+_TINY_ROWS = (
+    (TERMINAL, -1, None, (), 1.0),
+    (PLAYER, 1, "k", [("h", 0), ("t", 3)], 0.0),
+    (CHANCE, -1, None, [("h", 1, 0.5), ("t", 4, 0.5)], 0.0),
+    (TERMINAL, -1, None, (), -1.0),
+    (PLAYER, 1, "k", [("h", 5), ("t", 6)], 0.0),
+    (TERMINAL, -1, None, (), -1.0),
+    (TERMINAL, -1, None, (), 1.0),
+)
 
 
 _PLAYERS = ("chance", "alice", "bob")
@@ -355,16 +356,19 @@ def _fault(players=_PLAYERS, teams=_TEAMS, root=2, **edits):
     replaces input node ``i`` (appending it if ``i`` is new); a value of
     None empties the writer.
     """
-    w = _tiny_writer()
+    rows = list(_TINY_ROWS)
     for key, row in edits.items():
         if row is None:
-            w = GameWriter()
+            rows = []
             continue
         i = int(key[4:])
-        if i == len(w.kind):
-            w.add(*row)
+        if i == len(rows):
+            rows.append(row)
         else:
-            w.kind[i], w.player[i], w.infoset[i], w.actions[i], w.utility[i] = row
+            rows[i] = row
+    w = GameWriter()
+    for row in rows:
+        w.add(*row)
     return players, teams, root, w
 
 
@@ -631,3 +635,99 @@ def test_random_tree_round_trip(data):
     g = parse_game(doc)
     assert parse_game(serialize_game(g)) == g
     assert g.num_nodes == len(nodes)
+
+
+def _flat_format_holds(g):
+    """The node format's invariants: CSR children that agree with the
+    parent columns, labels held once per infoset, probabilities only at
+    chance nodes, and an exact JSON round trip."""
+    n, off, kids = g.num_nodes, g.action_offset, g.action_child
+    assert len(off) == n + 1 and off[0] == 0 and off[n] == len(kids)
+    assert sorted(kids) == list(range(1, n))  # every non-root node once
+    for h in range(n):
+        cs = kids[off[h]: off[h + 1]]
+        assert cs == g.children(h)
+        assert [g.parent[c] for c in cs] == [h] * len(cs)
+        assert [g.parent_action[c] for c in cs] == list(range(len(cs)))
+        k = g.kind[h]
+        assert (k == TERMINAL) == (not cs)
+        assert len(g.labels[h]) == len(cs)
+        if k == PLAYER:
+            assert g.labels[h] is g.infosets[g.infoset[h]].actions
+        if k == CHANCE:
+            assert len(g.probs[h]) == len(cs)
+        else:
+            assert g.probs[h] is None
+    assert parse_game(serialize_game(g)) == g
+
+
+def _rewrites(g):
+    """``g``, its inflation on each side that has players, and its
+    binarization where both sides have action recall."""
+    out = [g]
+    out += [inflate(g, side) for side in (MAX, MIN) if g.side_players(side)]
+    try:
+        out.append(binarize_actions(g))
+    except GameValidationError as exc:
+        assert "lacks action recall" in str(exc)
+    return out
+
+
+# SMALL_ZOO presets whose belief games stay under 10,000 nodes.  The
+# others (44,000 to 187,000 nodes, and 1.5 million for fig9-C16) take
+# seconds per rewrite.
+_SMALL_BELIEF = tuple(
+    n for n in SMALL_ZOO
+    if not n.startswith(("3D2", "3K4"))
+    and n not in ("fig9-C16", "worst-k2b2d6")
+)
+
+
+class TestFlatFormat:
+    @pytest.mark.parametrize("name", SMALL_ZOO)
+    def test_invariants_hold(self, name):
+        for g in _rewrites(generate(list_presets()[name])):
+            _flat_format_holds(g)
+
+    @pytest.mark.parametrize("name", _SMALL_BELIEF)
+    def test_invariants_hold_on_belief_games(self, name):
+        g = generate(list_presets()[name])
+        for compact in (False, True):
+            try:
+                bg = make_belief_game(g, compact=compact).game
+            except GameValidationError as exc:
+                assert compact and "not timeable" in str(exc)
+                continue
+            for rewritten in _rewrites(bg):
+                _flat_format_holds(rewritten)
+
+    def test_chance_tuples_are_shared_but_keep_signed_zeros(self):
+        def coin(first, second, p):
+            return {"kind": "chance", "actions": [
+                {"label": "x", "child": first, "prob": p},
+                {"label": "y", "child": second, "prob": 1.0},
+            ]}
+
+        g = parse_game({
+            "players": ["chance", "alice", "bob"],
+            "teams": {"max": [1], "min": [2]},
+            "root": 0,
+            "nodes": [
+                {"kind": "chance", "actions": [
+                    {"label": "a", "child": 1, "prob": 0.5},
+                    {"label": "b", "child": 4, "prob": 0.5},
+                ]},
+                coin(2, 3, 0.0),
+                {"kind": "terminal", "utility": 1.0},
+                {"kind": "terminal", "utility": -1.0},
+                coin(5, 6, -0.0),
+                {"kind": "terminal", "utility": 1.0},
+                {"kind": "terminal", "utility": -1.0},
+            ],
+        })
+        assert g.labels[1] is g.labels[4]
+        signs = [math.copysign(1.0, g.probs[h][0]) for h in (1, 4)]
+        assert signs == [1.0, -1.0]
+        doc = serialize_game(g)
+        assert doc["nodes"][4]["actions"][0]["prob"] == 0.0
+        assert math.copysign(1.0, doc["nodes"][4]["actions"][0]["prob"]) == -1

@@ -122,10 +122,10 @@ class TestLeduc:
 class TestLiarsDice:
     def test_bid_grammar(self, presets):
         g = generate(presets["3D2[1]"])
-        root_child = g.children[0][0]
+        root_child = g.children(0)[0]
         labels = list(g.labels[root_child])
         assert labels == ["1x1", "1x2", "2x1", "2x2", "3x1", "3x2"]
-        follow = g.children[root_child][0]
+        follow = g.children(root_child)[0]
         assert list(g.labels[follow]) == [
             "1x2",
             "2x1",

@@ -483,7 +483,7 @@ def reference_oracle(g, side, real, budget=10**7):
         members[i] = sum(1 << m for m in iset.members)
         through = [
             sum(((1 << size[c]) - 1) << c for c in cs)
-            for cs in zip(*(g.children[m] for m in iset.members))
+            for cs in zip(*(g.children(m) for m in iset.members))
         ]
         ok[i] = [full ^ sum(through) ^ t for t in through]
 

@@ -196,8 +196,8 @@ class TestSplits:
     def test_fig8_observation_refines_public(self):
         g = game("fig8")
         a = analyze(g, MAX)
-        left = g.children[0][0]
-        ceg = list(g.children[left])
+        left = g.children(0)[0]
+        ceg = list(g.children(left))
         assert split_observation(a, ceg) == tuple((h,) for h in sorted(ceg))
         assert split_public(a, ceg) == (tuple(sorted(ceg)),)
 
