@@ -61,7 +61,6 @@ from .build import (
     TbDag,
     build_tbdag,
     check_size_bounds,
-    compare_splits,
     count_tbdag,
     dag_signature,
     tbdag_to_doc,
@@ -110,7 +109,6 @@ __all__ = [
     "build_tbdag",
     "check_realization",
     "check_size_bounds",
-    "compare_splits",
     "coordinator_view",
     "count_tbdag",
     "dag_cfr_strategy",

@@ -692,26 +692,6 @@ def _discover(g, key, seen, queue):
             queue.append(members)
 
 
-def compare_splits(
-    g: ExtensiveFormGame,
-    side: str,
-    *,
-    analysis: GameAnalysis | None = None,
-    edge_budget: int = 10**8,
-) -> tuple[int, int]:
-    """Raw edge counts of the observation- and public-split DAGs."""
-    analysis = _checked_analysis(g, side, analysis)
-    obs = build_tbdag(
-        g, side, split="observation", reduce=False,
-        analysis=analysis, edge_budget=edge_budget,
-    ).stats.n_edges
-    _, _, pub = count_tbdag(
-        g, side, split="public",
-        analysis=analysis, edge_budget=edge_budget,
-    )
-    return obs, pub
-
-
 # ---------------------------------------------------------------------
 # Canonical forms
 # ---------------------------------------------------------------------

@@ -62,62 +62,47 @@ def binarize_actions(g: ExtensiveFormGame) -> ExtensiveFormGame:
             )
 
     w = GameWriter()
-
-    def node_codes(h: int) -> list[str]:
-        """Bit code per original action index, all of length W_t+1."""
-        m = g.num_actions(h)
-        w = _bits_needed(m)
-        total = width[g.depth[h]] + 1
-        rank = {
-            a: r
-            for r, a in enumerate(
-                sorted(range(m), key=lambda a: g.labels[h][a])
-            )
-        }
-        codes = []
-        for a in range(m):
-            code = format(rank[a], f"0{w}b") if w else ""
-            codes.append(code + "0" * (total - len(code)))
-        return codes
-
-    def build(h: int) -> int:
+    # Preorder ids put children after parents, so walking the ids from
+    # last to first finds every child's rewrite written.  Each node's
+    # bit trie is written from its longest prefixes up to its root.
+    rewritten = [0] * g.num_nodes
+    for h in range(g.num_nodes - 1, -1, -1):
         if g.kind[h] == TERMINAL:
-            return w.add_terminal(g.utility[h])
-        codes = node_codes(h)
-        return build_prefix(h, codes, "")
-
-    def build_prefix(h: int, codes: list[str], prefix: str) -> int:
-        depth_in = len(prefix)
-        consistent = [
-            a for a in range(len(codes)) if codes[a].startswith(prefix)
-        ]
-        if depth_in == len(codes[0]):
-            return build(g.children(h)[consistent[0]])
-        present = [
-            bit
-            for bit in ("0", "1")
-            if any(codes[a][depth_in] == bit for a in consistent)
-        ]
-        if g.kind[h] == PLAYER:
-            return w.add_player(g.player[h], (g.infoset[h], prefix), [
-                (bit, build_prefix(h, codes, prefix + bit)) for bit in present
-            ])
-        probs = g.probs[h]
-        mass_all = sum(probs[a] for a in consistent)
-        actions = []
-        for bit in present:
-            child = build_prefix(h, codes, prefix + bit)
-            mass = sum(
-                probs[a] for a in consistent if codes[a][depth_in] == bit
-            )
-            prob = mass / mass_all if mass_all > 0 else 1 / len(present)
-            actions.append((bit, child, prob))
-        return w.add_chance(actions)
+            rewritten[h] = w.add_terminal(g.utility[h])
+            continue
+        # Bit code per action: its label rank, zero-padded to W_t + 1.
+        m, probs, total = g.num_actions(h), g.probs[h], width[g.depth[h]] + 1
+        codes = [""] * m
+        for r, a in enumerate(sorted(range(m), key=g.labels[h].__getitem__)):
+            codes[a] = format(r, f"0{_bits_needed(m)}b").ljust(total, "0")
+        below = {c: rewritten[kid] for c, kid in zip(codes, g.children(h))}
+        for depth_in in range(total - 1, -1, -1):
+            level = {}
+            for prefix in dict.fromkeys(c[:depth_in] for c in codes):
+                present = [bit for bit in "01" if prefix + bit in below]
+                if g.kind[h] == PLAYER:
+                    level[prefix] = w.add_player(
+                        g.player[h], (g.infoset[h], prefix),
+                        [(bit, below[prefix + bit]) for bit in present],
+                    )
+                    continue
+                consistent = [
+                    a for a, c in enumerate(codes) if c.startswith(prefix)
+                ]
+                mass_all = sum(probs[a] for a in consistent)
+                level[prefix] = w.add_chance([(
+                    bit, below[prefix + bit],
+                    sum(probs[a] for a in consistent
+                        if codes[a][depth_in] == bit) / mass_all
+                    if mass_all > 0 else 1 / len(present),
+                ) for bit in present])
+            below = level
+        rewritten[h] = below[""]
 
     return build_game(
         g.players,
         {MAX: g.side_players(MAX), MIN: g.side_players(MIN)},
-        build(0),
+        rewritten[0],
         w,
     )
 

@@ -4,7 +4,8 @@ Families:
 
 - ``kuhn``: n-player, r-rank Kuhn poker (ante 1, one bet of 1).
 - ``leduc``: n-player Leduc hold'em with a raise cap per round, r ranks,
-  s suits (raise of 2 pre-flop, 4 post-flop, ante 1).
+  s suits (raise of 2 pre-flop, 4 post-flop, ante 1).  Kuhn and Leduc
+  are one betting engine given different decks and rounds.
 - ``liars_dice``: n players, one d-sided die each.  Bids are
   (count, face) pairs ordered lexicographically; a bid must exceed the
   previous one and "liar" challenges it.  Faces are never wild; the
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import permutations, product
-from typing import Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from .game import (
     MAX,
@@ -159,48 +160,81 @@ def _bet_actions(st: _BetState) -> tuple[tuple[str, _BetState], ...]:
     return tuple(out)
 
 
-def _gen_kuhn(spec: ZooSpec) -> ExtensiveFormGame:
-    n, r = spec.players, spec.ranks
-    _require(n >= 2, "kuhn needs at least 2 players")
-    _require(r >= n, "kuhn needs at least as many ranks as players")
+def _gen_poker(
+    spec: ZooSpec,
+    deck: Sequence[Any],
+    card_label: Callable[[Any], str],
+    sep: str,
+    rounds: tuple[tuple[float, int], ...],
+) -> ExtensiveFormGame:
+    """Poker with ante 1: every permutation of ``deck`` dealt one card a
+    seat, then one betting round per ``(raise_size, cap)`` of
+    ``rounds``.  Between rounds, while two or more seats are active, a
+    board card from the rest of the deck comes out.  A showdown ranks
+    the cards themselves before any board (Kuhn's cards are ranks) and
+    a (rank, suit) card by (pairs the board, rank) after it; tied seats
+    split the pot.  Only Leduc has a second round, so only its cards
+    meet a board, and two of them never meet without one."""
+    n = spec.players
     teams = _teams(n, spec.min_team)
     max_team = frozenset(teams[MAX])
     w = GameWriter()
+    bet_actions = cache(_bet_actions)  # the same under every deal
 
-    def showdown(deal, st: _BetState) -> float:
+    @cache  # many deals share their scores
+    def showdown(score, st: _BetState) -> float:
         if len(st.active) == 1:
             winners = tuple(st.active)
         else:
-            best = max(deal[s] for s in st.active)
-            winners = tuple(s for s in sorted(st.active) if deal[s] == best)
+            best = max(score[s] for s in st.active)
+            winners = tuple(s for s in sorted(st.active) if score[s] == best)
         return _settle(st.contrib, winners, max_team)
 
-    def betting(deal, history: tuple[str, ...], st: _BetState) -> int:
+    def play(deal, score, history, st: _BetState, rnd: int) -> int:
         if st.done():
-            return w.add_terminal(showdown(deal, st))
+            if len(st.active) > 1 and rnd + 1 < len(rounds):
+                return reveal(deal, history, st, rnd + 1)
+            return w.add_terminal(showdown(score, st))
         seat = st.pending[0]
         return w.add_player(seat + 1, (seat, deal[seat], history), [
-            (label, betting(deal, history + (label,), nxt))
-            for label, nxt in _bet_actions(st)
+            (label, play(deal, score, history + (label,), nxt, rnd))
+            for label, nxt in bet_actions(st)
         ])
 
-    deals = sorted(permutations(range(r), n))
-    start = _BetState(
-        contrib=(1.0,) * n,
-        active=frozenset(range(n)),
-        pending=tuple(range(n)),
-        level=1.0,
-        raises_left=1,
-        raise_size=1.0,
-    )
+    def reveal(deal, history, st: _BetState, rnd: int) -> int:
+        raise_size, cap = rounds[rnd]
+        nxt = _BetState(st.contrib, st.active, tuple(sorted(st.active)),
+                        st.level, cap, raise_size)
+        remaining = sorted(set(deck) - set(deal))
+        outcomes = []
+        for board in remaining:
+            score = tuple((int(c[0] == board[0]), c[0]) for c in deal)
+            label = card_label(board)
+            outcomes.append((
+                label, play(deal, score, history + (label,), nxt, rnd),
+                1 / len(remaining),
+            ))
+        return w.add_chance(outcomes)
+
+    deals = sorted(permutations(deck, n))
+    raise_size, cap = rounds[0]
+    start = _BetState((1.0,) * n, frozenset(range(n)), tuple(range(n)),
+                      1.0, cap, raise_size)
     root = w.add_chance([
-        ("".join(str(c) for c in deal), betting(deal, (), start),
-         1 / len(deals))
+        (sep.join(card_label(c) for c in deal),
+         play(deal, deal, (), start, 0), 1 / len(deals))
         for deal in deals
     ])
     return build_game(
         ["chance"] + [f"p{i}" for i in range(1, n + 1)], teams, root, w
     )
+
+
+def _gen_kuhn(spec: ZooSpec) -> ExtensiveFormGame:
+    _require(spec.players >= 2, "kuhn needs at least 2 players")
+    _require(spec.ranks >= spec.players,
+             "kuhn needs at least as many ranks as players")
+    return _gen_poker(spec, range(spec.ranks), str, "", ((1.0, 1),))
 
 
 def _gen_leduc(spec: ZooSpec) -> ExtensiveFormGame:
@@ -209,85 +243,9 @@ def _gen_leduc(spec: ZooSpec) -> ExtensiveFormGame:
     _require(cap >= 1, "leduc needs a positive raise cap")
     _require(r >= 2 and s >= 1, "leduc needs r >= 2 ranks and s >= 1 suits")
     _require(r * s > n, "leduc deck too small for the players plus board")
-    teams = _teams(n, spec.min_team)
-    max_team = frozenset(teams[MAX])
-    w = GameWriter()
     deck = [(rank, suit) for rank in range(r) for suit in range(s)]
-    bet_actions = cache(_bet_actions)  # the same under every deal
-
-    def card_label(card: tuple[int, int]) -> str:
-        return f"{card[0]}.{card[1]}"
-
-    @cache  # many deals share their ranks
-    def showdown(score, st: _BetState) -> float:
-        """``score[seat]``: (pairs the board, rank) of the seat's hand."""
-        if len(st.active) == 1:
-            winners = tuple(st.active)
-        else:
-            best = max(score[s_] for s_ in st.active)
-            winners = tuple(
-                s_ for s_ in sorted(st.active) if score[s_] == best
-            )
-        return _settle(st.contrib, winners, max_team)
-
-    def round2(deal, score, history, st: _BetState) -> int:
-        if st.done():
-            return w.add_terminal(showdown(score, st))
-        seat = st.pending[0]
-        return w.add_player(seat + 1, (seat, deal[seat], history), [
-            (label, round2(deal, score, history + (label,), nxt))
-            for label, nxt in bet_actions(st)
-        ])
-
-    def reveal_board(deal, history, st: _BetState) -> int:
-        remaining = sorted(set(deck) - set(deal))
-        outcomes = []
-        for board in remaining:
-            nxt = _BetState(
-                contrib=st.contrib,
-                active=st.active,
-                pending=tuple(s_ for s_ in range(n) if s_ in st.active),
-                level=st.level,
-                raises_left=cap,
-                raise_size=4.0,
-            )
-            score = tuple((int(c[0] == board[0]), c[0]) for c in deal)
-            child = round2(
-                deal, score, history + (card_label(board),), nxt
-            )
-            outcomes.append(
-                (card_label(board), child, 1 / len(remaining))
-            )
-        return w.add_chance(outcomes)
-
-    def round1(deal, history, st: _BetState) -> int:
-        if st.done():
-            if len(st.active) == 1:
-                return w.add_terminal(showdown(None, st))
-            return reveal_board(deal, history, st)
-        seat = st.pending[0]
-        return w.add_player(seat + 1, (seat, deal[seat], history), [
-            (label, round1(deal, history + (label,), nxt))
-            for label, nxt in bet_actions(st)
-        ])
-
-    deals = sorted(permutations(deck, n))
-    start = _BetState(
-        contrib=(1.0,) * n,
-        active=frozenset(range(n)),
-        pending=tuple(range(n)),
-        level=1.0,
-        raises_left=cap,
-        raise_size=2.0,
-    )
-    root = w.add_chance([
-        ("|".join(card_label(c) for c in deal), round1(deal, (), start),
-         1 / len(deals))
-        for deal in deals
-    ])
-    return build_game(
-        ["chance"] + [f"p{i}" for i in range(1, n + 1)], teams, root, w
-    )
+    return _gen_poker(spec, deck, lambda c: f"{c[0]}.{c[1]}", "|",
+                      ((2.0, cap), (4.0, cap)))
 
 
 def _gen_liars_dice(spec: ZooSpec) -> ExtensiveFormGame:

@@ -1,5 +1,7 @@
 """Benchmark generators: golden sizes, invariants, determinism."""
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -56,6 +58,27 @@ def test_deterministic_regeneration(presets):
         b = generate(presets[name])
         assert a == b
         assert serialize_game(a) == serialize_game(b)
+
+
+# SHA-256 of ``serialize_game`` for specs on paths no preset takes: a
+# raise after a bet (Leduc, cap 2) and four-seat turn order (Kuhn).
+OFF_PRESET = [
+    (ZooSpec("leduc", players=2, bets=2, ranks=3, suits=2, min_team=(2,)),
+     9451,
+     "55c2f0a45159512cee57a8d3643841900ab3c85809e0f62c5345fad3801f3596"),
+    (ZooSpec("kuhn", players=4, ranks=5, min_team=(2, 4)),
+     7801,
+     "9ec209bb73605fb414e11dc56afa1d4e3bc8d2e0904872cbf80d682f4e7f1dfb"),
+]
+
+
+@pytest.mark.parametrize("spec,nodes,digest", OFF_PRESET,
+                         ids=["2L232", "4K5[2,4]"])
+def test_off_preset_games_pinned(spec, nodes, digest):
+    g = generate(spec)
+    text = json.dumps(serialize_game(g), sort_keys=True)
+    assert g.num_nodes == nodes
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

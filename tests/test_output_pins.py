@@ -3,9 +3,11 @@
 Each pin is the SHA-256 of a canonical JSON dump (sorted keys) of one
 output: a serialized zoo game, one side's analysis, a rewritten game,
 or a belief game with its strategy-map tables.  A construction that
-errors is pinned by its message instead.  Re-record with
-``PYTHONPATH=src python3 tests/test_output_pins.py --record`` only when
-an output is meant to change.
+errors is pinned by its message instead.  A new case is pinned with
+``PYTHONPATH=src python3 tests/test_output_pins.py --record``, which
+writes only the keys that have no pin yet, and exits non-zero without
+writing anything when an existing pin would change.  An output that is
+meant to change needs its pin edited by hand.
 """
 
 import dataclasses
@@ -39,7 +41,8 @@ from test_acceptance import SMALL_ZOO  # noqa: E402
 
 PINS_PATH = Path(__file__).parent / "output_pins.json"
 
-ZOO = (*SMALL_ZOO, "3L122[1]", "3L122[3]")
+ZOO = (*SMALL_ZOO, "3L122[1]", "3L122[2]", "3L122[3]", "3L122[1,2]",
+       "3L122[1,3]", "3L122[2,3]")
 REWRITE = ("fig2", "2K3", "3K3[1]")
 BELIEF = ("fig2", "fig9-C8", "2K3", "3K3[1]", "worst-k1b2d5")
 
@@ -185,6 +188,15 @@ def test_solve_builds_one_coordinator_view_per_side(monkeypatch):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit("usage: test_output_pins.py --record")
-    pins = {key: make() for key, make in pin_cases()}
+    pins, changed = dict(PINS), []
+    for key, make in pin_cases():
+        value = make()
+        if key not in PINS:
+            pins[key] = value
+        elif value != PINS[key]:
+            changed.append(key)
+    if changed:
+        raise SystemExit("existing pins would change, nothing written:\n"
+                         + "\n".join(f"  {key}" for key in changed))
     PINS_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(pins)} pins in {PINS_PATH}")
+    print(f"recorded {len(pins) - len(PINS)} new pins in {PINS_PATH}")

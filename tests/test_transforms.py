@@ -1,5 +1,6 @@
 """Action binarization and infoset inflation."""
 
+import json
 import math
 
 import pytest
@@ -14,7 +15,10 @@ from tbdag import (
     generate,
     inflate,
     list_presets,
+    serialize_game,
 )
+from tbdag.cli import main
+from tbdag.game import GameWriter, build_game
 
 
 def game(name):
@@ -70,6 +74,34 @@ class TestBinarize:
         assert math.isclose(
             total, sum(g.chance_reach[z] for z in g.terminals)
         )
+
+
+def chain_game(levels):
+    """Two players alternate down a line, each able to stop the game."""
+    w = GameWriter()
+    node = w.add_terminal(0.0)
+    for t in range(levels, 0, -1):
+        stop = w.add_terminal(float(t % 3 - 1))
+        node = w.add_player(2 - t % 2, ("step", t),
+                            [("stop", stop), ("go", node)])
+    return build_game(["chance", "p1", "p2"], {MAX: [1], MIN: [2]}, node, w)
+
+
+class TestDeepBinarize:
+    # 700 levels: deeper than the interpreter's recursion limit allows
+    # a rewrite that recurses once per level.
+    def test_chain_binarizes(self):
+        g = chain_game(700)
+        assert (g.num_nodes, g.max_depth) == (1401, 700)
+        gb = binarize_actions(g)
+        assert (gb.num_nodes, gb.max_depth) == (2801, 1400)
+        assert leaf_profile(gb) == leaf_profile(g)
+
+    def test_cli_build_binarize_exits_0(self, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(serialize_game(chain_game(700))))
+        assert main(["build", str(path), "--binarize"]) == 0
+        assert "error" not in capsys.readouterr().err
 
 
 class TestInflate:
