@@ -196,25 +196,22 @@ def analyze(g: ExtensiveFormGame, side: str) -> GameAnalysis:
     side_isets = g.side_infosets(side)
 
     # Clique table: for each side infoset and each ancestor depth, the
-    # set of that-depth ancestors of the infoset's members.  Singleton
-    # sets contribute no connectivity and are dropped; identical sets
-    # are stored once.
+    # set of that-depth ancestors of the infoset's members, up to the
+    # first singleton (it and every set above it add no connectivity).
+    # Identical sets are stored once.
     clique_ids: dict[tuple[int, ...], int] = {}
     cliques: list[tuple[int, ...]] = []
     node_cliques: list[list[int]] = [[] for _ in range(n)]
     for i in side_isets:
         level = list(dict.fromkeys(g.infosets[i].members))
-        while level:
-            if len(level) > 1:
-                key = tuple(sorted(level))
-                cid = clique_ids.get(key)
-                if cid is None:
-                    cid = clique_ids[key] = len(cliques)
-                    cliques.append(key)
-                    for h in key:
-                        node_cliques[h].append(cid)
-            if g.parent[level[0]] < 0:
-                break
+        while len(level) > 1:
+            key = tuple(sorted(level))
+            cid = clique_ids.get(key)
+            if cid is None:
+                cid = clique_ids[key] = len(cliques)
+                cliques.append(key)
+                for h in key:
+                    node_cliques[h].append(cid)
             level = list(dict.fromkeys(g.parent[h] for h in level))
 
     # One union-find over node ids whose root is always the smallest

@@ -99,6 +99,7 @@ class TbDag:
     infosets for action slot ``a``.  Payload slots stand for groups of
     terminals with equal side action history: ``slot_groups[s]`` lists
     the group's members and ``slot_of_terminal[z]`` inverts it.
+    ``analysis`` is the side's analysis the DAG was built with.
     """
 
     game: ExtensiveFormGame
@@ -112,6 +113,7 @@ class TbDag:
     slot_groups: tuple[tuple[int, ...], ...]
     slot_of_terminal: dict[int, int]
     stats: BuildStats
+    analysis: GameAnalysis = field(compare=False, repr=False)
 
 
 def _split_fn(split: str):
@@ -413,7 +415,7 @@ def build_tbdag(
     analysis = _checked_analysis(g, side, analysis)
     if g.kind[g.root] == TERMINAL:
         raise GameValidationError("the game is a single terminal node")
-    if reduce and analysis.view is None:
+    if reduce and not g.side_players(side):
         raise GameValidationError(f"side {side!r} has no players")
 
     phase_ms = dict.fromkeys(("expand", "prune", "splice", "pack"), 0.0)
@@ -521,6 +523,7 @@ def _pack(g, side, split, reduce, analysis, ws, root_dec, phase_ms):
         slot_groups=slot_groups,
         slot_of_terminal=slot_of,
         stats=stats,
+        analysis=analysis,
     )
 
 
@@ -532,13 +535,15 @@ def _pack(g, side, split, reduce, analysis, ws, root_dec, phase_ms):
 def check_size_bounds(dag: TbDag, analysis: GameAnalysis | None = None):
     """Verify the edge count against |H|(b+1)^(k+1); raise if violated.
 
+    ``k`` is read off ``dag.analysis``; a given ``analysis`` is only checked.
     Returns a report dict with the slack.  For binary-branching games
     the per-node edge ratio is also reported against 3^(k+1).
     """
     g = dag.game
-    analysis = _checked_analysis(g, dag.side, analysis)
+    if analysis is not None:
+        _checked_analysis(g, dag.side, analysis)
     b = g.branching_factor
-    k = analysis.k
+    k = dag.analysis.k
     bound = g.num_nodes * (b + 1) ** (k + 1)
     report = {
         "side": dag.side,
@@ -644,7 +649,8 @@ def count_tbdag(
             edges += touched
             if edges > edge_budget:
                 raise BudgetExceededError(
-                    f"edge budget {edge_budget} exceeded while counting"
+                    f"edge budget {edge_budget} exceeded "
+                    + _where(g, belief, n_prescr, edges)
                 )
             key = (frozenset(free), tuple(options))
             if key not in discovered:

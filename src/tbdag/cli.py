@@ -353,7 +353,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             edge_budget=args.budget,
         )
         st = dag.stats
-        bounds = check_size_bounds(dag, analysis)
+        bounds = check_size_bounds(dag)
         detail = {
             "dec": st.n_dec,
             "obs": st.n_obs,
@@ -566,7 +566,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     for side, opp in ((MAX, MIN), (MIN, MAX)):
         t0 = time.perf_counter()
         dag = build_tbdag(g, side, split="observation")
-        dag_value, _ = best_response(dag.problem, payoffs_from_realization(dag, g, reals[opp]))
+        dag_value, _ = best_response(dag.problem, payoffs_from_realization(dag, reals[opp]))
         t1 = time.perf_counter()
         oracle_value, _ = enumeration_oracle(g, side, reals[opp], budget=args.budget)
         t2 = time.perf_counter()

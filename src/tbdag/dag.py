@@ -526,17 +526,6 @@ class TreeExpansion:
     dec_map: np.ndarray
     obs_map: np.ndarray
 
-    def lift_strategy(self, r: np.ndarray) -> np.ndarray:
-        return r[self.act_map]
-
-    def lift_payoff(self, pay_obs: np.ndarray) -> np.ndarray:
-        return pay_obs[self.obs_map]
-
-    def fold_flow(self, x_obs: np.ndarray, n_obs: int) -> np.ndarray:
-        out = np.zeros(n_obs)
-        np.add.at(out, self.obs_map, x_obs)
-        return out
-
 
 def expand_to_tree(
     problem: DagDecisionProblem, budget: int = 100_000
@@ -559,11 +548,12 @@ def expand_to_tree(
     copies = 0
     frontier = p.obs_children[p.obs_coff[0]: p.obs_coff[1]]  # the root
     while len(frontier):
-        copies += len(frontier)
-        if copies > budget:
+        if copies + len(frontier) > budget:
             raise BudgetExceededError(
-                f"tree expansion exceeded {budget} decision points"
+                f"tree expansion exceeded {budget} decision points at "
+                f"level {len(decs)} ({copies} copied so far)"
             )
+        copies += len(frontier)
         decs.append(frontier)
         acts.append(_spans(p.dec_aoff, frontier))
         obs.append(p.act_child_obs[acts[-1]])

@@ -173,12 +173,6 @@ class ExtensiveFormGame:
             ]
         return col
 
-    def node_side(self, h: int) -> str | None:
-        """Team acting at node ``h``, or None for chance/terminal nodes."""
-        if self.kind[h] != PLAYER:
-            return None
-        return self.team_of[self.player[h]]
-
     def children(self, h: int) -> list[int]:
         """Child ids of node ``h`` in action order."""
         off = self.action_offset

@@ -83,12 +83,8 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class LogPoint:
-    """One certification row.
-
-    ``bound`` is the analytic rate track |H|·sqrt(k·log b / t) and
-    ``regret_cap`` the empirical weighted-regret bound on the gap of
-    the running averages (exact in simultaneous mode).
-    """
+    """One certification row; ``bound`` is the analytic rate track
+    |H|·sqrt(k·log b / t)."""
 
     iteration: int
     time_ms: float
@@ -97,7 +93,6 @@ class LogPoint:
     br_min: float
     value: float
     bound: float
-    regret_cap: float
 
 
 CSV_COLUMNS = ("iter", "time_ms", "gap", "br_max", "br_min", "value",
@@ -197,14 +192,11 @@ def _terminal_weights(g: ExtensiveFormGame, side: str) -> list[float]:
 
 class _UtilityAssembler:
     """One side's terminal weights (:func:`_terminal_weights`) and the
-    index plumbing from those terminals to the side's payload slots and
-    observation points."""
+    index plumbing from its game's terminals to the side's payload
+    slots and observation points."""
 
-    def __init__(self, dag: TbDag, g: ExtensiveFormGame):
-        if set(dag.slot_of_terminal) != set(g.terminals):
-            raise GameValidationError(
-                "dag terminal maps do not cover the game's terminals"
-            )
+    def __init__(self, dag: TbDag):
+        g = dag.game
         self.problem = dag.problem
         self._slot = np.array(
             [dag.slot_of_terminal[z] for z in g.terminals], dtype=np.int64
@@ -227,52 +219,56 @@ class _UtilityAssembler:
         return np.bincount(p.payload_owner, w_slot[p.payload], p.n_obs)
 
 
+def _assemblers(dag_self, dag_opp):
+    """Both DAGs' assemblers, once they are known to share one game."""
+    if dag_self.game is not dag_opp.game and dag_self.game != dag_opp.game:
+        raise GameValidationError(
+            "the two dags map terminals of different games"
+        )
+    return _UtilityAssembler(dag_self), _UtilityAssembler(dag_opp)
+
+
 def assemble_utility(
-    dag_self: TbDag,
-    dag_opp: TbDag,
-    y_opp: FlowVector,
-    g: ExtensiveFormGame,
+    dag_self: TbDag, dag_opp: TbDag, y_opp: FlowVector
 ) -> np.ndarray:
     """Payoff per observation point of ``dag_self`` against one
     opponent flow: each payload slot collects, over the terminals it
     groups, their utility weighted by chance and by the opponent's
     realization of them (max-side sign convention; negated for min)."""
-    if dag_self.game is not dag_opp.game and dag_self.game != dag_opp.game:
-        raise GameValidationError(
-            "the two dags map terminals of different games"
-        )
-    at_self = _UtilityAssembler(dag_self, g)
-    return at_self(_UtilityAssembler(dag_opp, g).reach(y_opp))
+    at_self, at_opp = _assemblers(dag_self, dag_opp)
+    return at_self(at_opp.reach(y_opp))
 
 
 def payoffs_from_realization(
-    dag_self: TbDag,
-    g: ExtensiveFormGame,
-    opponent_realization: Mapping[int, float],
+    dag_self: TbDag, opponent_realization: Mapping[int, float]
 ) -> np.ndarray:
     """Like :func:`assemble_utility`, but from a bare per-terminal
-    opponent realization instead of a live flow."""
+    opponent realization (over the DAG's game) instead of a live flow."""
+    g = dag_self.game
     check_realization(g, opponent_realization)
-    return _UtilityAssembler(dag_self, g)(
+    return _UtilityAssembler(dag_self)(
         np.array(
             [float(opponent_realization.get(z, 0.0)) for z in g.terminals]
         )
     )
 
 
+def _certify(at_x, at_y, x_bar, y_bar) -> tuple[float, float, float]:
+    """Each side's exact best-response value against the other's flow,
+    and the value of the pair (max side's payoff)."""
+    x_reach, y_reach = at_x.reach(x_bar), at_y.reach(y_bar)
+    br_x, _ = best_response(at_x.problem, at_x(y_reach))
+    br_y, _ = best_response(at_y.problem, at_y(x_reach))
+    return br_x, br_y, float(np.dot(at_x.weight, x_reach * y_reach))
+
+
 def gap(
-    g: ExtensiveFormGame,
-    dags: Mapping[str, TbDag],
-    x_avg: FlowVector,
-    y_avg: FlowVector,
+    dags: Mapping[str, TbDag], x_avg: FlowVector, y_avg: FlowVector
 ) -> float:
     """Saddle gap of an average pair: the sum of both sides' exact
     best-response values against it (0 exactly at equilibrium)."""
-    br_max, _ = best_response(
-        dags[MAX].problem, assemble_utility(dags[MAX], dags[MIN], y_avg, g)
-    )
-    br_min, _ = best_response(
-        dags[MIN].problem, assemble_utility(dags[MIN], dags[MAX], x_avg, g)
+    br_max, br_min, _ = _certify(
+        *_assemblers(dags[MAX], dags[MIN]), x_avg, y_avg
     )
     return br_max + br_min
 
@@ -315,15 +311,11 @@ def solve(
     t_loop = time.perf_counter()
     certify_s = 0.0
     avg_x, avg_y = _zero_flow(p_x), _zero_flow(p_y)
-    cum_pay_x = np.zeros(p_x.n_obs)
-    cum_pay_y = np.zeros(p_y.n_obs)
-    cum_val_x = cum_val_y = 0.0
     weight_total = 0.0
     simultaneous = config.mode == "simultaneous"
     y_prev = dag_cfr_strategy(p_y, bank_y.current())
 
-    at_x = _UtilityAssembler(dags[MAX], g)
-    at_y = _UtilityAssembler(dags[MIN], g)
+    at_x, at_y = _assemblers(dags[MAX], dags[MIN])
     log: list[LogPoint] = []
     converged = False
     t = 0
@@ -353,22 +345,13 @@ def solve(
         weight_total += w
         avg_x.add_scaled(x_t, w)
         avg_y.add_scaled(y_t, w)
-        cum_pay_x += w * pay_x
-        cum_pay_y += w * pay_y
-        cum_val_x += w * val_x
-        cum_val_y += w * val_y
 
         if t == 1 or t % config.log_every == 0 or t == config.max_iters:
             t_cert = time.perf_counter()
             x_bar = avg_x.scaled(1.0 / weight_total)
             y_bar = avg_y.scaled(1.0 / weight_total)
-            x_reach, y_reach = at_x.reach(x_bar), at_y.reach(y_bar)
-            br_x, _ = best_response(p_x, at_x(y_reach))
-            br_y, _ = best_response(p_y, at_y(x_reach))
+            br_x, br_y, value = _certify(at_x, at_y, x_bar, y_bar)
             gap_t = br_x + br_y
-            value = float(np.dot(at_x.weight, x_reach * y_reach))
-            regret_x = best_response(p_x, cum_pay_x)[0] - cum_val_x
-            regret_y = best_response(p_y, cum_pay_y)[0] - cum_val_y
             point = LogPoint(
                 iteration=t,
                 time_ms=(time.perf_counter() - t_start) * 1e3,
@@ -377,7 +360,6 @@ def solve(
                 br_min=br_y,
                 value=value,
                 bound=h * math.sqrt(k * log_b / t),
-                regret_cap=(regret_x + regret_y) / weight_total,
             )
             log.append(point)
             certify_s += time.perf_counter() - t_cert
@@ -389,9 +371,9 @@ def solve(
                 converged = True
                 break
 
+    # The last iteration is always logged, so x_bar and y_bar are the
+    # final averages.
     loop_s = time.perf_counter() - t_loop
-    x_bar = avg_x.scaled(1.0 / weight_total)
-    y_bar = avg_y.scaled(1.0 / weight_total)
     return SolveReport(
         config=config,
         iterations=t,

@@ -225,6 +225,7 @@ def _gen_poker(
          play(deal, deal, (), start, 0), 1 / len(deals))
         for deal in deals
     ])
+    del play, reveal  # break the closures' cycle; the writer is freed now
     return build_game(
         ["chance"] + [f"p{i}" for i in range(1, n + 1)], teams, root, w
     )
@@ -292,6 +293,7 @@ def _gen_liars_dice(spec: ZooSpec) -> ExtensiveFormGame:
          1 / len(all_rolls))
         for rolls in all_rolls
     ])
+    del turn  # as in _gen_poker
     return build_game(
         ["chance"] + [f"p{i}" for i in range(1, n + 1)], teams, root, w
     )
@@ -409,6 +411,7 @@ def _gen_fig9(spec: ZooSpec) -> ExtensiveFormGame:
     root = w.add_chance(
         [(f"c{c}", column(c, 1), 1 / C) for c in range(1, C + 1)]
     )
+    del column  # as in _gen_poker
     return build_game(
         ["chance", "team", "dummy"], {MAX: [1], MIN: [2]}, root, w
     )
@@ -452,9 +455,9 @@ def _gen_worst_case(spec: ZooSpec) -> ExtensiveFormGame:
             [(label, child, 1 / len(kids)) for label, child in kids]
         )
 
-    return build_game(
-        ["chance", "p1", "p2"], {MAX: [1], MIN: [2]}, mini(0), w
-    )
+    root = mini(0)
+    del mini  # as in _gen_poker
+    return build_game(["chance", "p1", "p2"], {MAX: [1], MIN: [2]}, root, w)
 
 
 # ---------------------------------------------------------------------

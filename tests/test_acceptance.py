@@ -135,18 +135,18 @@ class TestAC03TreeEquivalence:
             r_d = {s: banks_d[s].current() for s in dags}
             for s in dags:
                 r_t = banks_t[s].current()
-                diff = np.max(np.abs(r_t - exps[s].lift_strategy(r_d[s])))
+                diff = np.max(np.abs(r_t - r_d[s][exps[s].act_map]))
                 assert diff <= 1e-12
             flows = {s: dag_cfr_strategy(dags[s].problem, r_d[s]) for s in dags}
             pays = {
-                MAX: assemble_utility(dags[MAX], dags[MIN], flows[MIN], g),
-                MIN: assemble_utility(dags[MIN], dags[MAX], flows[MAX], g),
+                MAX: assemble_utility(dags[MAX], dags[MIN], flows[MIN]),
+                MIN: assemble_utility(dags[MIN], dags[MAX], flows[MAX]),
             }
             for s in dags:
                 va, vd = dag_cfr_utility(dags[s].problem, r_d[s], pays[s])
                 banks_d[s].observe(va, vd)
                 va_t, vd_t = dag_cfr_utility(
-                    exps[s].problem, banks_t[s].current(), exps[s].lift_payoff(pays[s])
+                    exps[s].problem, banks_t[s].current(), pays[s][exps[s].obs_map]
                 )
                 banks_t[s].observe(va_t, vd_t)
 
@@ -277,7 +277,7 @@ class TestAC08TeamKuhnCertified:
         assert rep.gap <= 1e-4
         reals = {MAX: rep.x_realization, MIN: rep.y_realization}
         for side, opp in ((MAX, MIN), (MIN, MAX)):
-            pay = payoffs_from_realization(rep.dags[side], g, reals[opp])
+            pay = payoffs_from_realization(rep.dags[side], reals[opp])
             dag_value, _ = best_response(rep.dags[side].problem, pay)
             oracle_value, _ = enumeration_oracle(g, side, reals[opp])
             assert abs(dag_value - oracle_value) <= 1e-6

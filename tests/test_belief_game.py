@@ -404,7 +404,7 @@ class TestProxyInfosetTables:
                     assert bg.iset_beliefs[I] == belief
                     assert bg.iset_infosets[I] == tuple(sorted({
                         g.infoset[h] for h in belief
-                        if g.kind[h] == PLAYER and g.node_side(h) == side
+                        if g.kind[h] == PLAYER and g.team_of[g.player[h]] == side
                     }))
                 for a in range(b.infosets[I].num_actions):
                     below = set()

@@ -213,7 +213,7 @@ class TestTreeEquivalence:
         assert tree.problem.n_dec == 3  # the shared point unrolls twice
         vals = np.array([1.0, -2.0, 0.5, 3.0])
         pay_dag = pay_for(p, vals)
-        pay_tree = tree.lift_payoff(pay_dag)
+        pay_tree = pay_dag[tree.obs_map]
         bank_dag = LocalRegretBank(p, variant, utility_scale=3.0)
         bank_tree = LocalRegretBank(
             tree.problem, variant, utility_scale=3.0
@@ -221,14 +221,12 @@ class TestTreeEquivalence:
         for _ in range(25):
             r_dag = bank_dag.current()
             r_tree = bank_tree.current()
-            assert np.allclose(
-                r_tree, tree.lift_strategy(r_dag), atol=1e-12
-            )
+            assert np.allclose(r_tree, r_dag[tree.act_map], atol=1e-12)
             x_dag = dag_cfr_strategy(p, r_dag).x_obs
             x_tree = dag_cfr_strategy(tree.problem, r_tree).x_obs
-            assert np.allclose(
-                tree.fold_flow(x_tree, p.n_obs), x_dag, atol=1e-12
-            )
+            x_fold = np.zeros(p.n_obs)
+            np.add.at(x_fold, tree.obs_map, x_tree)
+            assert np.allclose(x_fold, x_dag, atol=1e-12)
             v_act, v_dec = dag_cfr_utility(p, r_dag, pay_dag)
             bank_dag.observe(v_act, v_dec)
             tv_act, tv_dec = dag_cfr_utility(
@@ -241,7 +239,7 @@ class TestTreeEquivalence:
         tree = expand_to_tree(p)
         r = np.array([0.3, 0.7, 0.2, 0.5, 0.3])
         f_dag = dag_cfr_strategy(p, r)
-        f_tree = dag_cfr_strategy(tree.problem, tree.lift_strategy(r))
+        f_tree = dag_cfr_strategy(tree.problem, r[tree.act_map])
         assert np.allclose(
             f_dag.terminal_flow, f_tree.terminal_flow, atol=1e-14
         )
@@ -252,7 +250,10 @@ class TestTreeEquivalence:
         p = diamond_problem()
         with pytest.raises(BudgetExceededError) as err:
             expand_to_tree(p, budget=2)
-        assert str(err.value) == "tree expansion exceeded 2 decision points"
+        assert str(err.value) == (
+            "tree expansion exceeded 2 decision points at level 1 "
+            "(1 copied so far)"
+        )
         assert expand_to_tree(p, budget=3).problem.n_dec == 3
         for bad in (float("nan"), True, 0, -5):
             with pytest.raises(GameValidationError) as err:

@@ -1,5 +1,6 @@
 """Benchmark generators: golden sizes, invariants, determinism."""
 
+import gc
 import hashlib
 import json
 import math
@@ -16,6 +17,7 @@ from tbdag import (
     list_presets,
     serialize_game,
 )
+from tbdag.game import GameWriter
 
 # Golden sizes frozen from the first verified generation.
 GOLDEN = {
@@ -58,6 +60,27 @@ def test_deterministic_regeneration(presets):
         b = generate(presets[name])
         assert a == b
         assert serialize_game(a) == serialize_game(b)
+
+
+def live_writers():
+    return sum(isinstance(o, GameWriter) for o in gc.get_objects())
+
+
+@pytest.mark.parametrize(
+    "name", ["3K3[1]", "3L122[3]", "3D2[1]", "fig9-C8", "worst-k1b2d5"]
+)
+def test_generate_frees_its_writer(presets, name):
+    # With the cycle collector off, only reference counting can free
+    # the writer, so a reference cycle would keep it alive.
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_writers()
+        generate(presets[name])
+        after = live_writers()
+    finally:
+        gc.enable()
+    assert after == before
 
 
 # SHA-256 of ``serialize_game`` for specs on paths no preset takes: a

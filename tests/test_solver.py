@@ -31,7 +31,12 @@ from tbdag import (
     solve,
     terminal_realization,
 )
-from tbdag.dag import best_response, dag_cfr_strategy
+from tbdag.dag import (
+    LocalRegretBank,
+    best_response,
+    dag_cfr_strategy,
+    dag_cfr_utility,
+)
 from tbdag.game import CHANCE, PLAYER, TERMINAL, parse_game
 
 
@@ -90,7 +95,7 @@ def consistent(g, side, choice, z):
     h = z
     while h != g.root:
         parent = g.parent[h]
-        if g.node_side(parent) == side:
+        if g.kind[parent] == PLAYER and g.team_of[g.player[parent]] == side:
             if choice.get(g.infoset[parent], -1) != g.parent_action[h]:
                 return False
         h = parent
@@ -211,16 +216,53 @@ class TestSolve:
 
     def test_gap_recomputes_to_the_report(self):
         rep = run("fig2", eps=1e-12, max_iters=80)
-        again = gap(game("fig2"), rep.dags, rep.averages[MAX], rep.averages[MIN])
+        again = gap(rep.dags, rep.averages[MAX], rep.averages[MIN])
         assert again == pytest.approx(rep.gap, abs=1e-14)
 
     @pytest.mark.parametrize("name", ["fig2", "2K3"])
     def test_weighted_regret_caps_the_gap(self, name):
         # In simultaneous mode the duality gap of the weighted averages
-        # is bounded by the weighted average external regrets.
+        # is bounded by the weighted average external regrets.  The loop
+        # replays solve's simultaneous cfr+ iterates, keeping the
+        # weighted payoff and root-value sums those regrets need.
+        g = game(name)
         rep = run(name, algorithm="cfr+", eps=1e-12, max_iters=300, log_every=30)
-        for p in rep.log:
-            assert p.gap <= p.regret_cap + 1e-12
+        logged = {p.iteration: p.gap for p in rep.log}
+        dags = rep.dags
+        opp = {MAX: MIN, MIN: MAX}
+        probs = {s: dags[s].problem for s in dags}
+        banks = {s: LocalRegretBank(probs[s], "rm+", g.utility_scale) for s in dags}
+        avg = {
+            s: dag_cfr_strategy(probs[s], banks[s].current()).scaled(0.0)
+            for s in dags
+        }
+        cum_pay = {s: np.zeros(probs[s].n_obs) for s in dags}
+        cum_val = dict.fromkeys(dags, 0.0)
+        weight = 0.0
+        for t in range(1, 301):
+            regs = {s: banks[s].current() for s in dags}
+            flows = {s: dag_cfr_strategy(probs[s], regs[s]) for s in dags}
+            pays, vals = {}, {}
+            for s in dags:
+                pays[s] = assemble_utility(dags[s], dags[opp[s]], flows[opp[s]])
+                va, vd = dag_cfr_utility(probs[s], regs[s], pays[s])
+                banks[s].observe(va, vd)
+                vals[s] = float(vd[probs[s].root_dec])
+            w = banks[MAX].average_weight()
+            weight += w
+            for s in dags:
+                avg[s].add_scaled(flows[s], w)
+                cum_pay[s] += w * pays[s]
+                cum_val[s] += w * vals[s]
+            if t % 30 == 0:
+                bars = {s: avg[s].scaled(1.0 / weight) for s in dags}
+                gap_t = gap(dags, bars[MAX], bars[MIN])
+                regret = sum(
+                    best_response(probs[s], cum_pay[s])[0] - cum_val[s]
+                    for s in dags
+                )
+                assert gap_t <= regret / weight + 1e-12
+                assert gap_t == logged[t]
 
     def test_csv_has_the_fixed_columns(self):
         rep = run("fig2", eps=1e-3)
@@ -243,11 +285,10 @@ class TestSolve:
 
 class TestAssembly:
     def test_flow_and_realization_paths_agree(self):
-        g = game("fig2")
         rep = run("fig2", eps=1e-12, max_iters=40)
-        by_flow = assemble_utility(rep.dags[MAX], rep.dags[MIN], rep.averages[MIN], g)
+        by_flow = assemble_utility(rep.dags[MAX], rep.dags[MIN], rep.averages[MIN])
         by_real = payoffs_from_realization(
-            rep.dags[MAX], g, terminal_realization(rep.dags[MIN], rep.averages[MIN])
+            rep.dags[MAX], terminal_realization(rep.dags[MIN], rep.averages[MIN])
         )
         assert np.max(np.abs(by_flow - by_real)) <= 1e-15
 
@@ -256,24 +297,28 @@ class TestAssembly:
         dag_max = build_tbdag(g, MAX)
         dag_min = build_tbdag(g, MIN)
         always_h = {z: 1.0 if g.parent_action[z] == 0 else 0.0 for z in g.terminals}
-        pay = payoffs_from_realization(dag_max, g, always_h)
+        pay = payoffs_from_realization(dag_max, always_h)
         value, _ = best_response(dag_max.problem, pay)
         assert value == 1.0
-        pay_min = payoffs_from_realization(dag_min, g, {z: 0.5 for z in g.terminals})
+        pay_min = payoffs_from_realization(dag_min, {z: 0.5 for z in g.terminals})
         value_min, _ = best_response(dag_min.problem, pay_min)
         assert value_min == 0.0
 
     def test_mismatched_flow_rejected(self):
-        g = game("fig2")
         rep = run("fig2", max_iters=5, eps=1e-30)
         with pytest.raises(GameValidationError, match="different problem"):
-            assemble_utility(rep.dags[MAX], rep.dags[MIN], rep.averages[MAX], g)
+            assemble_utility(rep.dags[MAX], rep.dags[MIN], rep.averages[MAX])
 
-    def test_mismatched_game_rejected(self):
+    def test_dags_of_different_games_rejected(self):
         rep = run("fig2", max_iters=5, eps=1e-30)
-        with pytest.raises(GameValidationError, match="terminal"):
-            assemble_utility(
-                rep.dags[MAX], rep.dags[MIN], rep.averages[MIN], game("fig8")
+        other = build_tbdag(game("fig8"), MIN)
+        with pytest.raises(GameValidationError, match="different games"):
+            assemble_utility(rep.dags[MAX], other, rep.averages[MIN])
+        with pytest.raises(GameValidationError, match="different games"):
+            gap(
+                {MAX: rep.dags[MAX], MIN: other},
+                rep.averages[MAX],
+                rep.averages[MIN],
             )
 
 
@@ -292,7 +337,7 @@ class TestOracle:
         rep, reals = uniform_realizations(name)
         g = game(name)
         for side, opp in ((MAX, MIN), (MIN, MAX)):
-            pay = payoffs_from_realization(rep.dags[side], g, reals[opp])
+            pay = payoffs_from_realization(rep.dags[side], reals[opp])
             dag_value, _ = best_response(rep.dags[side].problem, pay)
             oracle_value, _ = enumeration_oracle(g, side, reals[opp])
             assert oracle_value == pytest.approx(dag_value, abs=1e-9)
@@ -302,7 +347,7 @@ class TestOracle:
         g = game("2K3")
         reals = {MAX: rep.x_realization, MIN: rep.y_realization}
         for side, opp in ((MAX, MIN), (MIN, MAX)):
-            pay = payoffs_from_realization(rep.dags[side], g, reals[opp])
+            pay = payoffs_from_realization(rep.dags[side], reals[opp])
             dag_value, _ = best_response(rep.dags[side].problem, pay)
             oracle_value, _ = enumeration_oracle(g, side, reals[opp])
             assert oracle_value == pytest.approx(dag_value, abs=1e-9)
@@ -350,7 +395,7 @@ class TestOracle:
         with pytest.raises(GameValidationError, match=message):
             enumeration_oracle(g, MAX, real)
         with pytest.raises(GameValidationError, match=message):
-            payoffs_from_realization(dag, g, real)
+            payoffs_from_realization(dag, real)
         with pytest.raises(GameValidationError, match=message):
             check_realization(g, real)
 

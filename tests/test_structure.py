@@ -10,6 +10,7 @@ from tbdag import (
     GameValidationError,
     MAX,
     MIN,
+    PLAYER,
     analyze,
     coordinator_view,
     generate,
@@ -29,7 +30,7 @@ def walk_to_root(g, side, h):
     pairs, labels = {}, []
     while g.parent[h] >= 0:
         p, a = g.parent[h], g.parent_action[h]
-        own = g.node_side(p) == side
+        own = g.kind[p] == PLAYER and g.team_of[g.player[p]] == side
         if own:
             pairs[g.infoset[p]] = a
         labels.append(g.labels[p][a] if own else None)
@@ -172,7 +173,7 @@ class TestInformationComplexity:
         g = game("3K3[2]")
         a = analyze(g, MAX)
         for h in range(g.num_nodes):
-            if g.node_side(h) == MAX:
+            if g.kind[h] == PLAYER and g.team_of[g.player[h]] == MAX:
                 assert g.infoset[h] in a.last_infosets[h]
 
     def test_terminals_isolated(self):

@@ -14,6 +14,7 @@ from tbdag import (
     GameValidationError,
     MAX,
     MIN,
+    PLAYER,
     analyze,
     build_tbdag,
     check_size_bounds,
@@ -65,7 +66,7 @@ def tree_reached(g, side, sigma, z):
     h = z
     while h != g.root:
         parent = g.parent[h]
-        if g.node_side(parent) == side:
+        if g.kind[parent] == PLAYER and g.team_of[g.player[parent]] == side:
             if sigma[g.infoset[parent]] != g.parent_action[h]:
                 return False
         h = parent
@@ -246,6 +247,18 @@ class TestSizeBounds:
         # An equal game built separately is the same game.
         check_size_bounds(dag, analyze(game("3K3[1]"), MAX))
 
+    def test_bounds_read_the_dags_own_analysis(self, monkeypatch):
+        g = game("fig2")
+        dag = build_tbdag(g, MAX)
+        assert dag.analysis == analyze(g, MAX)
+
+        def no_analyze(*args):
+            raise AssertionError("check_size_bounds analyzed again")
+
+        monkeypatch.setattr(tbdag.build, "analyze", no_analyze)
+        report = check_size_bounds(dag)
+        assert (report["k"], report["bound"]) == (3, 1863)
+
     def test_fanout_within_prescription_bound(self):
         for name in ("fig2", "3K3[2]", "worst-k2b2d6"):
             g = game(name)
@@ -281,7 +294,10 @@ class TestCounting:
         assert count_tbdag(g, MAX, edge_budget=16_598) == (509, 3985, 16598)
         with pytest.raises(BudgetExceededError) as err:
             count_tbdag(g, MAX, edge_budget=16_597)
-        assert str(err.value) == "edge budget 16597 exceeded while counting"
+        assert str(err.value) == (
+            "edge budget 16597 exceeded while expanding a belief of 2 nodes "
+            "at depth 8 with 4 prescriptions (16598 edges built so far)"
+        )
 
     def test_count_observation_defers_to_build(self):
         g = game("fig2")

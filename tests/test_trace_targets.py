@@ -4,9 +4,13 @@
 ``getattr``/``setattr`` on a module attribute such as
 ``tbdag.belief:build_game``.  A refactor that unbinds one of those names
 breaks the traced run; these tests catch it without installing any
-wrapper.  The names the package exports are checked the same way.
+wrapper.  A name that stays bound but is no longer called is caught by
+reading the module's source.  The names the package exports are
+checked the same way.
 """
 
+import ast
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -36,6 +40,31 @@ def test_every_traced_target_resolves(monkeypatch):
     for target in targets:
         owner, attr = tracing._owner(target)
         assert callable(getattr(owner, attr)), target
+
+
+# Bound but not called in its module: ``tbdag.belief`` builds through
+# ``build_tbdag``, which splits through ``tbdag.build``'s own name.
+UNCALLED = {"tbdag.belief:split_observation"}
+
+
+def test_every_traced_module_name_is_called(monkeypatch):
+    # A module-level target only sees calls made through that module's
+    # name, so the module must load the name somewhere besides its import.
+    tracing = load_tracing(monkeypatch)
+    for t in tracing.TRACED:
+        for target in t.targets:
+            module, _, name = target.partition(":")
+            if module == "tbdag" or "." in name or target in UNCALLED:
+                continue
+            tree = ast.parse(
+                Path(importlib.import_module(module).__file__).read_text()
+            )
+            loaded = {
+                node.id
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            assert name in loaded, target
 
 
 def test_every_export_resolves():

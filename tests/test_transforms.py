@@ -97,6 +97,23 @@ class TestDeepBinarize:
         assert (gb.num_nodes, gb.max_depth) == (2801, 1400)
         assert leaf_profile(gb) == leaf_profile(g)
 
+    def test_analyze_parent_reads_linear(self):
+        # The clique walk stops at an infoset's first one-node level, so
+        # analyze reads parents a bounded number of times per node, not
+        # once per node and level.
+        g = binarize_actions(chain_game(700))
+
+        class CountingList(list):
+            reads = 0
+
+            def __getitem__(self, i):
+                CountingList.reads += 1
+                return super().__getitem__(i)
+
+        g.parent = CountingList(g.parent)
+        analyze(g, MAX)
+        assert CountingList.reads <= 2 * g.num_nodes
+
     def test_cli_build_binarize_exits_0(self, tmp_path, capsys):
         path = tmp_path / "chain.json"
         path.write_text(json.dumps(serialize_game(chain_game(700))))
