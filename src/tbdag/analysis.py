@@ -396,8 +396,5 @@ def split_public(
     blocks: dict[int, list[int]] = {}
     for h in H:
         blocks.setdefault(analysis.unconditional_id[h], []).append(h)
-    return tuple(
-        tuple(v) for _, v in sorted(
-            (min(v), v) for v in blocks.values()
-        )
-    )
+    # H is sorted, so the blocks come out ordered by their smallest member.
+    return tuple(map(tuple, blocks.values()))

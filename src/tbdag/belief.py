@@ -368,56 +368,43 @@ def make_belief_game(
     b = _Builder(g, sides, node_budget)
     columns = b.run()
     lap("emit")
-    beliefs = tuple(side.beliefs for side in sides)
     players = ("chance", "max-coordinator", "min-coordinator")
     teams = {MAX: [1], MIN: [2]}
     if compact:
         columns, root, order = _compacted(columns)
-        game = build_game(players, teams, root, columns)
-        lap("assemble")
-        return BeliefGame(
-            game=game,
-            source=g,
-            compact=True,
-            node_state=tuple(map(b.state.__getitem__, order)),
-            node_beliefs=tuple(
-                tuple(map(ids.__getitem__, order)) for ids in b.belief_ids
-            ),
-            beliefs=beliefs,
-            iset_beliefs={},
-            iset_infosets={},
-            root_iset={},
-            successors={},
-            phase_ms=phase_ms,
-        )
 
-    game = build_game(players, teams, 0, columns)
+        def pick(column):
+            return tuple(map(column.__getitem__, order))
+    else:
+        root, pick = 0, tuple
+    game = build_game(players, teams, root, columns)
     del columns  # free the node columns before the recall check
     lap("assemble")
-    for side in (MAX, MIN):
-        view = coordinator_view(game, side)
-        if imperfect_recall_at(game, view) is not None:
-            raise GameValidationError(
-                f"belief game lost perfect recall on side {side!r}"
-            )
-    lap("recall")
-    state = b.state
-    assert all(
-        game.depth[z] == 3 * g.depth[state[z]] + 2 for z in game.terminals
-    )
+    if not compact:
+        for side in (MAX, MIN):
+            view = coordinator_view(game, side)
+            if imperfect_recall_at(game, view) is not None:
+                raise GameValidationError(
+                    f"belief game lost perfect recall on side {side!r}"
+                )
+        lap("recall")
+        assert all(
+            game.depth[z] == 3 * g.depth[b.state[z]] + 2 for z in game.terminals
+        )
+    # A compact game keeps annotations but no strategy-map tables.
     return BeliefGame(
         game=game,
         source=g,
-        compact=False,
-        node_state=tuple(state),
-        node_beliefs=tuple(map(tuple, b.belief_ids)),
-        beliefs=beliefs,
-        iset_beliefs=b.iset_beliefs,
-        iset_infosets=b.iset_infosets,
+        compact=compact,
+        node_state=pick(b.state),
+        node_beliefs=tuple(map(pick, b.belief_ids)),
+        beliefs=tuple(side.beliefs for side in sides),
+        iset_beliefs={} if compact else b.iset_beliefs,
+        iset_infosets={} if compact else b.iset_infosets,
         # The max proxy moves at the root, the min proxy right below it.
-        root_iset={MAX: 0, MIN: 1},
+        root_iset={} if compact else {MAX: 0, MIN: 1},
         # Ids only grow, so each successor list is already sorted.
-        successors={k: tuple(v) for k, v in b.successors.items()},
+        successors={} if compact else {k: tuple(v) for k, v in b.successors.items()},
         phase_ms=phase_ms,
     )
 

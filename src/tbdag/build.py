@@ -99,7 +99,8 @@ class TbDag:
     infosets for action slot ``a``.  Payload slots stand for groups of
     terminals with equal side action history: ``slot_groups[s]`` lists
     the group's members and ``slot_of_terminal[z]`` inverts it.
-    ``analysis`` is the side's analysis the DAG was built with.
+    ``k`` is the side's timeability width, from the analysis the DAG
+    was built with.
     """
 
     game: ExtensiveFormGame
@@ -113,7 +114,7 @@ class TbDag:
     slot_groups: tuple[tuple[int, ...], ...]
     slot_of_terminal: dict[int, int]
     stats: BuildStats
-    analysis: GameAnalysis = field(compare=False, repr=False)
+    k: int
 
 
 def _split_fn(split: str):
@@ -256,11 +257,11 @@ def expand_belief(
     return BeliefExpansion(isets, counts, moves, tuple(free))
 
 
-def _where(g, belief, n_prescr, edges):
+def _where(g, belief, n_prescr, edges, verb="built"):
     return (
         f"while expanding a belief of {len(belief)} nodes at depth "
         f"{g.depth[belief[0]]} with {n_prescr} prescriptions "
-        f"({edges} edges built so far)"
+        f"({edges} edges {verb} so far)"
     )
 
 
@@ -523,7 +524,7 @@ def _pack(g, side, split, reduce, analysis, ws, root_dec, phase_ms):
         slot_groups=slot_groups,
         slot_of_terminal=slot_of,
         stats=stats,
-        analysis=analysis,
+        k=analysis.k,
     )
 
 
@@ -535,7 +536,7 @@ def _pack(g, side, split, reduce, analysis, ws, root_dec, phase_ms):
 def check_size_bounds(dag: TbDag, analysis: GameAnalysis | None = None):
     """Verify the edge count against |H|(b+1)^(k+1); raise if violated.
 
-    ``k`` is read off ``dag.analysis``; a given ``analysis`` is only checked.
+    ``k`` is read off ``dag.k``; a given ``analysis`` is only checked.
     Returns a report dict with the slack.  For binary-branching games
     the per-node edge ratio is also reported against 3^(k+1).
     """
@@ -543,7 +544,7 @@ def check_size_bounds(dag: TbDag, analysis: GameAnalysis | None = None):
     if analysis is not None:
         _checked_analysis(g, dag.side, analysis)
     b = g.branching_factor
-    k = dag.analysis.k
+    k = dag.k
     bound = g.num_nodes * (b + 1) ** (k + 1)
     report = {
         "side": dag.side,
@@ -650,7 +651,7 @@ def count_tbdag(
             if edges > edge_budget:
                 raise BudgetExceededError(
                     f"edge budget {edge_budget} exceeded "
-                    + _where(g, belief, n_prescr, edges)
+                    + _where(g, belief, n_prescr, edges, "counted")
                 )
             key = (frozenset(free), tuple(options))
             if key not in discovered:

@@ -22,13 +22,14 @@ import math
 import os
 import sys
 import time
+from dataclasses import astuple
 from datetime import datetime, timezone
 from typing import Any, Sequence
 
 from . import __version__
 from .analysis import GameAnalysis, analyze
 from .belief import belief_game_to_doc, make_belief_game
-from .build import build_tbdag, check_size_bounds, count_tbdag, tbdag_to_doc
+from .build import BuildStats, build_tbdag, check_size_bounds, count_tbdag, tbdag_to_doc
 from .dag import best_response
 from .game import (
     MAX,
@@ -42,6 +43,7 @@ from .game import (
 )
 from .solve import (
     ALGORITHMS,
+    CSV_COLUMNS,
     MODES,
     SolveConfig,
     check_realization,
@@ -119,6 +121,13 @@ def _resolve_game(target: str) -> tuple[ExtensiveFormGame, str, dict[str, Any]]:
     )
 
 
+def _start(args: argparse.Namespace) -> tuple[ExtensiveFormGame, str, dict[str, Any]]:
+    """Resolve ``args.game`` and stamp the manifest: the game, its label,
+    and the payload head every game command prints."""
+    g, label, source = _resolve_game(args.game)
+    return g, label, {"manifest": _manifest(args, source), "game": label}
+
+
 def _read_json(path: str) -> Any:
     """Parse a UTF-8 JSON file; a decode error names the file."""
     try:
@@ -135,11 +144,12 @@ def _write_json(path: str, payload: dict[str, Any]) -> None:
 
 
 def _emit(args: argparse.Namespace, lines: Sequence[str], payload: dict[str, Any]) -> None:
+    """The one output path: ``payload`` as one JSON object, or the text
+    lines in one write."""
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
 
 
 def _yn(flag: bool) -> str:
@@ -247,66 +257,68 @@ def _side_info(a: GameAnalysis) -> dict[str, Any]:
     }
 
 
-def cmd_info(args: argparse.Namespace) -> int:
-    g, label, source = _resolve_game(args.game)
-    payload: dict[str, Any] = {
-        "manifest": _manifest(args, source),
-        "game": label,
-        **_game_summary(g),
-        "sides": {},
+def _sizes(st: BuildStats) -> dict[str, Any]:
+    """The DAG-size record ``info`` and ``build`` share."""
+    return {
+        "dec": st.n_dec,
+        "obs": st.n_obs,
+        "edges": st.n_edges,
+        "max_belief": st.max_belief,
+        "max_fanout": st.max_fanout,
     }
-    lines = _summary_lines(label, g)
+
+
+def _size_text(sizes: dict[str, Any]) -> str:
+    """The size phrase of a ``_sizes`` record or of ``build --count``'s counts."""
+    return (
+        f"{sizes['dec']} decision / {sizes['obs']} observation points, "
+        f"{sizes['edges']} edges"
+    )
+
+
+def cmd_info(args: argparse.Namespace) -> int:
+    g, label, payload = _start(args)
+    payload.update(_game_summary(g), sides={})
+    # Text is printed as it comes, so the analysis shows before the DAG
+    # is built; under --json only the final payload is printed.
+    say = (lambda line: None) if args.json else print
     analyses = {side: analyze(g, side) for side in (MAX, MIN)}
+    for line in _summary_lines(label, g):
+        say(line)
     for side in (MAX, MIN):
-        info = _side_info(analyses[side])
-        payload["sides"][side] = info
-        lines.append(
+        info = payload["sides"][side] = _side_info(analyses[side])
+        say(
             f"side {side}: perfect-recall={_yn(info['perfect_recall'])} "
             f"action-recall={_yn(info['action_recall'])} "
             f"public-states={info['public_states']} "
             f"k={info['timeability_width']} kappa={info['recall_horizon']}"
         )
-    if not args.json:
-        for line in lines:
-            print(line)
     # The observation-split decision DAG gives the prescription fan-out
-    # numbers; it is built under the edge budget, after the analysis
-    # above has already been reported.
+    # numbers; it is built under the edge budget.
+    code = 0
     try:
         for side in (MAX, MIN):
             dag = build_tbdag(
                 g, side, split="observation", analysis=analyses[side], edge_budget=args.budget
             )
             st = dag.stats
-            detail = {
-                "dec": st.n_dec,
-                "obs": st.n_obs,
-                "edges": st.n_edges,
-                "max_belief": st.max_belief,
-                "max_fanout": st.max_fanout,
+            payload["sides"][side]["dag"] = sizes = {
+                **_sizes(st),
                 "max_fanout_belief": list(st.max_fanout_belief),
                 "prescription_bound": st.prescription_bound,
             }
-            payload["sides"][side]["dag"] = detail
-            line = (
-                f"side {side} dag: {st.n_dec} decision / {st.n_obs} observation "
-                f"points, {st.n_edges} edges; max fan-out {st.max_fanout} at a "
-                f"belief of {len(st.max_fanout_belief)} nodes "
-                f"{list(st.max_fanout_belief)}; prescription bound "
+            say(
+                f"side {side} dag: {_size_text(sizes)}; max fan-out {st.max_fanout} "
+                f"at a belief of {len(st.max_fanout_belief)} nodes "
+                f"{sizes['max_fanout_belief']}; prescription bound "
                 f"{st.prescription_bound}"
             )
-            if not args.json:
-                print(line)
     except BudgetExceededError as exc:
-        if args.json:
-            payload["budget_error"] = str(exc)
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            print(f"dag construction aborted: {exc}")
-        return 2
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+        payload["budget_error"] = str(exc)
+        say(f"dag construction aborted: {exc}")
+        code = 2
+    _emit(args, (), payload)
+    return code
 
 
 # --------------------------------------------------------------------------
@@ -314,35 +326,21 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    g, label, source = _resolve_game(args.game)
+    g, label, payload = _start(args)
     if args.binarize:
         g = binarize_actions(g)
     split = _SPLIT_ALIASES[args.split]
     sides = (MAX, MIN) if args.side == "both" else (args.side,)
-    payload: dict[str, Any] = {
-        "manifest": _manifest(args, source),
-        "game": label,
-        "split": split,
-        "sides": {},
-    }
+    payload.update(split=split, sides={})
     lines: list[str] = []
     for side in sides:
         analysis = analyze(g, side)
         if args.count:
             t0 = time.perf_counter()
-            n_dec, n_obs, n_edges = count_tbdag(
-                g, side, split=split, analysis=analysis, edge_budget=args.budget
-            )
-            payload["sides"][side] = {
-                "dec": n_dec,
-                "obs": n_obs,
-                "edges": n_edges,
-                "count_ms": (time.perf_counter() - t0) * 1e3,
-            }
-            lines.append(
-                f"side {side} ({split}, counted): {n_dec} decision / "
-                f"{n_obs} observation points, {n_edges} edges"
-            )
+            counts = count_tbdag(g, side, split=split, analysis=analysis, edge_budget=args.budget)
+            sizes = dict(zip(("dec", "obs", "edges"), counts))
+            payload["sides"][side] = {**sizes, "count_ms": (time.perf_counter() - t0) * 1e3}
+            lines.append(f"side {side} ({split}, counted): {_size_text(sizes)}")
             continue
         dag = build_tbdag(
             g,
@@ -354,22 +352,16 @@ def cmd_build(args: argparse.Namespace) -> int:
         )
         st = dag.stats
         bounds = check_size_bounds(dag)
-        detail = {
-            "dec": st.n_dec,
-            "obs": st.n_obs,
-            "edges": st.n_edges,
-            "max_belief": st.max_belief,
-            "max_fanout": st.max_fanout,
+        payload["sides"][side] = detail = {
+            **_sizes(st),
             "dedup_hits": st.dedup_hits,
             "edge_bound": bounds["bound"],
             "bound_slack": bounds["slack"],
             "phase_ms": st.phase_ms,
         }
-        payload["sides"][side] = detail
         lines.append(
             f"side {side} ({split}{'' if st.reduced else ', unreduced'}): "
-            f"{st.n_dec} decision / {st.n_obs} observation points, "
-            f"{st.n_edges} edges; max belief {st.max_belief}, max fan-out "
+            f"{_size_text(detail)}; max belief {st.max_belief}, max fan-out "
             f"{st.max_fanout}; edge bound {bounds['bound']:.0f} "
             f"(slack {bounds['slack']:.3g})"
         )
@@ -392,14 +384,12 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_belief_game(args: argparse.Namespace) -> int:
-    g, label, source = _resolve_game(args.game)
+    g, label, payload = _start(args)
     t0 = time.perf_counter()
     bg = make_belief_game(g, compact=args.compact, node_budget=args.budget)
     build_ms = (time.perf_counter() - t0) * 1e3
     b = bg.game
-    payload = {
-        "manifest": _manifest(args, source),
-        "game": label,
+    payload.update({
         "compact": bg.compact,
         "source_nodes": g.num_nodes,
         "nodes": b.num_nodes,
@@ -411,7 +401,7 @@ def cmd_belief_game(args: argparse.Namespace) -> int:
         "depth": b.max_depth,
         "build_ms": build_ms,
         "phase_ms": bg.phase_ms,
-    }
+    })
     lines = [
         f"belief game of {label}{' (compact)' if bg.compact else ''}: "
         f"{b.num_nodes} nodes from {g.num_nodes}, {len(b.terminals)} terminals, "
@@ -434,7 +424,7 @@ def cmd_belief_game(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    g, label, source = _resolve_game(args.game)
+    g, label, payload = _start(args)
     config = SolveConfig(
         algorithm=args.algo,
         eps=args.eps,
@@ -445,11 +435,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     rep = solve(g, config)
     wall = time.perf_counter() - t0
-    manifest = _manifest(args, source)
+    manifest = payload["manifest"]
     last = rep.log[-1]
-    payload = {
-        "manifest": manifest,
-        "game": label,
+    payload.update({
         "algorithm": config.algorithm,
         "mode": config.mode,
         "iterations": rep.iterations,
@@ -460,19 +448,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "br_min": last.br_min,
         "wall_s": wall,
         "phase_ms": rep.phase_ms,
-        "log": [
-            {
-                "iter": p.iteration,
-                "time_ms": p.time_ms,
-                "gap": p.gap,
-                "br_max": p.br_max,
-                "br_min": p.br_min,
-                "value": p.value,
-                "bound": p.bound,
-            }
-            for p in rep.log
-        ],
-    }
+        "log": [dict(zip(CSV_COLUMNS, astuple(p))) for p in rep.log],
+    })
     lines = [
         f"{config.algorithm} on {label} ({config.mode}): "
         f"{'converged' if rep.converged else 'stopped'} after "
@@ -487,30 +464,19 @@ def cmd_solve(args: argparse.Namespace) -> int:
         payload["log_file"] = args.log
         lines.append(f"wrote {args.log}")
     if args.save_avg:
-        avg_doc = {
+        strategies = []
+        for side, real in ((MAX, rep.x_realization), (MIN, rep.y_realization)):
+            entry = {"side": side, "terminal_realization": {str(z): p for z, p in sorted(real.items())}}
+            if args.behavior:
+                entry["behavior"] = rep.behavior(side)
+            strategies.append(entry)
+        _write_json(args.save_avg, {
             "manifest": manifest,
             "game": label,
             "value": rep.value,
             "gap": rep.gap,
-            "strategies": [
-                {
-                    "side": MAX,
-                    "terminal_realization": {
-                        str(z): p for z, p in sorted(rep.x_realization.items())
-                    },
-                },
-                {
-                    "side": MIN,
-                    "terminal_realization": {
-                        str(z): p for z, p in sorted(rep.y_realization.items())
-                    },
-                },
-            ],
-        }
-        if args.behavior:
-            for entry in avg_doc["strategies"]:
-                entry["behavior"] = rep.behavior(entry["side"])
-        _write_json(args.save_avg, avg_doc)
+            "strategies": strategies,
+        })
         payload["avg_file"] = args.save_avg
         lines.append(f"wrote {args.save_avg}")
     _emit(args, lines, payload)
@@ -553,14 +519,9 @@ def _load_realizations(path: str, g: ExtensiveFormGame) -> dict[str, dict[int, f
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise GameValidationError("tol must be finite and non-negative")
-    g, label, source = _resolve_game(args.game)
+    g, label, payload = _start(args)
     reals = _load_realizations(args.avg, g)
-    payload: dict[str, Any] = {
-        "manifest": _manifest(args, source),
-        "game": label,
-        "tolerance": args.tol,
-        "sides": {},
-    }
+    payload.update(tolerance=args.tol, sides={})
     lines: list[str] = []
     ok = True
     for side, opp in ((MAX, MIN), (MIN, MAX)):
@@ -644,25 +605,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "gap": f"{rep.gap:.3g}",
             }
         )
-    manifest = _manifest(args)
-    out_lines = ["# " + json.dumps(manifest, sort_keys=True)]
-    out_lines.append(",".join(_BENCH_COLUMNS))
-    for row in rows:
-        out_lines.append(",".join(str(row[c]) for c in _BENCH_COLUMNS))
-    text = "\n".join(out_lines) + "\n"
+    payload: dict[str, Any] = {"manifest": _manifest(args), "rows": rows}
+    lines = ["# " + json.dumps(payload["manifest"], sort_keys=True), ",".join(_BENCH_COLUMNS)]
+    lines += [",".join(str(row[c]) for c in _BENCH_COLUMNS) for row in rows]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _emit(
-            args,
-            [f"benchmarked {len(rows)} games", f"wrote {args.out}"],
-            {"manifest": manifest, "out": args.out, "rows": rows},
-        )
-    else:
-        if args.json:
-            print(json.dumps({"manifest": manifest, "rows": rows}, indent=2, sort_keys=True))
-        else:
-            sys.stdout.write(text)
+            fh.write("\n".join(lines) + "\n")
+        payload["out"] = args.out
+        lines = [f"benchmarked {len(rows)} games", f"wrote {args.out}"]
+    _emit(args, lines, payload)
     return 0
 
 

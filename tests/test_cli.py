@@ -1,7 +1,15 @@
 """End-to-end checks of the command-line front end."""
 
+import hashlib
+import io
 import json
+import os
+import re
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -404,6 +412,23 @@ class TestBench:
         assert int(row["nodes"]) == 23
         assert int(row["converged"]) == 1
 
+    def test_csv_to_stdout_goes_out_in_one_write(self, monkeypatch, capsys):
+        # One write, so a reader that stops after the first line (``head
+        # -1``) does not break the pipe under a write-through stdout.
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(["bench", "--games", "fig2", "--max-iters", "50"]) == 0
+        assert len(writes) == 1
+        lines = writes[0].splitlines()
+        assert lines[0].startswith("# {") and lines[1].startswith("game,")
+        assert len(lines) == 3 and writes[0].endswith("\n")
+
     def test_sizes_and_init_time_come_from_the_solve(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -532,3 +557,173 @@ class TestPlumbing:
         monkeypatch.setattr("tbdag.cli.solve", fail)
         assert main(["solve", "fig2"]) == 1
         assert "non-finite value" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# golden pins: every command's exact output
+#
+# Each pin is the SHA-256 of one command's exit code, stdout, stderr and
+# the files it wrote, with manifest timestamps and timings masked.  New
+# cases are pinned with ``PYTHONPATH=src python3 tests/test_cli.py
+# --record``, which writes only the keys that have no pin yet and exits
+# non-zero without writing anything when an existing pin would change.
+
+CLI_PINS_PATH = Path(__file__).parent / "cli_pins.json"
+CLI_PINS = json.loads(CLI_PINS_PATH.read_text()) if CLI_PINS_PATH.exists() else {}
+
+GOLDEN_GAMES = ("fig2", "2K3", "3K3[1]", "fig9-C8")
+
+# (name, argv with the game as ``GAME``, files written).  They run in
+# this order in one directory: ``oracle-check`` reads ``solve``'s file.
+GOLDEN_COMMANDS = (
+    ("gen", ["gen", "GAME", "-o", "game.json"], ["game.json"]),
+    ("info", ["info", "GAME"], []),
+    ("info-abort", ["info", "GAME", "--budget", "10"], []),
+    ("build", ["build", "GAME", "--dump-dag", "dag.json"], ["dag.max.json", "dag.min.json"]),
+    ("build-count", ["build", "GAME", "--count"], []),
+    ("build-abort", ["build", "GAME", "--budget", "10"], []),
+    ("belief-game", ["belief-game", "GAME", "-o", "belief.json"], ["belief.json"]),
+    ("belief-game-compact", ["belief-game", "GAME", "--compact"], []),
+    ("solve", ["solve", "GAME", "--log", "log.csv", "--save-avg", "avg.json", "--behavior"],
+     ["log.csv", "avg.json"]),
+    ("oracle-check", ["oracle-check", "GAME", "--avg", "avg.json"], []),
+    ("bench", ["bench", "--games", "GAME"], []),
+    ("bench-out", ["bench", "--games", "GAME", "-o", "bench.csv"], ["bench.csv"]),
+)
+
+HELP_COMMANDS = ("", "gen", "info", "build", "belief-game", "solve", "oracle-check", "bench")
+
+_MASKED_KEY = re.compile(r'"(timestamp|wall_s|\w*_ms)": ("[^"]*"|\{[^{}]*\}|[^,\n}]+)')
+_MASKED_WALL = re.compile(r" in \d+\.\d{3}s$", re.MULTILINE)
+
+
+def _mask(text: str) -> str:
+    """Blank manifest timestamps, JSON timing values, the solve line's
+    wall time and every ``*_ms`` column of a CSV."""
+    text = _MASKED_WALL.sub(" in #s", _MASKED_KEY.sub(r'"\1": "#"', text))
+    lines, timed = text.split("\n"), None
+    for i, line in enumerate(lines):
+        cells = line.split(",")
+        if timed and len(cells) == timed[0]:
+            lines[i] = ",".join("#" if j in timed[1] else c for j, c in enumerate(cells))
+        elif any(c.endswith("_ms") for c in cells):
+            timed = (len(cells), {j for j, c in enumerate(cells) if c.endswith("_ms")})
+        else:
+            timed = None
+    return "\n".join(lines)
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _digest(record) -> str:
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def golden_digests(game):
+    """Run every golden command on ``game`` in the working directory,
+    once as text and once with ``--json``."""
+    digests = {}
+    for name, argv, files in GOLDEN_COMMANDS:
+        argv = [game if a == "GAME" else a for a in argv]
+        for mode, extra in (("text", []), ("json", ["--json"])):
+            code, out, err = _run_captured(argv + extra)
+            written = {}
+            for f in files:
+                written[f] = _mask(Path(f).read_text())
+                Path(f).unlink()  # each run must write its own
+            digests[f"{game}/{name}/{mode}"] = _digest(
+                {"exit": code, "stdout": _mask(out), "stderr": _mask(err), "files": written}
+            )
+    return digests
+
+
+def help_digests():
+    """Every ``--help`` text, and ``--version``, at an 80-column width."""
+    old = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        digests = {
+            f"help/{cmd or 'tbdag'}": _digest(_run_captured([cmd, "--help"] if cmd else ["--help"]))
+            for cmd in HELP_COMMANDS
+        }
+        digests["help/--version"] = _digest(_run_captured(["--version"]))
+    finally:
+        if old is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = old
+    return digests
+
+
+def all_cli_digests(workdir):
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        digests = help_digests()
+        for game in GOLDEN_GAMES:
+            digests.update(golden_digests(game))
+    finally:
+        os.chdir(cwd)
+    return digests
+
+
+class TestGolden:
+    def test_every_case_is_pinned(self):
+        keys = {f"help/{c or 'tbdag'}" for c in HELP_COMMANDS} | {"help/--version"}
+        keys |= {f"{g}/{n}/{m}" for g in GOLDEN_GAMES for n, _, _ in GOLDEN_COMMANDS
+                 for m in ("text", "json")}
+        assert keys == set(CLI_PINS)
+
+    def test_help_pinned(self):
+        got = help_digests()
+        assert got == {k: CLI_PINS.get(k) for k in got}
+
+    @pytest.mark.parametrize("game", GOLDEN_GAMES)
+    def test_outputs_pinned(self, game, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        got = golden_digests(game)
+        assert got == {k: CLI_PINS.get(k) for k in got}
+
+    def test_mask_blanks_only_timings(self):
+        text = (
+            '# {"flags": {}, "timestamp": "2026-01-01T00:00:00+00:00"}\n'
+            "game,init_ms,iters,solve_ms\nfig2,1.500,50,2.250\n"
+            "wrote x\n"
+            '{\n  "count_ms": 0.25,\n  "phase_ms": {\n    "pack": 1e-05\n  },\n'
+            '  "wall_s": 3.5,\n  "value": 0.5\n}\n'
+            "pcfr+ on fig2 (simultaneous): converged after 50 iterations in 0.010s\n"
+        )
+        assert _mask(text) == (
+            '# {"flags": {}, "timestamp": "#"}\n'
+            "game,init_ms,iters,solve_ms\nfig2,#,50,#\n"
+            "wrote x\n"
+            '{\n  "count_ms": "#",\n  "phase_ms": "#",\n'
+            '  "wall_s": "#",\n  "value": 0.5\n}\n'
+            "pcfr+ on fig2 (simultaneous): converged after 50 iterations in #s\n"
+        )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit("usage: test_cli.py --record")
+    with tempfile.TemporaryDirectory() as workdir:
+        digests = all_cli_digests(workdir)
+    pins, changed = dict(CLI_PINS), []
+    for key, value in digests.items():
+        if key not in CLI_PINS:
+            pins[key] = value
+        elif value != CLI_PINS[key]:
+            changed.append(key)
+    if changed:
+        raise SystemExit("existing pins would change, nothing written:\n"
+                         + "\n".join(f"  {key}" for key in changed))
+    CLI_PINS_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(pins) - len(CLI_PINS)} new pins in {CLI_PINS_PATH}")

@@ -250,7 +250,7 @@ class TestSizeBounds:
     def test_bounds_read_the_dags_own_analysis(self, monkeypatch):
         g = game("fig2")
         dag = build_tbdag(g, MAX)
-        assert dag.analysis == analyze(g, MAX)
+        assert dag.k == analyze(g, MAX).k
 
         def no_analyze(*args):
             raise AssertionError("check_size_bounds analyzed again")
@@ -296,7 +296,7 @@ class TestCounting:
             count_tbdag(g, MAX, edge_budget=16_597)
         assert str(err.value) == (
             "edge budget 16597 exceeded while expanding a belief of 2 nodes "
-            "at depth 8 with 4 prescriptions (16598 edges built so far)"
+            "at depth 8 with 4 prescriptions (16598 edges counted so far)"
         )
 
     def test_count_observation_defers_to_build(self):
