@@ -22,7 +22,6 @@ beliefs a proxy can hold.
 
 from __future__ import annotations
 
-import time
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -36,7 +35,7 @@ from .analysis import (
     imperfect_recall_at,
     split_observation,  # noqa: F401
 )
-from .build import build_tbdag
+from .build import build_tbdag, phase_clock
 from .game import (
     BudgetExceededError,
     CHANCE,
@@ -354,15 +353,7 @@ def make_belief_game(
     mixed depths).
     """
     check_budget("node budget", node_budget)
-    phase_ms = dict.fromkeys(PHASES, 0.0)
-    clock = time.perf_counter()
-
-    def lap(phase):
-        nonlocal clock
-        now = time.perf_counter()
-        phase_ms[phase] = (now - clock) * 1e3
-        clock = now
-
+    phase_ms, lap = phase_clock(PHASES)
     sides = tuple(_moves(g, side) for side in _SIDES)
     lap("moves")
     b = _Builder(g, sides, node_budget)

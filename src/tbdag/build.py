@@ -75,9 +75,6 @@ class BuildStats:
     phases an unreduced build skips); it takes no part in comparisons.
     """
 
-    side: str
-    split: str
-    reduced: bool
     n_dec: int
     n_obs: int
     n_edges: int
@@ -125,6 +122,22 @@ def _split_fn(split: str):
     raise GameValidationError(
         f"unknown split {split!r}; expected one of {SPLITS}"
     )
+
+
+def phase_clock(phases):
+    """A ``phase_ms`` dict with every phase at 0.0, and its ``lap``:
+    ``lap(phase)`` stores the milliseconds since the previous lap (or
+    since this call) as that phase's time."""
+    phase_ms = dict.fromkeys(phases, 0.0)
+    clock = time.perf_counter()
+
+    def lap(phase):
+        nonlocal clock
+        now = time.perf_counter()
+        phase_ms[phase] = (now - clock) * 1e3
+        clock = now
+
+    return phase_ms, lap
 
 
 def _checked_analysis(g, side, analysis):
@@ -419,15 +432,7 @@ def build_tbdag(
     if reduce and not g.side_players(side):
         raise GameValidationError(f"side {side!r} has no players")
 
-    phase_ms = dict.fromkeys(("expand", "prune", "splice", "pack"), 0.0)
-    clock = time.perf_counter()
-
-    def lap(phase):
-        nonlocal clock
-        now = time.perf_counter()
-        phase_ms[phase] = (now - clock) * 1e3
-        clock = now
-
+    phase_ms, lap = phase_clock(("expand", "prune", "splice", "pack"))
     ws = _Workspace(analysis.view.seq_of if reduce else range(g.num_nodes))
     memo: dict[tuple[int, ...], int] = {}
     root_belief = (g.root,)
@@ -499,9 +504,6 @@ def _pack(g, side, split, reduce, analysis, ws, root_dec, phase_ms):
     counts = problem.action_counts()
     max_d = int(counts.argmax())
     stats = BuildStats(
-        side=side,
-        split=split,
-        reduced=reduce,
         n_dec=problem.n_dec,
         n_obs=n_obs,
         n_edges=n_edges,
@@ -654,9 +656,16 @@ def count_tbdag(
                     + _where(g, belief, n_prescr, edges, "counted")
                 )
             key = (frozenset(free), tuple(options))
-            if key not in discovered:
-                discovered.add(key)
-                _discover(g, key, seen, queue)
+            if key in discovered:
+                continue
+            discovered.add(key)
+            combos = math.prod(map(len, options))
+            if combos > 1_000_000:
+                raise BudgetExceededError(
+                    f"child-belief discovery needs {combos} combinations "
+                    + _where(g, belief, n_prescr, edges, "counted")
+                )
+            _discover(g, *key, seen, queue)
     return n_dec, n_obs, edges
 
 
@@ -679,14 +688,8 @@ def _iset_table(public_id, moves):
     return table
 
 
-def _discover(g, key, seen, queue):
+def _discover(g, base, options, seen, queue):
     """Enqueue every distinct child belief inside one public state."""
-    base, options = key
-    combo_count = math.prod(len(o) for o in options)
-    if combo_count > 1_000_000:
-        raise BudgetExceededError(
-            f"child-belief discovery needs {combo_count} combinations"
-        )
     for combo in itertools.product(*options):
         part = base.union(*combo) if combo else base
         if not part:

@@ -10,12 +10,13 @@ Every artifact written to disk embeds a run manifest (subcommand, flags,
 tool version, input hash, timestamp); JSON artifacts carry it under a
 ``manifest`` key and CSV files as a leading ``#`` comment line.  Exit
 codes: 0 success, 2 resource budget exceeded, 1 validation or usage
-error.
+error, or a reader that closed stdout (which prints nothing).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -360,7 +361,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             "phase_ms": st.phase_ms,
         }
         lines.append(
-            f"side {side} ({split}{'' if st.reduced else ', unreduced'}): "
+            f"side {side} ({split}{'' if dag.reduced else ', unreduced'}): "
             f"{_size_text(detail)}; max belief {st.max_belief}, max fan-out "
             f"{st.max_fanout}; edge bound {bounds['bound']:.0f} "
             f"(slack {bounds['slack']:.3g})"
@@ -732,7 +733,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
-    # RuntimeError comes after BudgetExceededError, which exits 2.
+    except BrokenPipeError:
+        # Send what is buffered to devnull, or the flush at exit raises.
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 1
+    # Subclasses first: a budget abort exits 2, a closed stdout is quiet.
     except (GameValidationError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -72,13 +72,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@dataclass(eq=False, repr=False, slots=True)
 class DagDecisionProblem:
     """Frozen numpy form of one side's decision DAG.
 
     Decision points are numbered level-contiguously (all parents of a
     decision point live in strictly earlier levels), actions are flat
     slots in CSR layout, and every action slot points at its unique
-    child observation point.
+    child observation point.  Only :func:`freeze_csr` makes one.
 
     The sweep plan is built with the problem and is read-only:
     ``levels`` lists each nonempty level top-down; ``act_dec`` is the
@@ -88,77 +89,26 @@ class DagDecisionProblem:
     decision point's id in the tables :func:`freeze_csr` was given.
     """
 
-    __slots__ = (
-        "side",
-        "n_dec",
-        "n_obs",
-        "n_act",
-        "n_slots",
-        "dec_aoff",
-        "act_child_obs",
-        "obs_coff",
-        "obs_children",
-        "obs_poff",
-        "payload",
-        "dec_poff",
-        "dec_parent_obs",
-        "level_off",
-        "root_dec",
-        "dec_old",
-        "levels",
-        "act_dec",
-        "parent_dec",
-        "payload_owner",
-    )
-
-    def __init__(
-        self,
-        side,
-        dec_aoff,
-        act_child_obs,
-        obs_coff,
-        obs_children,
-        obs_poff,
-        payload,
-        dec_poff,
-        dec_parent_obs,
-        level_off,
-        root_dec,
-        n_slots,
-        dec_old,
-    ):
-        self.side = side
-        self.dec_aoff = dec_aoff
-        self.act_child_obs = act_child_obs
-        self.obs_coff = obs_coff
-        self.obs_children = obs_children
-        self.obs_poff = obs_poff
-        self.payload = payload
-        self.dec_poff = dec_poff
-        self.dec_parent_obs = dec_parent_obs
-        self.level_off = level_off
-        self.root_dec = root_dec
-        self.n_dec = len(dec_aoff) - 1
-        self.n_obs = len(obs_coff) - 1
-        self.n_act = len(act_child_obs)
-        self.n_slots = n_slots
-        self.dec_old = _read_only(dec_old)
-        self.act_dec = _read_only(_owner_of(dec_aoff))
-        self.parent_dec = _read_only(_owner_of(dec_poff))
-        self.payload_owner = _read_only(_owner_of(obs_poff))
-        levels = []
-        for lv in range(1, self.n_levels):
-            d0, d1 = int(level_off[lv]), int(level_off[lv + 1])
-            if d0 == d1:
-                continue
-            a0, a1 = int(dec_aoff[d0]), int(dec_aoff[d1])
-            s0, s1 = int(dec_poff[d0]), int(dec_poff[d1])
-            levels.append(SweepLevel(
-                d0, d1, a0, a1, s0, s1,
-                _read_only(dec_aoff[d0:d1] - a0),
-                _read_only(dec_poff[d0:d1] - s0),
-            ))
-        self.levels = tuple(levels)
+    side: str
+    n_dec: int
+    n_obs: int
+    n_act: int
+    n_slots: int
+    dec_aoff: np.ndarray
+    act_child_obs: np.ndarray
+    obs_coff: np.ndarray
+    obs_children: np.ndarray
+    obs_poff: np.ndarray
+    payload: np.ndarray
+    dec_poff: np.ndarray
+    dec_parent_obs: np.ndarray
+    level_off: np.ndarray
+    root_dec: int
+    dec_old: np.ndarray
+    act_dec: np.ndarray
+    parent_dec: np.ndarray
+    payload_owner: np.ndarray
+    levels: tuple[SweepLevel, ...]
 
     # -- inspection helpers -------------------------------------------
 
@@ -269,10 +219,10 @@ def freeze_csr(
         raise GameValidationError(
             "the artificial root must feed exactly one decision point"
         )
-    n_act = np.diff(aoff)
-    if not n_act.all():
+    counts = np.diff(aoff)
+    if not counts.all():
         raise GameValidationError(
-            f"decision point {int(np.argmin(n_act))} has no actions"
+            f"decision point {int(np.argmin(counts))} has no actions"
         )
     root_child = int(kids[coff[0]])
     owner = np.zeros(n_obs, dtype=np.int64)  # the root's owner: 0
@@ -313,24 +263,42 @@ def freeze_csr(
     obs_new = np.empty(n_obs, dtype=np.int64)
     obs_new[obs_order] = np.arange(n_obs)
 
-    levels = lev_dec[dec_order]
-    n_levels = (int(levels[-1]) if n_dec else 0) + 1
+    n_levels = (int(lev_dec.max()) if n_dec else 0) + 1
     level_off = np.zeros(n_levels + 1, dtype=np.int64)
-    np.cumsum(np.bincount(levels, minlength=n_levels), out=level_off[1:])
+    np.cumsum(np.bincount(lev_dec, minlength=n_levels), out=level_off[1:])
+    dec_aoff = _offsets(aoff, dec_order)
+    dec_poff = _offsets(poff_in, dec_order)
+    obs_poff = _offsets(poff, obs_order)
+    sweep = []  # level 0 holds nothing; every later level is nonempty
+    for d0, d1 in itertools.pairwise(level_off[1:].tolist()):
+        a0, a1 = int(dec_aoff[d0]), int(dec_aoff[d1])
+        s0, s1 = int(dec_poff[d0]), int(dec_poff[d1])
+        sweep.append(SweepLevel(
+            d0, d1, a0, a1, s0, s1,
+            _read_only(dec_aoff[d0:d1] - a0),
+            _read_only(dec_poff[d0:d1] - s0),
+        ))
     return DagDecisionProblem(
         side=side,
-        dec_aoff=_offsets(aoff, dec_order),
+        n_dec=n_dec,
+        n_obs=n_obs,
+        n_act=int(dec_aoff[-1]),
+        n_slots=n_slots,
+        dec_aoff=dec_aoff,
         act_child_obs=obs_new[acts[_spans(aoff, dec_order)]],
         obs_coff=_offsets(coff, obs_order),
         obs_children=dec_new[kids[_spans(coff, obs_order)]],
-        obs_poff=_offsets(poff, obs_order),
+        obs_poff=obs_poff,
         payload=payload[_spans(poff, obs_order)],
-        dec_poff=_offsets(poff_in, dec_order),
+        dec_poff=dec_poff,
         dec_parent_obs=obs_new[parents[_spans(poff_in, dec_order)]],
         level_off=level_off,
         root_dec=int(dec_new[root_child]),
-        n_slots=n_slots,
-        dec_old=dec_order,
+        dec_old=_read_only(dec_order),
+        act_dec=_read_only(_owner_of(dec_aoff)),
+        parent_dec=_read_only(_owner_of(dec_poff)),
+        payload_owner=_read_only(_owner_of(obs_poff)),
+        levels=tuple(sweep),
     )
 
 

@@ -294,9 +294,8 @@ def solve(
     iterate just emitted.
     """
     t_start = time.perf_counter()
-    analyses = {MAX: analyze(g, MAX), MIN: analyze(g, MIN)}
     dags = {
-        side: build_tbdag(g, side, analysis=analyses[side])
+        side: build_tbdag(g, side, analysis=analyze(g, side))
         for side in (MAX, MIN)
     }
     p_x, p_y = dags[MAX].problem, dags[MIN].problem
@@ -305,7 +304,7 @@ def solve(
     bank_y = LocalRegretBank(p_y, variant, g.utility_scale)
 
     h = g.num_nodes
-    k = max(analyses[MAX].k, analyses[MIN].k, 1)
+    k = max(dags[MAX].k, dags[MIN].k, 1)
     log_b = math.log(max(g.branching_factor, 2))
 
     t_loop = time.perf_counter()

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from tbdag import MAX, MIN, analyze, generate, list_presets, parse_game, serialize_game
+from tbdag import MAX, MIN, ZooSpec, analyze, generate, list_presets, parse_game, serialize_game
 from tbdag.cli import main
 
 
@@ -168,6 +168,15 @@ class TestBuild:
     def test_budget_abort_exits_2(self, capsys):
         assert main(["build", "worst-k2b2d6", "--budget", "50"]) == 2
         assert "budget" in capsys.readouterr().err
+
+    def test_count_discovery_abort_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "worst.json"
+        g = generate(ZooSpec("worst_case", k=20, branching=2, depth=4))
+        path.write_text(json.dumps(serialize_game(g)))
+        argv = ["build", str(path), "--count", "--split", "pub", "--side", "max"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded: child-belief discovery needs")
 
 
 class TestBeliefGame:
@@ -462,6 +471,16 @@ class TestBench:
 
 
 class TestPlumbing:
+    def test_closed_stdout_exits_1_quietly(self):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        err = io.StringIO()
+        with redirect_stdout(Closed()), redirect_stderr(err):
+            assert main(["info", "fig2"]) == 1
+        assert err.getvalue() == ""
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

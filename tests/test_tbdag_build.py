@@ -15,6 +15,7 @@ from tbdag import (
     MAX,
     MIN,
     PLAYER,
+    ZooSpec,
     analyze,
     build_tbdag,
     check_size_bounds,
@@ -297,6 +298,18 @@ class TestCounting:
         assert str(err.value) == (
             "edge budget 16597 exceeded while expanding a belief of 2 nodes "
             "at depth 8 with 4 prescriptions (16598 edges counted so far)"
+        )
+
+    def test_count_discovery_abort_says_where(self):
+        # One public state below the root holds 20 infosets with two
+        # child sets each: 2^20 child-belief combinations to discover.
+        g = generate(ZooSpec("worst_case", k=20, branching=2, depth=4))
+        with pytest.raises(BudgetExceededError) as err:
+            count_tbdag(g, MAX, split="public")
+        assert str(err.value) == (
+            "child-belief discovery needs 1048576 combinations while "
+            "expanding a belief of 40 nodes at depth 1 with 1048576 "
+            "prescriptions (2097154 edges counted so far)"
         )
 
     def test_count_observation_defers_to_build(self):
