@@ -51,7 +51,6 @@ class CoordinatorView:
     on first read.
     """
 
-    side: str
     infosets: tuple[int, ...]
     seq_of: list[int]  # node id -> sequence id
     seq_keys: tuple[tuple[int, int, int], ...]  # (parent seq, infoset, action)
@@ -95,7 +94,6 @@ def coordinator_view(g: ExtensiveFormGame, side: str) -> CoordinatorView:
             sid = intern[key] = len(intern) + 1
         seq_of[h] = sid
     return CoordinatorView(
-        side=side,
         infosets=g.side_infosets(side),
         seq_of=seq_of,
         seq_keys=tuple(intern),
@@ -176,6 +174,18 @@ def _recall(
     return remembers, perfect_recall, action_recall
 
 
+def _union(parent: list[int], x: int, y: int) -> None:
+    """Join the trees of ``x`` and ``y`` in a union-find forest whose
+    root is always the smallest member, halving both paths."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    while parent[y] != y:
+        parent[y] = y = parent[parent[y]]
+    if x > y:
+        x, y = y, x
+    parent[y] = x
+
+
 def _label(parent: list[int]) -> list[int]:
     """Dense component labels of a union-find forest whose links all run
     from a larger node to a smaller one, numbered by smallest member."""
@@ -218,19 +228,9 @@ def analyze(g: ExtensiveFormGame, side: str) -> GameAnalysis:
     # member, so every link runs from a larger id to a smaller one.
     # Public states are its components after the clique unions.
     parent = list(range(n))
-
-    def union(x: int, y: int) -> None:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        while parent[y] != y:
-            parent[y] = y = parent[parent[y]]
-        if x > y:
-            x, y = y, x
-        parent[y] = x
-
     for first, *rest in cliques:
         for h in rest:
-            union(first, h)
+            _union(parent, first, h)
     public_id = _label(parent)
     public_states: list[list[int]] = []
     for h, c in enumerate(public_id):
@@ -248,7 +248,7 @@ def analyze(g: ExtensiveFormGame, side: str) -> GameAnalysis:
     for a0, a1 in pairwise(g.action_offset):
         live = [c for c in kids[a0:a1] if g.kind[c] != TERMINAL]
         for c in live[1:]:
-            union(live[0], c)
+            _union(parent, live[0], c)
     unconditional_id = _label(parent)
 
     view = coordinator_view(g, side) if g.side_players(side) else None

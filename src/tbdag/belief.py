@@ -49,6 +49,7 @@ from .game import (
     bad_action,
     build_game,
     check_budget,
+    check_side,
     serialize_game,
 )
 
@@ -411,8 +412,7 @@ def map_pure_strategy(
     infosets canonically take their first action.  Every action of
     ``pi`` must be an int index into its infoset's actions.
     """
-    if side not in (MAX, MIN):
-        raise GameValidationError(f"unknown side {side!r}")
+    check_side(side)
     if bg.compact:
         raise GameValidationError(
             "strategy mapping needs a full belief game, not a compact one"

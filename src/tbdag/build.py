@@ -126,15 +126,15 @@ def _split_fn(split: str):
 
 def phase_clock(phases):
     """A ``phase_ms`` dict with every phase at 0.0, and its ``lap``:
-    ``lap(phase)`` stores the milliseconds since the previous lap (or
-    since this call) as that phase's time."""
+    ``lap(phase)`` adds the milliseconds since the previous lap (or
+    since this call) to that phase's time."""
     phase_ms = dict.fromkeys(phases, 0.0)
     clock = time.perf_counter()
 
     def lap(phase):
         nonlocal clock
         now = time.perf_counter()
-        phase_ms[phase] = (now - clock) * 1e3
+        phase_ms[phase] += (now - clock) * 1e3
         clock = now
 
     return phase_ms, lap
@@ -414,6 +414,11 @@ def _splice_passthrough(ws, root_dec):
         ws.obs_payload[po].extend(ws.obs_payload[o])
 
 
+def _check_root(g: ExtensiveFormGame) -> None:
+    if g.kind[g.root] == TERMINAL:
+        raise GameValidationError("the game is a single terminal node")
+
+
 def build_tbdag(
     g: ExtensiveFormGame,
     side: str,
@@ -427,8 +432,7 @@ def build_tbdag(
     check_budget("edge budget", edge_budget)
     split_parts = _split_fn(split)
     analysis = _checked_analysis(g, side, analysis)
-    if g.kind[g.root] == TERMINAL:
-        raise GameValidationError("the game is a single terminal node")
+    _check_root(g)
     if reduce and not g.side_players(side):
         raise GameValidationError(f"side {side!r} has no players")
 
@@ -539,32 +543,18 @@ def check_size_bounds(dag: TbDag, analysis: GameAnalysis | None = None):
     """Verify the edge count against |H|(b+1)^(k+1); raise if violated.
 
     ``k`` is read off ``dag.k``; a given ``analysis`` is only checked.
-    Returns a report dict with the slack.  For binary-branching games
-    the per-node edge ratio is also reported against 3^(k+1).
+    Returns the ``bound``, its ``slack`` (bound over edges) and ``k``.
     """
     g = dag.game
     if analysis is not None:
         _checked_analysis(g, dag.side, analysis)
-    b = g.branching_factor
-    k = dag.k
-    bound = g.num_nodes * (b + 1) ** (k + 1)
-    report = {
-        "side": dag.side,
-        "edges": dag.stats.n_edges,
-        "bound": bound,
-        "slack": bound / max(dag.stats.n_edges, 1),
-        "k": k,
-        "branching": b,
-    }
-    if b <= 2:
-        report["binary_ratio"] = dag.stats.n_edges / g.num_nodes
-        report["binary_cap"] = 3 ** (k + 1)
-    if dag.stats.n_edges > bound:
+    k, edges = dag.k, dag.stats.n_edges
+    bound = g.num_nodes * (g.branching_factor + 1) ** (k + 1)
+    if edges > bound:
         raise GameValidationError(
-            f"edge bound violated for side {dag.side}: "
-            f"{dag.stats.n_edges} > {bound}"
+            f"edge bound violated for side {dag.side}: {edges} > {bound}"
         )
-    return report
+    return {"bound": bound, "slack": bound / max(edges, 1), "k": k}
 
 
 def count_tbdag(
@@ -572,7 +562,6 @@ def count_tbdag(
     side: str,
     *,
     split: str = "public",
-    analysis: GameAnalysis | None = None,
     edge_budget: int = 10**8,
 ) -> tuple[int, int, int]:
     """Count (decision points, observation points, edges) of the raw
@@ -599,15 +588,14 @@ def count_tbdag(
     in the same order.
     """
     check_budget("edge budget", edge_budget)
-    analysis = _checked_analysis(g, side, analysis)
     if split != "public":
         dag = build_tbdag(
-            g, side, split=split, reduce=False,
-            analysis=analysis, edge_budget=edge_budget,
+            g, side, split=split, reduce=False, edge_budget=edge_budget
         )
         return dag.stats.n_dec, dag.stats.n_obs, dag.stats.n_edges
 
-    public_id = analysis.unconditional_id
+    public_id = analyze(g, side).unconditional_id
+    _check_root(g)
     n_dec = n_obs = edges = 0
     seen = {(g.root,)}
     queue = [(g.root,)]

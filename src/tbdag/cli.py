@@ -335,22 +335,14 @@ def cmd_build(args: argparse.Namespace) -> int:
     payload.update(split=split, sides={})
     lines: list[str] = []
     for side in sides:
-        analysis = analyze(g, side)
         if args.count:
             t0 = time.perf_counter()
-            counts = count_tbdag(g, side, split=split, analysis=analysis, edge_budget=args.budget)
+            counts = count_tbdag(g, side, split=split, edge_budget=args.budget)
             sizes = dict(zip(("dec", "obs", "edges"), counts))
             payload["sides"][side] = {**sizes, "count_ms": (time.perf_counter() - t0) * 1e3}
             lines.append(f"side {side} ({split}, counted): {_size_text(sizes)}")
             continue
-        dag = build_tbdag(
-            g,
-            side,
-            split=split,
-            reduce=not args.no_reduce,
-            analysis=analysis,
-            edge_budget=args.budget,
-        )
+        dag = build_tbdag(g, side, split=split, reduce=not args.no_reduce, edge_budget=args.budget)
         st = dag.stats
         bounds = check_size_bounds(dag)
         payload["sides"][side] = detail = {

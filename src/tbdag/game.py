@@ -155,10 +155,12 @@ class ExtensiveFormGame:
 
     def side_players(self, side: str) -> tuple[int, ...]:
         """Player indices belonging to one team (``"max"`` or ``"min"``)."""
+        check_side(side)
         return self._side_players[side]
 
     def side_infosets(self, side: str) -> tuple[int, ...]:
         """Infoset ids owned by any player of the given team."""
+        check_side(side)
         return self._side_infosets[side]
 
     def own_infoset(self, side: str) -> list[int]:
@@ -166,6 +168,7 @@ class ExtensiveFormGame:
         ``-1`` elsewhere; built on first use."""
         col = self._own_infoset.get(side)
         if col is None:
+            check_side(side)
             # Indexed by player; the extra last entry serves player -1.
             mine = [t == side for t in self.team_of] + [False]
             col = self._own_infoset[side] = [
@@ -538,6 +541,12 @@ def bad_action(infoset: int, action: Any, n_actions: int) -> str:
         f"strategy plays action {action!r} at infoset {infoset}, "
         f"which has {n_actions} actions"
     )
+
+
+def check_side(side: Any) -> None:
+    """Reject a side that is neither ``"max"`` nor ``"min"``."""
+    if side not in (MAX, MIN):
+        raise GameValidationError(f"unknown side {side!r}")
 
 
 def check_budget(what: str, budget: Any) -> None:

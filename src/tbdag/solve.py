@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .analysis import analyze
-from .build import TbDag, build_tbdag
+from .build import TbDag, build_tbdag, phase_clock
 from .dag import (
     FlowVector,
     LocalRegretBank,
@@ -40,6 +40,7 @@ from .game import (
     ExtensiveFormGame,
     GameValidationError,
     check_budget,
+    check_side,
 )
 
 ALGORITHMS = {
@@ -104,11 +105,11 @@ class SolveReport:
     """Everything a run produced: the log track, the averaged
     strategies (as realization per terminal), and the certificate.
 
-    ``phase_ms`` splits the run's time: ``build`` (both analyses and
+    ``phase_ms`` splits the run's time, laps of one
+    :func:`~tbdag.build.phase_clock`: ``build`` (both analyses and
     DAGs), ``iterate`` (the regret loop) and ``certify`` (the best
     responses at log points)."""
 
-    config: SolveConfig
     iterations: int
     converged: bool
     value: float
@@ -294,6 +295,7 @@ def solve(
     iterate just emitted.
     """
     t_start = time.perf_counter()
+    phase_ms, lap = phase_clock(("build", "iterate", "certify"))
     dags = {
         side: build_tbdag(g, side, analysis=analyze(g, side))
         for side in (MAX, MIN)
@@ -307,8 +309,7 @@ def solve(
     k = max(dags[MAX].k, dags[MIN].k, 1)
     log_b = math.log(max(g.branching_factor, 2))
 
-    t_loop = time.perf_counter()
-    certify_s = 0.0
+    lap("build")
     avg_x, avg_y = _zero_flow(p_x), _zero_flow(p_y)
     weight_total = 0.0
     simultaneous = config.mode == "simultaneous"
@@ -346,7 +347,7 @@ def solve(
         avg_y.add_scaled(y_t, w)
 
         if t == 1 or t % config.log_every == 0 or t == config.max_iters:
-            t_cert = time.perf_counter()
+            lap("iterate")
             x_bar = avg_x.scaled(1.0 / weight_total)
             y_bar = avg_y.scaled(1.0 / weight_total)
             br_x, br_y, value = _certify(at_x, at_y, x_bar, y_bar)
@@ -361,7 +362,7 @@ def solve(
                 bound=h * math.sqrt(k * log_b / t),
             )
             log.append(point)
-            certify_s += time.perf_counter() - t_cert
+            lap("certify")
             if not math.isfinite(gap_t):
                 raise RuntimeError(
                     f"non-finite gap at iteration {t}: {point!r}"
@@ -372,9 +373,8 @@ def solve(
 
     # The last iteration is always logged, so x_bar and y_bar are the
     # final averages.
-    loop_s = time.perf_counter() - t_loop
+    lap("iterate")
     return SolveReport(
-        config=config,
         iterations=t,
         converged=converged,
         value=log[-1].value,
@@ -384,11 +384,7 @@ def solve(
         y_realization=terminal_realization(dags[MIN], y_bar),
         dags=dags,
         averages={MAX: x_bar, MIN: y_bar},
-        phase_ms={
-            "build": (t_loop - t_start) * 1e3,
-            "iterate": (loop_s - certify_s) * 1e3,
-            "certify": certify_s * 1e3,
-        },
+        phase_ms=phase_ms,
     )
 
 
@@ -413,8 +409,7 @@ def enumeration_oracle(
     form).  Independent of all DAG machinery by design, which is what
     makes it a certificate.
     """
-    if side not in _SIGN:
-        raise GameValidationError(f"unknown side {side!r}")
+    check_side(side)
     check_budget("reduced pure-strategy budget", budget)
     check_realization(g, opponent_realization)
     real = opponent_realization

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import ceil, log2
 
-from .analysis import _recall, coordinator_view
+from .analysis import _label, _recall, _union, coordinator_view
 from .game import (
     MAX,
     MIN,
@@ -133,21 +133,12 @@ def inflate(g: ExtensiveFormGame, side: str) -> ExtensiveFormGame:
         maps = [dict(view.sequences[view.seq_of[h]]) for h in members]
         # Union-find over member indices by pairwise compatibility.
         parent = list(range(len(members)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for x in range(len(members)):
             for y in range(x + 1, len(members)):
                 if _compatible(maps[x], maps[y]):
-                    rx, ry = find(x), find(y)
-                    if rx != ry:
-                        parent[max(rx, ry)] = min(rx, ry)
-        for x, h in enumerate(members):
-            group_of[h] = (i, members[find(x)])
+                    _union(parent, x, y)
+        for h, c in zip(members, _label(parent)):
+            group_of[h] = (i, c)
 
     # The same nodes, with the side's infosets keyed by component.
     w = GameWriter()

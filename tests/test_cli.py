@@ -169,6 +169,18 @@ class TestBuild:
         assert main(["build", "worst-k2b2d6", "--budget", "50"]) == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_count_of_a_lone_terminal_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "lone.json"
+        path.write_text(json.dumps({
+            "players": ["chance", "a", "b"],
+            "teams": {"max": [1], "min": [2]},
+            "root": 0,
+            "nodes": [{"kind": "terminal", "utility": 1.0}],
+        }))
+        assert main(["build", str(path), "--count", "--split", "pub"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: the game is a single terminal node\n"
+
     def test_count_discovery_abort_exits_2(self, tmp_path, capsys):
         path = tmp_path / "worst.json"
         g = generate(ZooSpec("worst_case", k=20, branching=2, depth=4))

@@ -14,10 +14,17 @@ from tbdag import (
     GameValidationError,
     PLAYER,
     TERMINAL,
+    analyze,
+    build_tbdag,
+    coordinator_view,
+    count_tbdag,
+    enumeration_oracle,
     generate,
     list_presets,
     make_belief_game,
+    map_pure_strategy,
     parse_game,
+    sequence_form,
     serialize_game,
 )
 from tbdag.game import GameWriter, build_game
@@ -731,3 +738,29 @@ class TestFlatFormat:
         doc = serialize_game(g)
         assert doc["nodes"][4]["actions"][0]["prob"] == 0.0
         assert math.copysign(1.0, doc["nodes"][4]["actions"][0]["prob"]) == -1
+
+
+# Every entry point that takes a side, called on fig2 with side "banana".
+SIDE_ENTRIES = {
+    "own_infoset": lambda g, side: g.own_infoset(side),
+    "analyze": analyze,
+    "coordinator_view": coordinator_view,
+    "build_tbdag": build_tbdag,
+    "count_tbdag": count_tbdag,
+    "sequence_form": sequence_form,
+    "inflate": inflate,
+    "enumeration_oracle": lambda g, side: enumeration_oracle(g, side, {}),
+    "map_pure_strategy": (
+        lambda g, side: map_pure_strategy(make_belief_game(g), side, {})
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", SIDE_ENTRIES.values(), ids=SIDE_ENTRIES)
+def test_unknown_side_rejected(entry):
+    g = generate(list_presets()["fig2"])
+    with pytest.raises(GameValidationError) as err:
+        entry(g, "banana")
+    assert str(err.value) == "unknown side 'banana'"
+    # Nothing is memoized for the bad side.
+    assert set(g._own_infoset) <= {MAX, MIN}

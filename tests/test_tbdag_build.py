@@ -25,6 +25,7 @@ from tbdag import (
     generate,
     inflate,
     list_presets,
+    make_belief_game,
     parse_game,
     sequence_form,
     solve,
@@ -248,6 +249,10 @@ class TestSizeBounds:
         # An equal game built separately is the same game.
         check_size_bounds(dag, analyze(game("3K3[1]"), MAX))
 
+    def test_report_holds_bound_slack_and_k(self):
+        report = check_size_bounds(build_tbdag(game("fig2"), MAX))
+        assert set(report) == {"bound", "slack", "k"}
+
     def test_bounds_read_the_dags_own_analysis(self, monkeypatch):
         g = game("fig2")
         dag = build_tbdag(g, MAX)
@@ -279,7 +284,7 @@ class TestCounting:
         for side in (MAX, MIN):
             a = analyze(g, side)
             try:
-                cnt = count_tbdag(g, side, analysis=a, edge_budget=self.CAP)
+                cnt = count_tbdag(g, side, edge_budget=self.CAP)
             except BudgetExceededError:
                 with pytest.raises(BudgetExceededError):
                     build_tbdag(
@@ -339,14 +344,14 @@ class TestCounting:
 
 
 class TestGuards:
-    @pytest.mark.parametrize("entry", [build_tbdag, count_tbdag])
+    @pytest.mark.parametrize("entry", [build_tbdag])
     def test_analysis_of_the_other_side_rejected(self, entry):
         g = game("3K3[1]")
         with pytest.raises(GameValidationError) as err:
             entry(g, MAX, analysis=analyze(g, MIN))
         assert str(err.value) == "analysis is for side 'min', not 'max'"
 
-    @pytest.mark.parametrize("entry", [build_tbdag, count_tbdag])
+    @pytest.mark.parametrize("entry", [build_tbdag])
     def test_analysis_of_another_game_rejected(self, entry):
         g = game("3K3[1]")
         with pytest.raises(GameValidationError) as err:
@@ -359,6 +364,27 @@ class TestGuards:
         g = game("3K3[2]")
         with pytest.raises(BudgetExceededError):
             build_tbdag(g, MAX, edge_budget=20)
+
+    LONE_TERMINAL = {
+        "players": ["chance", "a", "b"],
+        "teams": {"max": [1], "min": [2]},
+        "root": 0,
+        "nodes": [{"kind": "terminal", "utility": 1.0}],
+    }
+
+    @pytest.mark.parametrize("entry", [
+        build_tbdag,
+        lambda g, side: count_tbdag(g, side, split="public"),
+        lambda g, side: count_tbdag(g, side, split="observation"),
+        lambda g, side: solve(g),
+    ], ids=["build", "count-public", "count-observation", "solve"])
+    def test_lone_terminal_rejected(self, entry):
+        g = parse_game(self.LONE_TERMINAL)
+        with pytest.raises(GameValidationError) as err:
+            entry(g, MAX)
+        assert str(err.value) == "the game is a single terminal node"
+        # The belief game still gives its one-step game.
+        assert make_belief_game(g).game.num_nodes == 3
 
     def test_fanout_guard_enforced(self, monkeypatch):
         monkeypatch.setattr(tbdag.build, "_FANOUT_GUARD", 1)
@@ -449,6 +475,15 @@ class TestBuildTimings:
             assert phases["prune"] == phases["splice"] == 0.0
         assert sum(phases.values()) <= wall_ms
 
+    def test_lap_adds_to_its_phase(self, monkeypatch):
+        clock = iter([0, 1, 3, 6])
+        monkeypatch.setattr(time, "perf_counter", clock.__next__)
+        phase_ms, lap = tbdag.build.phase_clock(("a", "b"))
+        lap("a")
+        lap("b")
+        lap("a")
+        assert phase_ms == {"a": 4000.0, "b": 2000.0}
+
     def test_timings_stay_out_of_comparisons_and_docs(self):
         one = build_tbdag(game("fig2"), MAX)
         two = build_tbdag(game("fig2"), MAX)
@@ -480,7 +515,7 @@ class TestDeterminism:
             a = analyze(g, side)
             raw = dag_signature(build_tbdag(g, side, reduce=False, analysis=a))
             red = dag_signature(build_tbdag(g, side, analysis=a))
-            counted = list(count_tbdag(g, side, analysis=a))
+            counted = list(count_tbdag(g, side))
             assert [raw[:16], red[:16], counted] == PINS[name][side], side
 
 
