@@ -79,16 +79,15 @@ def coordinator_view(g: ExtensiveFormGame, side: str) -> CoordinatorView:
     """
     if not g.side_players(side):
         raise GameValidationError(f"side {side!r} has no players")
-    mine = frozenset(g.side_infosets(side))
-    infoset, parent_action = g.infoset, g.parent_action
+    own, parent_action = g.own_infoset(side), g.parent_action
     intern: dict[tuple[int, int, int], int] = {}
     seq_of = [0] * g.num_nodes
     for h in range(1, g.num_nodes):  # preorder: parents first
         p = g.parent[h]
-        if infoset[p] not in mine:
+        if own[p] < 0:
             seq_of[h] = seq_of[p]
             continue
-        key = (seq_of[p], infoset[p], parent_action[h])
+        key = (seq_of[p], own[p], parent_action[h])
         sid = intern.get(key)
         if sid is None:
             sid = intern[key] = len(intern) + 1
@@ -143,16 +142,16 @@ class GameAnalysis:
 
 def _recall(
     g: ExtensiveFormGame, view: CoordinatorView | None
-) -> tuple[list[frozenset[int]], bool, bool]:
-    """remembers, perfect recall and action recall of one side, read
-    from the interned coordinator sequences of each infoset's members.
+) -> tuple[list[frozenset[int]], bool]:
+    """remembers and action recall of one side, read from the interned
+    coordinator sequences of each infoset's members.
 
     remembers[J] holds the side infosets every member of J passed with
     one known action.  A sequence fixes the side's own-action label
     trace, since an infoset sits at one depth and shares its labels.
     """
     remembers: list[frozenset[int]] = [frozenset()] * len(g.infosets)
-    perfect_recall = action_recall = True
+    action_recall = True
     for j in view.infosets if view else ():
         seqs = [
             view.sequences[s]
@@ -160,7 +159,6 @@ def _recall(
         ]
         common = set(seqs[0]).intersection(*seqs[1:])
         remembers[j] = frozenset(i for i, _ in common)
-        perfect_recall = perfect_recall and len(seqs) == 1
         if len(seqs) > 1 and action_recall:
             traces = {
                 tuple(
@@ -171,12 +169,13 @@ def _recall(
                 for seq in seqs
             }
             action_recall = len(traces) == 1
-    return remembers, perfect_recall, action_recall
+    return remembers, action_recall
 
 
-def _union(parent: list[int], x: int, y: int) -> None:
-    """Join the trees of ``x`` and ``y`` in a union-find forest whose
-    root is always the smallest member, halving both paths."""
+def _union(parent: list[int] | dict[int, int], x: int, y: int) -> None:
+    """Join the trees of ``x`` and ``y`` in a union-find forest (a list,
+    or a dict over a sparse node set) whose root is always the smallest
+    member, halving both paths."""
     while parent[x] != x:
         parent[x] = x = parent[parent[x]]
     while parent[y] != y:
@@ -252,7 +251,7 @@ def analyze(g: ExtensiveFormGame, side: str) -> GameAnalysis:
     unconditional_id = _label(parent)
 
     view = coordinator_view(g, side) if g.side_players(side) else None
-    remembers, perfect_recall, action_recall = _recall(g, view)
+    remembers, action_recall = _recall(g, view)
 
     # Last infosets from the parent's: a node the side does not own
     # shares its parent's tuple; an own node at infoset I gets
@@ -260,13 +259,12 @@ def analyze(g: ExtensiveFormGame, side: str) -> GameAnalysis:
     # infosets above I in a timeable game, so nothing is removed before
     # it is added.  Each tuple is built and sorted once per distinct
     # (parent tuple id, I) pair.
-    mine = frozenset(side_isets)
     tuples: list[tuple[int, ...]] = [()]
     step: dict[tuple[int, int], int] = {}
     last_id = [0] * n
-    for h, (p, i) in enumerate(zip(g.parent, g.infoset)):
+    for h, (p, i) in enumerate(zip(g.parent, g.own_infoset(side))):
         t = last_id[p] if p >= 0 else 0
-        if i in mine:
+        if i >= 0:
             key = (t, i)
             t = step.get(key)
             if t is None:
@@ -309,7 +307,7 @@ def analyze(g: ExtensiveFormGame, side: str) -> GameAnalysis:
         remembers=tuple(remembers),
         k=k,
         kappa=kappa,
-        perfect_recall=perfect_recall,
+        perfect_recall=view is None or imperfect_recall_at(g, view) is None,
         action_recall=action_recall,
         view=view,
     )
@@ -331,8 +329,9 @@ def split_observation(
 
     Blocks are canonically sorted (by id inside a block, by smallest
     member across blocks).  A node in no clique is a singleton block
-    at once; the rest meet in a union-find whose root is always the
-    smallest member, so a block starts at its first node in id order.
+    at once; the rest meet in :func:`_union`'s forest, whose root is
+    always the smallest member, so a block starts at its first node in
+    id order.
     """
     H = sorted(set(H))
     if not H:
@@ -348,21 +347,11 @@ def split_observation(
         cids = node_cliques[h]
         if not cids:
             continue
-        # ``root`` stays h's root: links run from larger to smaller.
-        root = parent[h] = h
+        parent[h] = h
         for cid in cids:
             x = first.setdefault(cid, h)
-            if x == h:
-                continue
-            r = x
-            while parent[r] != r:
-                r = parent[r]
-            while parent[x] != r:  # path compression
-                parent[x], x = r, parent[x]
-            if r < root:
-                parent[root] = root = r
-            elif r > root:
-                parent[r] = root
+            if x != h:
+                _union(parent, x, h)
     blocks: list = []
     block_at: dict[int, list[int]] = {}
     for h in H:

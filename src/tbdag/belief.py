@@ -46,6 +46,7 @@ from .game import (
     PLAYER,
     TERMINAL,
     GameWriter,
+    _is_id,
     bad_action,
     build_game,
     check_budget,
@@ -425,7 +426,7 @@ def map_pure_strategy(
         )
     for i in g.side_infosets(side):
         a, n = pi[i], g.infosets[i].num_actions
-        if isinstance(a, bool) or not (isinstance(a, int) and 0 <= a < n):
+        if not (_is_id(a) and 0 <= a < n):
             raise GameValidationError(bad_action(i, a, n))
     out = bg._unplayed[side].copy()
     queue = [bg.root_iset[side]]

@@ -141,18 +141,14 @@ def phase_clock(phases):
 
 
 def _checked_analysis(g, side, analysis):
-    """``analysis`` if it is of ``g`` for ``side``, a fresh one if None.
-
-    The game is compared by identity first: callers nearly always pass
-    the analysed game itself, and ``==`` walks every column.
-    """
+    """``analysis`` if it is of ``g`` for ``side``, a fresh one if None."""
     if analysis is None:
         return analyze(g, side)
     if analysis.side != side:
         raise GameValidationError(
             f"analysis is for side {analysis.side!r}, not {side!r}"
         )
-    if analysis.game is not g and analysis.game != g:
+    if analysis.game != g:
         raise GameValidationError("analysis is for a different game")
     return analysis
 
@@ -463,7 +459,7 @@ def _pack(g, side, split, reduce, analysis, ws, root_dec, phase_ms):
     # Live decision points keep their relative order and list their
     # actions as numbered from 1 on, after the artificial root.  The
     # workspace's own child and payload lists are laid out in that
-    # order, once, with children renumbered if any point was dropped.
+    # order, once, with children renumbered to the kept points.
     alive, dec_actions = ws.dec_alive, ws.dec_actions
     keep = [d for d in range(len(alive)) if alive[d]]
     obs = list(
@@ -472,15 +468,13 @@ def _pack(g, side, split, reduce, analysis, ws, root_dec, phase_ms):
     aoff = np.zeros(len(keep) + 1, dtype=np.int64)
     np.cumsum([len(dec_actions[d]) for d in keep], out=aoff[1:])
     kids, coff = csr_of([[root_dec], *map(ws.obs_children.__getitem__, obs)])
-    if len(keep) < len(alive):
-        dec_id = np.full(len(alive), -1, dtype=np.int64)
-        dec_id[keep] = np.arange(len(keep))
-        kids = dec_id[kids]
+    dec_id = np.full(len(alive), -1, dtype=np.int64)
+    dec_id[keep] = np.arange(len(keep))
     problem = freeze_csr(
         side,
         len(ws.groups),
         (np.arange(1, len(obs) + 1), aoff),
-        (kids, coff),
+        (dec_id[kids], coff),
         csr_of([[], *map(ws.obs_payload.__getitem__, obs)]),
     )
 

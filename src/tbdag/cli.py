@@ -214,6 +214,8 @@ def _spec_from_args(args: argparse.Namespace) -> ZooSpec:
         if args.n is None:
             raise GameValidationError("--team-max needs -n to take the complement")
         max_team = _parse_team(args.team_max)
+        if not all(1 <= p <= args.n for p in max_team):
+            raise GameValidationError(f"bad max team {max_team!r} for {args.n} players")
         min_team = tuple(p for p in range(1, args.n + 1) if p not in max_team)
         if not min_team:
             raise GameValidationError("--team-max covers every player")
@@ -327,6 +329,8 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    if args.count and args.dump_dag:
+        raise GameValidationError("--count builds no DAG for --dump-dag to write")
     g, label, payload = _start(args)
     if args.binarize:
         g = binarize_actions(g)
@@ -481,25 +485,29 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _load_realizations(path: str, g: ExtensiveFormGame) -> dict[str, dict[int, float]]:
-    """Per-side terminal realizations from a ``solve --save-avg`` file: keys
-    must be decimal strings and values numbers, and each side's realization
-    must pass :func:`check_realization` against ``g``."""
+    """Per-side terminal realizations from a ``solve --save-avg`` file: one
+    entry per side, keys terminal ids of ``g`` as ``str(z)`` writes them
+    and values numbers, and each side's realization must pass
+    :func:`check_realization` against ``g``."""
     doc = _read_json(path)
     entries = doc.get("strategies", []) if isinstance(doc, dict) else None
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise GameValidationError(f"{path}: malformed strategies list")
+    terminal_of = {str(z): z for z in g.terminals}
     out: dict[str, dict[int, float]] = {}
     for entry in entries:
         side = entry.get("side")
         real = entry.get("terminal_realization")
         if side not in (MAX, MIN) or not isinstance(real, dict):
             raise GameValidationError(f"{path}: malformed strategies entry")
+        if side in out:
+            raise GameValidationError(f"{path}: need one strategy per side")
         for z, p in real.items():
-            if not z.isdecimal():
+            if z not in terminal_of:
                 raise GameValidationError(f"{path}: {side} realization key {z!r} names no terminal")
             if isinstance(p, bool) or not isinstance(p, (int, float)):
                 raise GameValidationError(f"{path}: {side} realization {p!r} of terminal {z} is not a number in [0, 1]")
-        out[side] = {int(z): float(p) for z, p in real.items()}
+        out[side] = {terminal_of[z]: float(p) for z, p in real.items()}
         try:
             check_realization(g, out[side])
         except GameValidationError as exc:

@@ -185,6 +185,8 @@ class ExtensiveFormGame:
         return self.action_offset[h + 1] - self.action_offset[h]
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, ExtensiveFormGame):
             return NotImplemented
         return (
@@ -444,7 +446,7 @@ def build_game(
             probs[h] = ps if 0.0 in ps else shared.setdefault(ps, ps)
             continue
         pl = owners[old]
-        if not (isinstance(pl, int) and pl is not True and 0 < pl < n_players):
+        if not (_is_id(pl) and 0 < pl < n_players):
             raise GameValidationError(f"node {old}: bad acting player {pl!r}")
         player[h] = pl
         if key is None:
@@ -507,19 +509,19 @@ def pure_strategy_value(
     does not depend on traversal order.
     """
     kind, infoset, utility, probs = g.kind, g.infoset, g.utility, g.probs
-    off, kids = g.action_offset, g.action_child
+    reach, off, kids = g.chance_reach, g.action_offset, g.action_child
     parts: list[float] = []
-    stack: list[tuple[int, float]] = [(g.root, 1.0)]
+    stack = [g.root]
     pop, push = stack.pop, stack.append
     while stack:
-        h, p = pop()
+        h = pop()
         k = kind[h]
         if k == TERMINAL:
-            parts.append(p * utility[h])
+            parts.append(utility[h] * reach[h])
         elif k == CHANCE:
             for j, pr in enumerate(probs[h], off[h]):  # j: the action's slot
                 if pr:
-                    push((kids[j], p * pr))
+                    push(kids[j])
         else:
             i, a0 = infoset[h], off[h]
             try:
@@ -529,9 +531,9 @@ def pure_strategy_value(
                     f"strategy has no action at infoset {i}"
                 ) from None
             width = off[h + 1] - a0
-            if type(a) is not int and not _is_id(a) or not 0 <= a < width:
+            if not (_is_id(a) and 0 <= a < width):
                 raise GameValidationError(bad_action(i, a, width))
-            push((kids[a0 + a], p))
+            push(kids[a0 + a])
     return fsum(parts)
 
 

@@ -147,15 +147,11 @@ class SolveReport:
 
 
 def terminal_realization(dag: TbDag, flow: FlowVector) -> dict[int, float]:
-    """Per-terminal realization of one side's flow.
-
-    Terminals sharing a payload slot share their realization by
-    construction, so this is just a slot lookup per terminal.
-    """
-    return {
-        z: float(flow.terminal_flow[s])
-        for z, s in dag.slot_of_terminal.items()
-    }
+    """Per-terminal realization of one side's flow, in ``g.terminals``
+    order (terminals sharing a payload slot share their realization)."""
+    return dict(zip(
+        dag.game.terminals, _UtilityAssembler(dag).reach(flow).tolist()
+    ))
 
 
 _REAL_TOL = 1e-9
@@ -222,7 +218,7 @@ class _UtilityAssembler:
 
 def _assemblers(dag_self, dag_opp):
     """Both DAGs' assemblers, once they are known to share one game."""
-    if dag_self.game is not dag_opp.game and dag_self.game != dag_opp.game:
+    if dag_self.game != dag_opp.game:
         raise GameValidationError(
             "the two dags map terminals of different games"
         )

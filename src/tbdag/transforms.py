@@ -48,7 +48,7 @@ def binarize_actions(g: ExtensiveFormGame) -> ExtensiveFormGame:
     for side in (MAX, MIN):
         if not g.side_players(side):
             continue
-        _, _, action_recall = _recall(g, coordinator_view(g, side))
+        _, action_recall = _recall(g, coordinator_view(g, side))
         if not action_recall:
             raise GameValidationError(
                 f"side {side!r} lacks action recall; cannot binarize"

@@ -57,6 +57,14 @@ class TestGen:
         preset = generate(list_presets()["3K3[2]"])
         assert serialize_game(built) == serialize_game(preset)
 
+    @pytest.mark.parametrize("team, shown", [("1,5", "(1, 5)"), ("0", "(0,)")])
+    def test_team_max_outside_the_players_rejected(self, team, shown, tmp_path, capsys):
+        out = tmp_path / "k.json"
+        argv = ["gen", "kuhn", "-n", "3", "-r", "3", "--team-max", team, "-o", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: bad max team {shown} for 3 players\n"
+        assert not out.exists()
+
     def test_unknown_target_fails(self, capsys):
         assert main(["gen", "no-such-game"]) == 1
         assert "preset" in capsys.readouterr().err
@@ -164,6 +172,14 @@ class TestBuild:
         capsys.readouterr()
         doc = json.loads(out.read_text())
         assert doc["manifest"]["subcommand"] == "build"
+
+    def test_count_with_dump_dag_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "dag.json"
+        assert main(["build", "fig2", "--count", "--dump-dag", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "--count" in lines[0] and "--dump-dag" in lines[0]
+        assert not out.exists()
 
     def test_budget_abort_exits_2(self, capsys):
         assert main(["build", "worst-k2b2d6", "--budget", "50"]) == 2
@@ -310,12 +326,14 @@ class TestOracleCheck:
         [
             (lambda real: real.update({"abc": 0.5}), "names no terminal"),
             (lambda real: real.update({"99999": 0.5}), "names no terminal"),
+            (lambda real: real.update({"04": 0.0}), "names no terminal"),
+            (lambda real: real.update({"\u0664": 0.0}), "names no terminal"),
             (lambda real: real.update({next(iter(real)): "x"}), "not a number"),
             (lambda real: real.update({next(iter(real)): float("nan")}), "not a number"),
             (lambda real: real.update({next(iter(real)): 1.5}), "not a number"),
             (lambda real: real.update({next(iter(real)): -0.1}), "not a number"),
         ],
-        ids=["key-abc", "key-no-terminal", "value-x", "value-nan", "value-1.5", "value-negative"],
+        ids=["key-abc", "key-no-terminal", "key-leading-zero", "key-arabic-indic", "value-x", "value-nan", "value-1.5", "value-negative"],
     )
     def test_bad_realization_rejected(self, mutate, message, tmp_path, capsys):
         avg = tmp_path / "avg.json"
@@ -326,6 +344,25 @@ class TestOracleCheck:
         capsys.readouterr()
         assert main(["oracle-check", "fig2", "--avg", str(avg)]) == 1
         assert message in capsys.readouterr().err
+
+    def test_overlong_key_exits_1(self, tmp_path, capsys):
+        # Longer than int() converts from a string by default.
+        bad = tmp_path / "bad.json"
+        real = {"1" * 5000: 0.5}
+        bad.write_text(json.dumps({"strategies": [{"side": "max", "terminal_realization": real}]}))
+        assert main(["oracle-check", "fig2", "--avg", str(bad)]) == 1
+        assert "names no terminal" in capsys.readouterr().err
+
+    def test_repeated_side_rejected(self, tmp_path, capsys):
+        avg = tmp_path / "avg.json"
+        assert main(["solve", "fig2", "--eps", "1e-2", "--save-avg", str(avg)]) == 0
+        doc = json.loads(avg.read_text())
+        entries = doc["strategies"]
+        entries.append(next(e for e in entries if e["side"] == MAX))
+        avg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["oracle-check", "fig2", "--avg", str(avg)]) == 1
+        assert "need one strategy per side" in capsys.readouterr().err
 
     def test_non_object_strategies_entry_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -309,6 +309,12 @@ class TestAssembly:
         with pytest.raises(GameValidationError, match="different problem"):
             assemble_utility(rep.dags[MAX], rep.dags[MIN], rep.averages[MAX])
 
+    @pytest.mark.parametrize("name", ["fig2", "3K3[1]", "2K3"])
+    def test_realization_of_another_problems_flow_rejected(self, name):
+        rep = run(name, max_iters=5, eps=1e-30)
+        with pytest.raises(GameValidationError, match="different problem"):
+            terminal_realization(rep.dags[MAX], rep.averages[MIN])
+
     def test_dags_of_different_games_rejected(self):
         rep = run("fig2", max_iters=5, eps=1e-30)
         other = build_tbdag(game("fig8"), MIN)
