@@ -380,6 +380,7 @@ def make_belief_game(
                 raise GameValidationError(
                     f"belief game lost perfect recall on side {side!r}"
                 )
+        game._own_infoset.clear()  # the check's columns would outlive it
         lap("recall")
         assert all(
             game.depth[z] == 3 * g.depth[b.state[z]] + 2 for z in game.terminals

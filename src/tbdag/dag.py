@@ -14,11 +14,14 @@ an observation point is worth its payload plus the sum of its children,
 and a decision point is worth the local average of its choices.  Both
 sweeps, and ``best_response``, are vectorized over contiguous per-level
 slices.  They read a sweep plan (level bounds, relative ``reduceat``
-offsets and owner indices) built once when ``freeze_csr`` freezes the
-problem, so an iteration does no index arithmetic.  ``freeze_csr`` is
-the one constructor: it takes the DAG as CSR tables in any numbering,
-orders it level by level in whole-array steps and keeps each frozen
-decision point's input id as the only map back.
+offsets and per-level index slices) built once when ``freeze_csr``
+freezes the problem, so an iteration does no index arithmetic.
+``freeze_csr`` is the one constructor: it takes the DAG as CSR tables in
+any numbering, orders it level by level in whole-array steps and keeps
+each frozen decision point's input id as the only map back.  It numbers
+observation point ``o + 1`` after action slot ``o``, its only parent, so
+an action's flow or value is the view ``x_obs[1:]`` or ``v_obs[1:]`` of
+its observation point's and no sweep copies between the two.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ class SweepLevel(NamedTuple):
     """Bounds of one nonempty level: decision points ``d0:d1``, their
     action slots ``a0:a1`` and their ``dec_parent_obs`` entries
     ``s0:s1``, with the level's ``reduceat`` offsets relative to
-    ``a0`` and ``s0``."""
+    ``a0`` and ``s0`` and its slices of ``dec_parent_obs``, ``act_dec``
+    and ``parent_dec``."""
 
     d0: int
     d1: int
@@ -60,6 +64,9 @@ class SweepLevel(NamedTuple):
     s1: int
     act_off: np.ndarray
     parent_off: np.ndarray
+    parent_obs: np.ndarray
+    act_dec: np.ndarray
+    parent_dec: np.ndarray
 
 
 def _owner_of(off: np.ndarray) -> np.ndarray:
@@ -77,9 +84,10 @@ class DagDecisionProblem:
     """Frozen numpy form of one side's decision DAG.
 
     Decision points are numbered level-contiguously (all parents of a
-    decision point live in strictly earlier levels), actions are flat
-    slots in CSR layout, and every action slot points at its unique
-    child observation point.  Only :func:`freeze_csr` makes one.
+    decision point live in strictly earlier levels) and actions are flat
+    slots in CSR layout.  Action slot ``o`` leads to observation point
+    ``o + 1`` and to no other, so ``act_child_obs`` is always
+    ``arange(1, n_act + 1)``.  Only :func:`freeze_csr` makes one.
 
     The sweep plan is built with the problem and is read-only:
     ``levels`` lists each nonempty level top-down; ``act_dec`` is the
@@ -132,7 +140,9 @@ class DagDecisionProblem:
 
 @dataclass
 class FlowVector:
-    """Realization flow of one mixed strategy over the DAG."""
+    """Realization flow of one mixed strategy over the DAG; ``x_act`` is
+    the view ``x_obs[1:]``, as action slot ``a`` leads to observation
+    point ``a + 1``."""
 
     problem: DagDecisionProblem
     x_dec: np.ndarray
@@ -141,18 +151,15 @@ class FlowVector:
     terminal_flow: np.ndarray
 
     def scaled(self, c: float) -> "FlowVector":
+        x_obs = self.x_obs * c
         return FlowVector(
-            self.problem,
-            self.x_dec * c,
-            self.x_act * c,
-            self.x_obs * c,
+            self.problem, self.x_dec * c, x_obs[1:], x_obs,
             self.terminal_flow * c,
         )
 
     def add_scaled(self, other: "FlowVector", c: float) -> None:
         self.x_dec += c * other.x_dec
-        self.x_act += c * other.x_act
-        self.x_obs += c * other.x_obs
+        self.x_obs += c * other.x_obs  # and so x_act, its view
         self.terminal_flow += c * other.terminal_flow
 
     def check_conservation(self, atol: float = 1e-9) -> None:
@@ -207,8 +214,10 @@ def freeze_csr(
     ``actions`` lists each decision point's observation points in
     action order, ``children`` and ``payloads`` each observation
     point's children and payload; observation point 0 is the artificial
-    root.  Decision points are renumbered by (longest-path level, id)
-    and observation points by (level, owner, id) after the root; the
+    root.  Every other observation point must be the child of exactly
+    one action.  Decision points are renumbered by (longest-path level,
+    id) and observation points, after the root, by the action slot that
+    leads to each, that is by (level, owner, action position); the
     problem's ``dec_old`` lists the input id of each decision point.
     """
     acts, aoff = actions
@@ -224,9 +233,16 @@ def freeze_csr(
         raise GameValidationError(
             f"decision point {int(np.argmin(counts))} has no actions"
         )
+    # Observation point o + 1 is to be the child of action slot o alone.
+    hits = np.bincount(acts, minlength=n_obs)
+    if hits[0]:
+        raise GameValidationError("an action leads to the artificial root")
+    o = 1 + int(np.argmax(hits[1:] != 1))
+    if hits[o] != 1:
+        raise GameValidationError(
+            f"observation point {o} is reached by {hits[o]} actions, not one"
+        )
     root_child = int(kids[coff[0]])
-    owner = np.zeros(n_obs, dtype=np.int64)  # the root's owner: 0
-    owner[acts] = _owner_of(aoff)
     # A decision point's parents, in observation point order.
     n_parents = np.bincount(kids, minlength=n_dec)
     parents = _owner_of(coff)[np.argsort(kids, kind="stable")]
@@ -236,7 +252,6 @@ def freeze_csr(
     # Longest-path levels, one frontier per level: a decision point
     # joins once every parent's owner has a level.
     lev_dec = np.zeros(n_dec, dtype=np.int64)
-    lev_obs = np.zeros(n_obs, dtype=np.int64)
     indeg = n_parents.copy()
     indeg[root_child] -= 1  # the artificial root
     ready = np.flatnonzero(indeg == 0)
@@ -246,7 +261,6 @@ def freeze_csr(
         seen += len(ready)
         lev_dec[ready] = lev
         obs = acts[_spans(aoff, ready)]
-        lev_obs[obs] = lev
         freed, times = np.unique(kids[_spans(coff, obs)], return_counts=True)
         indeg[freed] -= times
         ready = freed[indeg[freed] == 0]
@@ -256,10 +270,7 @@ def freeze_csr(
     dec_order = np.argsort(lev_dec, kind="stable")
     dec_new = np.empty(n_dec, dtype=np.int64)
     dec_new[dec_order] = np.arange(n_dec)
-    rest = np.arange(1, n_obs)
-    obs_order = np.concatenate(
-        ([0], rest[np.lexsort((rest, owner[1:], lev_obs[1:]))])
-    )
+    obs_order = np.concatenate(([0], acts[_spans(aoff, dec_order)]))
     obs_new = np.empty(n_obs, dtype=np.int64)
     obs_new[obs_order] = np.arange(n_obs)
 
@@ -269,6 +280,9 @@ def freeze_csr(
     dec_aoff = _offsets(aoff, dec_order)
     dec_poff = _offsets(poff_in, dec_order)
     obs_poff = _offsets(poff, obs_order)
+    dec_parent_obs = obs_new[parents[_spans(poff_in, dec_order)]]
+    act_dec = _read_only(_owner_of(dec_aoff))
+    parent_dec = _read_only(_owner_of(dec_poff))
     sweep = []  # level 0 holds nothing; every later level is nonempty
     for d0, d1 in itertools.pairwise(level_off[1:].tolist()):
         a0, a1 = int(dec_aoff[d0]), int(dec_aoff[d1])
@@ -277,26 +291,27 @@ def freeze_csr(
             d0, d1, a0, a1, s0, s1,
             _read_only(dec_aoff[d0:d1] - a0),
             _read_only(dec_poff[d0:d1] - s0),
+            dec_parent_obs[s0:s1], act_dec[a0:a1], parent_dec[s0:s1],
         ))
     return DagDecisionProblem(
         side=side,
         n_dec=n_dec,
         n_obs=n_obs,
-        n_act=int(dec_aoff[-1]),
+        n_act=n_obs - 1,
         n_slots=n_slots,
         dec_aoff=dec_aoff,
-        act_child_obs=obs_new[acts[_spans(aoff, dec_order)]],
+        act_child_obs=np.arange(1, n_obs),
         obs_coff=_offsets(coff, obs_order),
         obs_children=dec_new[kids[_spans(coff, obs_order)]],
         obs_poff=obs_poff,
         payload=payload[_spans(poff, obs_order)],
         dec_poff=dec_poff,
-        dec_parent_obs=obs_new[parents[_spans(poff_in, dec_order)]],
+        dec_parent_obs=dec_parent_obs,
         level_off=level_off,
         root_dec=int(dec_new[root_child]),
         dec_old=_read_only(dec_order),
-        act_dec=_read_only(_owner_of(dec_aoff)),
-        parent_dec=_read_only(_owner_of(dec_poff)),
+        act_dec=act_dec,
+        parent_dec=parent_dec,
         payload_owner=_read_only(_owner_of(obs_poff)),
         levels=tuple(sweep),
     )
@@ -312,16 +327,13 @@ def dag_cfr_strategy(
 ) -> FlowVector:
     """Top-down sweep turning local mixed choices into a flow."""
     p = problem
-    x_dec = np.zeros(p.n_dec)
-    x_act = np.zeros(p.n_act)
-    x_obs = np.zeros(p.n_obs)
+    x_dec = np.empty(p.n_dec)
+    x_obs = np.empty(p.n_obs)
     x_obs[0] = 1.0
-    for d0, d1, a0, a1, s0, s1, _, parent_off in p.levels:
-        np.add.reduceat(
-            x_obs[p.dec_parent_obs[s0:s1]], parent_off, out=x_dec[d0:d1]
-        )
-        np.multiply(x_dec[p.act_dec[a0:a1]], r[a0:a1], out=x_act[a0:a1])
-        x_obs[p.act_child_obs[a0:a1]] = x_act[a0:a1]
+    x_act = x_obs[1:]  # action slot a leads to observation point a + 1
+    for d0, d1, a0, a1, *_, parent_off, parent_obs, act_dec, _ in p.levels:
+        np.add.reduceat(x_obs[parent_obs], parent_off, out=x_dec[d0:d1])
+        np.multiply(x_dec[act_dec], r[a0:a1], out=x_act[a0:a1])
     terminal_flow = np.bincount(
         p.payload, x_obs[p.payload_owner], p.n_slots
     )
@@ -336,22 +348,22 @@ def dag_cfr_utility(
     ``pay_obs`` holds each observation point's own payoff (already
     weighted by chance and the opponent); the result pair is the value
     of every action slot and of every decision point, with the acting
-    side's own flow above each point deliberately not applied.
+    side's own flow above each point deliberately not applied.  The
+    action values are the view ``v_obs[1:]`` of the observation values.
     """
     p = problem
     v_obs = np.array(pay_obs, dtype=float, copy=True)
-    v_act = np.zeros(p.n_act)
-    v_dec = np.zeros(p.n_dec)
+    v_act = v_obs[1:]  # a level's slots are final once deeper levels add in
+    v_dec = np.empty(p.n_dec)
     rv = np.empty(p.n_act)
-    for d0, d1, a0, a1, s0, s1, act_off, _ in reversed(p.levels):
-        v_act[a0:a1] = v_obs[p.act_child_obs[a0:a1]]
+    for d0, d1, a0, a1, _, _, act_off, _, parent_obs, _, parent_dec in (
+        reversed(p.levels)
+    ):
         np.multiply(r[a0:a1], v_act[a0:a1], out=rv[a0:a1])
         np.add.reduceat(rv[a0:a1], act_off, out=v_dec[d0:d1])
         # Scattering to parents fixes the order in which an observation
         # point sums its children; summing by gather would reorder it.
-        np.add.at(
-            v_obs, p.dec_parent_obs[s0:s1], v_dec[p.parent_dec[s0:s1]]
-        )
+        np.add.at(v_obs, parent_obs, v_dec[parent_dec])
     return v_act, v_dec
 
 
@@ -372,14 +384,13 @@ def best_response(
         raise GameValidationError(
             f"payoff of observation point {o} is not finite ({v_obs[o]})"
         )
-    v_act = np.zeros(p.n_act)
-    v_best = np.zeros(p.n_dec)
-    for d0, d1, a0, a1, s0, s1, act_off, _ in reversed(p.levels):
-        v_act[a0:a1] = v_obs[p.act_child_obs[a0:a1]]
+    v_act = v_obs[1:]
+    v_best = np.empty(p.n_dec)
+    for d0, d1, a0, a1, _, _, act_off, _, parent_obs, _, parent_dec in (
+        reversed(p.levels)
+    ):
         np.maximum.reduceat(v_act[a0:a1], act_off, out=v_best[d0:d1])
-        np.add.at(
-            v_obs, p.dec_parent_obs[s0:s1], v_best[p.parent_dec[s0:s1]]
-        )
+        np.add.at(v_obs, parent_obs, v_best[parent_dec])
     # Every slot's value is final once its level is swept, so the
     # lowest best slot of every decision point is picked in one pass.
     hit = v_act == v_best[p.act_dec]
@@ -509,9 +520,9 @@ def expand_to_tree(
     check_budget("tree budget", budget)
     p = problem
     # Copies are made one level at a time, each level's in (owner,
-    # action, child) order.  On a tree that is the (level, owner, id)
-    # order freeze_csr lays points out in, so the copy order is the
-    # frozen numbering and the maps need no remap.
+    # action, child) order.  On a tree that is the (level, owner,
+    # action) order freeze_csr lays points out in, so the copy order is
+    # the frozen numbering and the maps need no remap.
     decs, acts, obs = [], [], [np.zeros(1, dtype=np.int64)]
     copies = 0
     frontier = p.obs_children[p.obs_coff[0]: p.obs_coff[1]]  # the root

@@ -271,11 +271,12 @@ def gap(
 
 
 def _zero_flow(problem) -> FlowVector:
+    x_obs = np.zeros(problem.n_obs)
     return FlowVector(
         problem,
         np.zeros(problem.n_dec),
-        np.zeros(problem.n_act),
-        np.zeros(problem.n_obs),
+        x_obs[1:],
+        x_obs,
         np.zeros(problem.n_slots),
     )
 

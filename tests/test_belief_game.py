@@ -428,6 +428,14 @@ class TestColumns:
             assert b_max == bg.beliefs[0][bg.node_beliefs[0][n]]
             assert b_min == bg.beliefs[1][bg.node_beliefs[1][n]]
 
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_recall_check_leaves_no_own_infoset_columns(self, compact):
+        bg = make_belief_game(game("fig2"), compact=compact)
+        assert bg.game._own_infoset == {}
+        # A later reader still builds and caches its column on demand.
+        assert len(bg.game.own_infoset(MAX)) == bg.game.num_nodes
+        assert set(bg.game._own_infoset) == {MAX}
+
     def test_mapped_strategies_do_not_share_state(self):
         g = game("fig2")
         bg = make_belief_game(g)

@@ -45,6 +45,17 @@ def diamond_problem():
     )
 
 
+def out_of_order_problem():
+    """Points listed against the frozen order: decision point 1 is the
+    top, and its actions list observation point 2 before 1."""
+    return freeze_problem(
+        MAX, 4,
+        actions=[[4], [2, 1], [3]],
+        children=[[1], [0], [2], [], []],
+        payloads=[[], [3], [0], [2], [1]],
+    )
+
+
 def freeze_problem(side, n_slots, actions, children, payloads):
     """Freeze a problem given as per-point lists."""
     return freeze_csr(
@@ -153,25 +164,43 @@ class TestFreezeChecks:
             )
         assert str(err.value) == "decision DAG contains a cycle"
 
-    def test_numbering_is_by_level_owner_then_id(self):
+    @pytest.mark.parametrize("actions", [[[1, 1]], [[1, 1, 2]]])
+    def test_two_actions_reach_one_observation_point(self, actions):
+        # At r = [.5, .5], [[1, 1]] once lost half its mass silently.
+        with pytest.raises(GameValidationError) as err:
+            freeze_problem(MAX, 3, actions, [[0], [], []], [[], [0], [1]])
+        assert str(err.value) == (
+            "observation point 1 is reached by 2 actions, not one"
+        )
+
+    @pytest.mark.parametrize("actions, o", [([[1]], 2), ([[2]], 1)])
+    def test_observation_point_no_action_reaches(self, actions, o):
+        with pytest.raises(GameValidationError) as err:
+            freeze_problem(MAX, 3, actions, [[0], [], []], [[], [0], [1]])
+        assert str(err.value) == (
+            f"observation point {o} is reached by 0 actions, not one"
+        )
+
+    def test_action_into_the_root(self):
+        with pytest.raises(GameValidationError) as err:
+            freeze_problem(MAX, 1, [[1, 0]], [[0], []], [[], [0]])
+        assert str(err.value) == "an action leads to the artificial root"
+
+    def test_numbering_is_by_level_owner_then_action(self):
         # Points are listed out of order: decision points before their
         # parent (0 is "b", 1 the top, 2 "a"), a decision point's
         # actions against id order, and the deeper observation points
-        # against their owners' order.
-        p = freeze_problem(
-            MAX, 4,
-            actions=[[4], [2, 1], [3]],
-            children=[[1], [0], [2], [], []],
-            payloads=[[], [3], [0], [2], [1]],
-        )
+        # against their owners' order.  Observation point o + 1 is the
+        # child of action slot o.
+        p = out_of_order_problem()
         assert p.dec_old.tolist() == [1, 0, 2]
         assert p.root_dec == 0
         assert p.level_off.tolist() == [0, 0, 1, 3]
-        assert p.act_child_obs.tolist() == [2, 1, 3, 4]
-        assert p.obs_children.tolist() == [0, 1, 2]
+        assert p.act_child_obs.tolist() == [1, 2, 3, 4]
+        assert p.obs_children.tolist() == [0, 2, 1]
         assert p.obs_coff.tolist() == [0, 1, 2, 3, 3, 3]
-        assert p.payload.tolist() == [3, 0, 1, 2]
-        assert p.dec_parent_obs.tolist() == [0, 1, 2]
+        assert p.payload.tolist() == [0, 3, 1, 2]
+        assert p.dec_parent_obs.tolist() == [0, 2, 1]
         with pytest.raises(ValueError):
             p.dec_old[0] = 0
 
@@ -458,6 +487,11 @@ class TestSweepPlan:
         ):
             assert_sweeps_match_reference(expand_to_tree(p).problem, rng)
 
+    def test_matches_reference_on_actions_listed_against_id_order(self):
+        assert_sweeps_match_reference(
+            out_of_order_problem(), np.random.default_rng(7)
+        )
+
     def test_plan_covers_the_problem_read_only(self):
         p = build_tbdag(game("3K3[1,2]"), MIN).problem
         assert p.levels[0].d0 == 0 and p.levels[-1].d1 == p.n_dec
@@ -487,6 +521,43 @@ class TestSweepPlan:
                     p.levels[0].act_off, p.levels[0].parent_off):
             with pytest.raises(ValueError):
                 arr[0] = 1
+
+
+def action_slot_problems():
+    """Built (raw and reduced), sequence-form and tree problems."""
+    for name in ("fig2", "2K3", "3K3[1]"):
+        for side in (MAX, MIN):
+            for reduce in (False, True):
+                yield build_tbdag(game(name), side, reduce=reduce).problem
+    for side in (MAX, MIN):
+        yield sequence_form(game("2K3"), side)
+    yield expand_to_tree(diamond_problem()).problem
+    yield expand_to_tree(build_tbdag(game("fig2"), MAX).problem).problem
+
+
+def assert_x_act_is_x_obs_tail(flow):
+    tail = flow.x_obs[1:]
+    assert flow.x_act.base is flow.x_obs
+    assert flow.x_act.ctypes.data == tail.ctypes.data
+    assert flow.x_act.shape == tail.shape
+    assert flow.x_act.strides == tail.strides
+
+
+class TestActionSlotNumbering:
+    def test_observation_point_follows_its_action_slot(self):
+        rng = np.random.default_rng(5)
+        for p in action_slot_problems():
+            assert p.n_act == p.n_obs - 1
+            assert np.array_equal(p.act_child_obs, np.arange(1, p.n_obs))
+            flow = dag_cfr_strategy(p, random_strategy(p, rng))
+            assert_x_act_is_x_obs_tail(flow)
+            assert_x_act_is_x_obs_tail(flow.scaled(0.5))
+
+    def test_solver_averages_keep_the_view(self):
+        rep = solve(game("fig2"), SolveConfig(max_iters=20))
+        for flow in rep.averages.values():
+            assert_x_act_is_x_obs_tail(flow)
+            flow.check_conservation()
 
 
 def solve_digest(name, algorithm, mode):
