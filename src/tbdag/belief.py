@@ -165,7 +165,7 @@ def _moves(g: ExtensiveFormGame, side: str) -> _Side:
     p = dag.problem
     n_dec = len(dag.beliefs)
     beliefs = dag.beliefs + dag.slot_groups
-    aoff, child_obs = p.dec_aoff.tolist(), p.act_child_obs.tolist()
+    aoff = p.dec_aoff.tolist()
     coff, kids = p.obs_coff.tolist(), p.obs_children.tolist()
     poff, payload = p.obs_poff.tolist(), p.payload.tolist()
     moves = [_AT_TERMINAL] * len(beliefs)
@@ -178,7 +178,7 @@ def _moves(g: ExtensiveFormGame, side: str) -> _Side:
             for pr in prescrs
         ])
         nexts = []
-        for o in child_obs[aoff[d]: aoff[d + 1]]:
+        for o in range(aoff[d] + 1, aoff[d + 1] + 1):
             blocks = kids[coff[o]: coff[o + 1]]
             blocks += [n_dec + s for s in payload[poff[o]: poff[o + 1]]]
             nexts.append({h: b for b in blocks for h in beliefs[b]})

@@ -456,10 +456,10 @@ def build_tbdag(
 
 
 def _pack(g, side, split, reduce, analysis, ws, root_dec, phase_ms):
-    # Live decision points keep their relative order and list their
-    # actions as numbered from 1 on, after the artificial root.  The
-    # workspace's own child and payload lists are laid out in that
-    # order, once, with children renumbered to the kept points.
+    # Live decision points keep their relative order, and so do their
+    # actions, one child and payload row each after the artificial
+    # root's.  The workspace's own child and payload lists are laid out
+    # in that order, once, with children renumbered to the kept points.
     alive, dec_actions = ws.dec_alive, ws.dec_actions
     keep = [d for d in range(len(alive)) if alive[d]]
     obs = list(
@@ -473,7 +473,7 @@ def _pack(g, side, split, reduce, analysis, ws, root_dec, phase_ms):
     problem = freeze_csr(
         side,
         len(ws.groups),
-        (np.arange(1, len(obs) + 1), aoff),
+        aoff,
         (dec_id[kids], coff),
         csr_of([[], *map(ws.obs_payload.__getitem__, obs)]),
     )
@@ -697,7 +697,7 @@ def dag_signature(dag: TbDag) -> str:
     equal exactly when they are the same DAG up to reordering.
     """
     p = dag.problem
-    aoff, child_obs = p.dec_aoff.tolist(), p.act_child_obs.tolist()
+    aoff = p.dec_aoff.tolist()
     coff, kids_of = p.obs_coff.tolist(), p.obs_children.tolist()
     poff, payload = p.obs_poff.tolist(), p.payload.tolist()
     beliefs, groups = dag.beliefs, dag.slot_groups
@@ -711,9 +711,7 @@ def dag_signature(dag: TbDag) -> str:
     records = sorted(
         (
             beliefs[d],
-            tuple(sorted(map(
-                obs_records.__getitem__, child_obs[aoff[d]: aoff[d + 1]]
-            ))),
+            tuple(sorted(obs_records[aoff[d] + 1: aoff[d + 1] + 1])),
         )
         for d in range(p.n_dec)
     )
@@ -731,7 +729,7 @@ def tbdag_to_doc(dag: TbDag) -> dict:
         "n_dec": p.n_dec,
         "n_obs": p.n_obs,
         "dec_aoff": p.dec_aoff.tolist(),
-        "act_child_obs": p.act_child_obs.tolist(),
+        "act_child_obs": list(range(1, p.n_obs)),
         "obs_coff": p.obs_coff.tolist(),
         "obs_children": p.obs_children.tolist(),
         "obs_poff": p.obs_poff.tolist(),

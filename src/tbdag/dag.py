@@ -16,12 +16,13 @@ sweeps, and ``best_response``, are vectorized over contiguous per-level
 slices.  They read a sweep plan (level bounds, relative ``reduceat``
 offsets and per-level index slices) built once when ``freeze_csr``
 freezes the problem, so an iteration does no index arithmetic.
-``freeze_csr`` is the one constructor: it takes the DAG as CSR tables in
-any numbering, orders it level by level in whole-array steps and keeps
-each frozen decision point's input id as the only map back.  It numbers
-observation point ``o + 1`` after action slot ``o``, its only parent, so
-an action's flow or value is the view ``x_obs[1:]`` or ``v_obs[1:]`` of
-its observation point's and no sweep copies between the two.
+``freeze_csr`` is the one constructor: it takes each decision point's
+action slots, with a child and payload row per slot, in any decision
+point numbering, orders the DAG level by level in whole-array steps and
+keeps each frozen decision point's input id as the only map back.
+Observation point ``o + 1`` is action slot ``o``, so an action's flow or
+value is the view ``x_obs[1:]`` or ``v_obs[1:]`` of its observation
+point's and no sweep copies between the two.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .analysis import coordinator_view, imperfect_recall_at
 from .game import BudgetExceededError, GameValidationError, check_budget
 
 __all__ = [
@@ -86,8 +88,8 @@ class DagDecisionProblem:
     Decision points are numbered level-contiguously (all parents of a
     decision point live in strictly earlier levels) and actions are flat
     slots in CSR layout.  Action slot ``o`` leads to observation point
-    ``o + 1`` and to no other, so ``act_child_obs`` is always
-    ``arange(1, n_act + 1)``.  Only :func:`freeze_csr` makes one.
+    ``o + 1`` and to no other, so ``n_obs`` is ``n_act + 1``.  Only
+    :func:`freeze_csr` makes one.
 
     The sweep plan is built with the problem and is read-only:
     ``levels`` lists each nonempty level top-down; ``act_dec`` is the
@@ -103,7 +105,6 @@ class DagDecisionProblem:
     n_act: int
     n_slots: int
     dec_aoff: np.ndarray
-    act_child_obs: np.ndarray
     obs_coff: np.ndarray
     obs_children: np.ndarray
     obs_poff: np.ndarray
@@ -140,26 +141,28 @@ class DagDecisionProblem:
 
 @dataclass
 class FlowVector:
-    """Realization flow of one mixed strategy over the DAG; ``x_act`` is
-    the view ``x_obs[1:]``, as action slot ``a`` leads to observation
-    point ``a + 1``."""
+    """Realization flow of one mixed strategy over the DAG.  The flow of
+    action slot ``a`` is that of observation point ``a + 1``, so
+    ``x_act`` is the view ``x_obs[1:]`` and not stored."""
 
     problem: DagDecisionProblem
     x_dec: np.ndarray
-    x_act: np.ndarray
     x_obs: np.ndarray
     terminal_flow: np.ndarray
 
+    @property
+    def x_act(self) -> np.ndarray:
+        return self.x_obs[1:]
+
     def scaled(self, c: float) -> "FlowVector":
-        x_obs = self.x_obs * c
         return FlowVector(
-            self.problem, self.x_dec * c, x_obs[1:], x_obs,
+            self.problem, self.x_dec * c, self.x_obs * c,
             self.terminal_flow * c,
         )
 
     def add_scaled(self, other: "FlowVector", c: float) -> None:
         self.x_dec += c * other.x_dec
-        self.x_obs += c * other.x_obs  # and so x_act, its view
+        self.x_obs += c * other.x_obs
         self.terminal_flow += c * other.terminal_flow
 
     def check_conservation(self, atol: float = 1e-9) -> None:
@@ -205,25 +208,29 @@ def csr_of(lists) -> tuple[np.ndarray, np.ndarray]:
 def freeze_csr(
     side: str,
     n_slots: int,
-    actions: tuple[np.ndarray, np.ndarray],
+    aoff: np.ndarray,
     children: tuple[np.ndarray, np.ndarray],
     payloads: tuple[np.ndarray, np.ndarray],
 ) -> DagDecisionProblem:
-    """Freeze a decision DAG given as three CSR tables in any numbering.
+    """Freeze a decision DAG given in any decision point numbering.
 
-    ``actions`` lists each decision point's observation points in
-    action order, ``children`` and ``payloads`` each observation
-    point's children and payload; observation point 0 is the artificial
-    root.  Every other observation point must be the child of exactly
-    one action.  Decision points are renumbered by (longest-path level,
-    id) and observation points, after the root, by the action slot that
-    leads to each, that is by (level, owner, action position); the
+    ``aoff`` holds each decision point's action slot offsets;
+    ``children`` and ``payloads`` are CSR tables with a row for the
+    artificial root observation point, then one per action slot for
+    the observation point it leads to.  Decision points are renumbered
+    by (longest-path level, id) and slots follow their owners, so
+    observation point ``o + 1`` is frozen action slot ``o``; the
     problem's ``dec_old`` lists the input id of each decision point.
     """
-    acts, aoff = actions
     kids, coff = children
     payload, poff = payloads
-    n_dec, n_obs = len(aoff) - 1, len(coff) - 1
+    n_dec, n_obs = len(aoff) - 1, int(aoff[-1]) + 1
+    for name, off in (("children", coff), ("payloads", poff)):
+        if len(off) - 1 != n_obs:
+            raise GameValidationError(
+                f"{name} has {len(off) - 1} rows, not {n_obs} (the root "
+                f"and one per action slot)"
+            )
     if coff[1] - coff[0] != 1:
         raise GameValidationError(
             "the artificial root must feed exactly one decision point"
@@ -233,18 +240,21 @@ def freeze_csr(
         raise GameValidationError(
             f"decision point {int(np.argmin(counts))} has no actions"
         )
-    # Observation point o + 1 is to be the child of action slot o alone.
-    hits = np.bincount(acts, minlength=n_obs)
-    if hits[0]:
-        raise GameValidationError("an action leads to the artificial root")
-    o = 1 + int(np.argmax(hits[1:] != 1))
-    if hits[o] != 1:
-        raise GameValidationError(
-            f"observation point {o} is reached by {hits[o]} actions, not one"
-        )
+    for what, ids, n in [("decision point", kids, n_dec),
+                         ("payload slot", payload, n_slots)]:
+        bad = ids[(ids < 0) | (ids >= n)]
+        if len(bad):
+            raise GameValidationError(
+                f"{what} {bad[0]} is out of range: there are {n} {what}s"
+            )
     root_child = int(kids[coff[0]])
     # A decision point's parents, in observation point order.
     n_parents = np.bincount(kids, minlength=n_dec)
+    if not n_parents.all():
+        raise GameValidationError(
+            f"decision point {int(np.argmin(n_parents))} is fed by no "
+            f"observation point"
+        )
     parents = _owner_of(coff)[np.argsort(kids, kind="stable")]
     poff_in = np.zeros(n_dec + 1, dtype=np.int64)
     np.cumsum(n_parents, out=poff_in[1:])
@@ -260,7 +270,7 @@ def freeze_csr(
         lev += 1
         seen += len(ready)
         lev_dec[ready] = lev
-        obs = acts[_spans(aoff, ready)]
+        obs = 1 + _spans(aoff, ready)  # the observation points of ready
         freed, times = np.unique(kids[_spans(coff, obs)], return_counts=True)
         indeg[freed] -= times
         ready = freed[indeg[freed] == 0]
@@ -270,7 +280,7 @@ def freeze_csr(
     dec_order = np.argsort(lev_dec, kind="stable")
     dec_new = np.empty(n_dec, dtype=np.int64)
     dec_new[dec_order] = np.arange(n_dec)
-    obs_order = np.concatenate(([0], acts[_spans(aoff, dec_order)]))
+    obs_order = np.concatenate(([0], 1 + _spans(aoff, dec_order)))
     obs_new = np.empty(n_obs, dtype=np.int64)
     obs_new[obs_order] = np.arange(n_obs)
 
@@ -300,7 +310,6 @@ def freeze_csr(
         n_act=n_obs - 1,
         n_slots=n_slots,
         dec_aoff=dec_aoff,
-        act_child_obs=np.arange(1, n_obs),
         obs_coff=_offsets(coff, obs_order),
         obs_children=dec_new[kids[_spans(coff, obs_order)]],
         obs_poff=obs_poff,
@@ -337,7 +346,7 @@ def dag_cfr_strategy(
     terminal_flow = np.bincount(
         p.payload, x_obs[p.payload_owner], p.n_slots
     )
-    return FlowVector(p, x_dec, x_act, x_obs, terminal_flow)
+    return FlowVector(p, x_dec, x_obs, terminal_flow)
 
 
 def dag_cfr_utility(
@@ -515,7 +524,9 @@ def expand_to_tree(
     on the tree with payoffs lifted through ``obs_map`` feeds every copy
     the exact value stream its original sees, so per-copy regret state
     stays in lockstep with the original's and the projected iterates
-    coincide — the property the tree serves as an oracle for.
+    coincide — the property the tree serves as an oracle for.  As
+    observation point ``o + 1`` is action slot ``o``, ``obs_map`` is the
+    root followed by ``act_map + 1``.
     """
     check_budget("tree budget", budget)
     p = problem
@@ -523,7 +534,7 @@ def expand_to_tree(
     # action, child) order.  On a tree that is the (level, owner,
     # action) order freeze_csr lays points out in, so the copy order is
     # the frozen numbering and the maps need no remap.
-    decs, acts, obs = [], [], [np.zeros(1, dtype=np.int64)]
+    decs, acts = [], []
     copies = 0
     frontier = p.obs_children[p.obs_coff[0]: p.obs_coff[1]]  # the root
     while len(frontier):
@@ -535,15 +546,14 @@ def expand_to_tree(
         copies += len(frontier)
         decs.append(frontier)
         acts.append(_spans(p.dec_aoff, frontier))
-        obs.append(p.act_child_obs[acts[-1]])
-        frontier = p.obs_children[_spans(p.obs_coff, obs[-1])]
-    dec_map, act_map, obs_map = map(np.concatenate, (decs, acts, obs))
-    # Every copy's children are the next copies in order, and every
-    # copy's actions lead to the next observation copies in order.
+        frontier = p.obs_children[_spans(p.obs_coff, acts[-1] + 1)]
+    dec_map, act_map = map(np.concatenate, (decs, acts))
+    obs_map = np.concatenate(([0], act_map + 1))
+    # Every copy's children are the next copies in order.
     tree = freeze_csr(
         p.side,
         p.n_slots,
-        (np.arange(1, len(obs_map)), _offsets(p.dec_aoff, dec_map)),
+        _offsets(p.dec_aoff, dec_map),
         (np.arange(len(dec_map)), _offsets(p.obs_coff, obs_map)),
         (
             p.payload[_spans(p.obs_poff, obs_map)],
@@ -566,8 +576,6 @@ def sequence_form(game, side: str) -> DagDecisionProblem:
     history they complete.  Raises if the side's coordinator would need
     to distinguish members of one information set (imperfect recall).
     """
-    from .analysis import coordinator_view, imperfect_recall_at
-
     view = coordinator_view(game, side)
     i = imperfect_recall_at(game, view)
     if i is not None:
@@ -575,35 +583,21 @@ def sequence_form(game, side: str) -> DagDecisionProblem:
             f"side {side!r} lacks perfect recall at infoset {i}"
         )
 
-    # Decision point 0 is the start, then one per infoset in view
-    # order; observation points are numbered on first request.
-    actions: list[list[int]] = [[]]
-    children: list[list[int]] = [[0]]
-    payloads: list[list[int]] = [[]]
-    obs_of_seq: dict[int, int] = {}
-
-    def obs_for(s: int) -> int:
-        if s not in obs_of_seq:
-            obs_of_seq[s] = len(children)
-            children.append([])
-            payloads.append([])
-        return obs_of_seq[s]
-
-    actions[0].append(obs_for(0))
-    seq_id = {key: s for s, key in enumerate(view.seq_keys, 1)}
-    for i in view.infosets:
-        sid = view.seq_of[game.infosets[i].members[0]]
-        children[obs_for(sid)].append(len(actions))
-        actions.append([
-            obs_for(seq_id[sid, i, a])
-            for a in range(game.infosets[i].num_actions)
-        ])
+    # Decision point 0 is the start, with the empty sequence as its one
+    # action, then one per infoset in view order.  Row 0 is the
+    # artificial root, then one row per sequence in action slot order:
+    # perfect recall gives every infoset action its own sequence.
+    counts = [1] + [game.infosets[i].num_actions for i in view.infosets]
+    aoff = np.concatenate(([0], np.cumsum(counts)))
+    first = dict(zip(view.infosets, (aoff[1:-1] + 1).tolist()))
+    row_of = [1] + [first[i] + a for _, i, a in view.seq_keys]
+    children = [[] for _ in range(aoff[-1] + 1)]
+    payloads = [[] for _ in children]
+    children[0].append(0)
+    for d, i in enumerate(view.infosets, 1):
+        children[row_of[view.seq_of[game.infosets[i].members[0]]]].append(d)
     for z in game.terminals:
-        payloads[obs_for(view.seq_of[z])].append(z)
+        payloads[row_of[view.seq_of[z]]].append(z)
     return freeze_csr(
-        side,
-        game.num_nodes,
-        csr_of(actions),
-        csr_of(children),
-        csr_of(payloads),
+        side, game.num_nodes, aoff, csr_of(children), csr_of(payloads)
     )

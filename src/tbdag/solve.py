@@ -271,12 +271,10 @@ def gap(
 
 
 def _zero_flow(problem) -> FlowVector:
-    x_obs = np.zeros(problem.n_obs)
     return FlowVector(
         problem,
         np.zeros(problem.n_dec),
-        x_obs[1:],
-        x_obs,
+        np.zeros(problem.n_obs),
         np.zeros(problem.n_slots),
     )
 

@@ -39,7 +39,7 @@ def diamond_problem():
     """
     return freeze_problem(
         MAX, 4,
-        actions=[[1, 2], [3, 4, 5]],  # the top point, the shared point
+        counts=[2, 3],  # the top point, the shared point
         children=[[0], [1], [1], [], [], []],
         payloads=[[], [3], [], [0], [1], [2]],
     )
@@ -47,19 +47,21 @@ def diamond_problem():
 
 def out_of_order_problem():
     """Points listed against the frozen order: decision point 1 is the
-    top, and its actions list observation point 2 before 1."""
+    top and feeds 0 through its second action, 2 through its first."""
     return freeze_problem(
         MAX, 4,
-        actions=[[4], [2, 1], [3]],
-        children=[[1], [0], [2], [], []],
-        payloads=[[], [3], [0], [2], [1]],
+        counts=[1, 2, 1],
+        children=[[1], [], [2], [0], []],
+        payloads=[[], [1], [0], [3], [2]],
     )
 
 
-def freeze_problem(side, n_slots, actions, children, payloads):
-    """Freeze a problem given as per-point lists."""
+def freeze_problem(side, n_slots, counts, children, payloads):
+    """Freeze a problem given as action counts and per-row lists."""
+    aoff = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=aoff[1:])
     return freeze_csr(
-        side, n_slots, csr_of(actions), csr_of(children), csr_of(payloads)
+        side, n_slots, aoff, csr_of(children), csr_of(payloads)
     )
 
 
@@ -148,55 +150,73 @@ class TestFreezeChecks:
 
     def test_root_must_feed_one_decision_point(self):
         with pytest.raises(GameValidationError, match="exactly one"):
-            freeze_problem(MAX, 1, [[]], [[]], [[]])
+            freeze_problem(MAX, 1, [0], [[]], [[]])
 
     def test_decision_point_without_actions(self):
         with pytest.raises(GameValidationError) as err:
-            freeze_problem(MAX, 1, [[1], []], [[0], [1]], [[], [0]])
+            freeze_problem(MAX, 1, [1, 0], [[0], [1]], [[], [0]])
         assert str(err.value) == "decision point 1 has no actions"
 
     def test_cycle(self):
-        # Decision point 1 is fed by observation point 2, which its own
-        # only action leads to.
+        # Decision point 1 is fed by the observation point of slot 1,
+        # its own only action.
         with pytest.raises(GameValidationError) as err:
             freeze_problem(
-                MAX, 1, [[1], [2]], [[0], [1], [1]], [[], [0], []]
+                MAX, 1, [1, 1], [[0], [1], [1]], [[], [0], []]
             )
         assert str(err.value) == "decision DAG contains a cycle"
 
-    @pytest.mark.parametrize("actions", [[[1, 1]], [[1, 1, 2]]])
-    def test_two_actions_reach_one_observation_point(self, actions):
-        # At r = [.5, .5], [[1, 1]] once lost half its mass silently.
+    @pytest.mark.parametrize("children, payloads, message", [
+        ([[0], [], []], [[], [0]],
+         "children has 3 rows, not 2 (the root and one per action slot)"),
+        ([[0], []], [[], [0], []],
+         "payloads has 3 rows, not 2 (the root and one per action slot)"),
+    ])
+    def test_one_row_per_action_slot(self, children, payloads, message):
         with pytest.raises(GameValidationError) as err:
-            freeze_problem(MAX, 3, actions, [[0], [], []], [[], [0], [1]])
+            freeze_problem(MAX, 1, [1], children, payloads)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_child_out_of_range(self, bad):
+        with pytest.raises(GameValidationError) as err:
+            freeze_problem(
+                MAX, 2, [2, 1, 1], [[0], [1], [2, bad], [], []],
+                [[], [], [], [0], [1]],
+            )
         assert str(err.value) == (
-            "observation point 1 is reached by 2 actions, not one"
+            f"decision point {bad} is out of range: there are 3 decision "
+            f"points"
         )
 
-    @pytest.mark.parametrize("actions, o", [([[1]], 2), ([[2]], 1)])
-    def test_observation_point_no_action_reaches(self, actions, o):
+    @pytest.mark.parametrize("bad", [7, -1])
+    def test_payload_out_of_range(self, bad):
+        # Unchecked, id 7 would stretch the terminal flow to 8 entries.
         with pytest.raises(GameValidationError) as err:
-            freeze_problem(MAX, 3, actions, [[0], [], []], [[], [0], [1]])
+            freeze_problem(MAX, 3, [2], [[0], [], []], [[], [0], [bad]])
         assert str(err.value) == (
-            f"observation point {o} is reached by 0 actions, not one"
+            f"payload slot {bad} is out of range: there are 3 payload slots"
         )
 
-    def test_action_into_the_root(self):
+    @pytest.mark.parametrize("root, unfed", [(1, 0), (0, 1)])
+    def test_decision_point_nothing_feeds(self, root, unfed):
+        # Unchecked, an unfed point 0 would share the root's level and
+        # take its neighbour's flow.
         with pytest.raises(GameValidationError) as err:
-            freeze_problem(MAX, 1, [[1, 0]], [[0], []], [[], [0]])
-        assert str(err.value) == "an action leads to the artificial root"
+            freeze_problem(MAX, 2, [1, 1], [[root], [], []], [[], [0], [1]])
+        assert str(err.value) == (
+            f"decision point {unfed} is fed by no observation point"
+        )
 
     def test_numbering_is_by_level_owner_then_action(self):
-        # Points are listed out of order: decision points before their
-        # parent (0 is "b", 1 the top, 2 "a"), a decision point's
-        # actions against id order, and the deeper observation points
-        # against their owners' order.  Observation point o + 1 is the
-        # child of action slot o.
+        # Decision points are listed before their parent (0 is "b", 1
+        # the top, 2 "a") and the top point's actions lead to them
+        # against id order.  Observation point o + 1 is the child of
+        # frozen action slot o.
         p = out_of_order_problem()
         assert p.dec_old.tolist() == [1, 0, 2]
         assert p.root_dec == 0
         assert p.level_off.tolist() == [0, 0, 1, 3]
-        assert p.act_child_obs.tolist() == [1, 2, 3, 4]
         assert p.obs_children.tolist() == [0, 2, 1]
         assert p.obs_coff.tolist() == [0, 1, 2, 3, 3, 3]
         assert p.payload.tolist() == [0, 3, 1, 2]
@@ -371,10 +391,10 @@ def ref_strategy(p, r):
         )
         a0, a1 = p.dec_aoff[d0], p.dec_aoff[d1]
         x_act[a0:a1] = np.repeat(x_dec[d0:d1], counts[d0:d1]) * r[a0:a1]
-        x_obs[p.act_child_obs[a0:a1]] = x_act[a0:a1]
+        x_obs[a0 + 1: a1 + 1] = x_act[a0:a1]
     owner = np.repeat(np.arange(p.n_obs, dtype=np.int64), np.diff(p.obs_poff))
     terminal_flow = np.bincount(p.payload, x_obs[owner], p.n_slots)
-    return FlowVector(p, x_dec, x_act, x_obs, terminal_flow)
+    return FlowVector(p, x_dec, x_obs, terminal_flow)
 
 
 def ref_utility(p, r, pay_obs):
@@ -386,7 +406,7 @@ def ref_utility(p, r, pay_obs):
         if d0 == d1:
             continue
         a0, a1 = p.dec_aoff[d0], p.dec_aoff[d1]
-        v_act[a0:a1] = v_obs[p.act_child_obs[a0:a1]]
+        v_act[a0:a1] = v_obs[a0 + 1: a1 + 1]
         v_dec[d0:d1] = np.add.reduceat(
             r[a0:a1] * v_act[a0:a1], p.dec_aoff[d0:d1] - a0
         )
@@ -408,7 +428,7 @@ def ref_best_response(p, pay_obs):
         if d0 == d1:
             continue
         a0, a1 = p.dec_aoff[d0], p.dec_aoff[d1]
-        v_act[a0:a1] = v_obs[p.act_child_obs[a0:a1]]
+        v_act[a0:a1] = v_obs[a0 + 1: a1 + 1]
         offs = p.dec_aoff[d0:d1] - a0
         counts = np.diff(p.dec_aoff[d0: d1 + 1])
         v_best = np.maximum.reduceat(v_act[a0:a1], offs)
@@ -548,7 +568,6 @@ class TestActionSlotNumbering:
         rng = np.random.default_rng(5)
         for p in action_slot_problems():
             assert p.n_act == p.n_obs - 1
-            assert np.array_equal(p.act_child_obs, np.arange(1, p.n_obs))
             flow = dag_cfr_strategy(p, random_strategy(p, rng))
             assert_x_act_is_x_obs_tail(flow)
             assert_x_act_is_x_obs_tail(flow.scaled(0.5))
@@ -558,6 +577,57 @@ class TestActionSlotNumbering:
         for flow in rep.averages.values():
             assert_x_act_is_x_obs_tail(flow)
             flow.check_conservation()
+
+
+def renumbered_input(p, new_id):
+    """``freeze_csr`` input of the frozen problem ``p`` with decision
+    point ``d`` given id ``new_id[d]``; each point's action rows move
+    with it."""
+    old = np.argsort(new_id)  # the frozen point behind each input id
+    slots = [range(p.dec_aoff[d], p.dec_aoff[d + 1]) for d in old]
+    rows = [0] + [a + 1 for span in slots for a in span]
+    children = [
+        new_id[p.obs_children[p.obs_coff[o]: p.obs_coff[o + 1]]].tolist()
+        for o in rows
+    ]
+    payloads = [
+        p.payload[p.obs_poff[o]: p.obs_poff[o + 1]].tolist() for o in rows
+    ]
+    return list(map(len, slots)), children, payloads
+
+
+def level_preserving_shuffle(p, rng):
+    """Fresh decision ids that interleave the levels at random but keep
+    each level's points in their relative order."""
+    level = np.repeat(np.arange(p.n_levels), np.diff(p.level_off))
+    return np.argsort(rng.permutation(level), kind="stable")
+
+
+class TestAnyNumbering:
+    """``freeze_csr`` freezes every decision point numbering that keeps
+    each level's relative order to the same problem."""
+
+    def test_shuffled_ids_freeze_to_the_same_problem(self):
+        rng = np.random.default_rng(11)
+        for p in action_slot_problems():
+            for _ in range(3):
+                new_id = level_preserving_shuffle(p, rng)
+                q = freeze_problem(
+                    p.side, p.n_slots, *renumbered_input(p, new_id)
+                )
+                for field in (
+                    "dec_aoff", "obs_coff", "obs_children", "obs_poff",
+                    "payload", "dec_poff", "dec_parent_obs", "level_off",
+                    "act_dec", "parent_dec", "payload_owner",
+                ):
+                    assert np.array_equal(
+                        getattr(q, field), getattr(p, field)
+                    ), field
+                assert q.root_dec == p.root_dec
+                assert len(q.levels) == len(p.levels)
+                for mine, theirs in zip(q.levels, p.levels):
+                    assert all(map(np.array_equal, mine, theirs))
+                assert np.array_equal(q.dec_old, new_id)
 
 
 def solve_digest(name, algorithm, mode):
@@ -633,7 +703,7 @@ def problem_digest(p, maps):
     ``n_slots``."""
     h = hashlib.sha256()
     for arr in (
-        p.dec_aoff, p.act_child_obs, p.obs_coff, p.obs_children,
+        p.dec_aoff, np.arange(1, p.n_obs), p.obs_coff, p.obs_children,
         p.obs_poff, p.payload, p.dec_poff, p.dec_parent_obs, p.level_off,
         *maps,
     ):

@@ -117,12 +117,7 @@ class TestRawStructure:
         g = game("fig2")
         dag = build_tbdag(g, MAX, reduce=False)
         p = dag.problem
-        owners = {}
-        for d in range(p.n_dec):
-            for a in range(p.dec_aoff[d], p.dec_aoff[d + 1]):
-                o = int(p.act_child_obs[a])
-                assert o not in owners
-                owners[o] = d
+        assert p.n_obs == p.n_act + 1
 
     def test_beliefs_memoized_across_parents(self):
         g = game("fig2")

@@ -73,6 +73,23 @@ def test_every_export_resolves():
             assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
+def test_package_imports_only_the_standard_library_and_numpy():
+    # SciPy may be installed where the tests run, so an import of it
+    # would pass every other test; the package declares only NumPy.
+    src = Path(tbdag.__file__).resolve().parent
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in allowed, (path.name, name)
+
+
 def test_belief_game_is_assembled_through_its_module_name(monkeypatch):
     calls = []
     real = tbdag.belief.build_game
