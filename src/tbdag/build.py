@@ -715,8 +715,8 @@ def dag_signature(dag: TbDag) -> str:
         )
         for d in range(p.n_dec)
     )
-    blob = json.dumps(records, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    text = json.dumps(records, separators=(",", ":"), check_circular=False)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def tbdag_to_doc(dag: TbDag) -> dict:

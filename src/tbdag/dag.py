@@ -255,7 +255,16 @@ def freeze_csr(
             f"decision point {int(np.argmin(n_parents))} is fed by no "
             f"observation point"
         )
-    parents = _owner_of(coff)[np.argsort(kids, kind="stable")]
+    by_kid = np.argsort(kids, kind="stable")
+    parents = _owner_of(coff)[by_kid]
+    # A point that lists a child twice shows as two equal neighbours.
+    twice = (np.diff(kids[by_kid]) == 0) & (np.diff(parents) == 0)
+    if twice.any():
+        j = int(np.argmax(twice))
+        raise GameValidationError(
+            f"observation point {parents[j]} lists decision point "
+            f"{kids[by_kid[j]]} twice"
+        )
     poff_in = np.zeros(n_dec + 1, dtype=np.int64)
     np.cumsum(n_parents, out=poff_in[1:])
 

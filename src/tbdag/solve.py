@@ -394,9 +394,10 @@ def enumeration_oracle(
     Walks assignments over the side's infosets depth by depth, branching
     only at infosets its own earlier choices keep reachable; the nodes
     the choices so far still reach are carried as a bitset over node
-    ids.  A strategy's value is the sum of the weights of the terminals
-    it reaches, kept exact: every weight is an integer over one
-    power-of-two denominator, and each choice adds the weights it
+    ids, and each depth group is evaluated once per set of alive
+    members.  A strategy's value is the sum of the weights of the
+    terminals it reaches, kept exact: every weight is an integer over
+    one power-of-two denominator, and each choice adds the weights it
     settles.  The returned value is that exact sum correctly rounded
     (as ``math.fsum`` of the weights would give), and ties go to the
     first strategy in search order.  Returns the best value and the
@@ -432,8 +433,7 @@ def enumeration_oracle(
     # bit range [h, h + size[h]).  ok[i][a] holds the nodes whose path
     # does not pass infoset i with an action other than a; the members
     # of i share a depth, so their subtrees are disjoint.  gains[i] has
-    # one (member bit, settled sum per action) row for each member
-    # whose children settle anything.
+    # one (member bit, settled sum per action) row for each member.
     size = [1] * n
     for h in range(n - 1, 0, -1):
         size[g.parent[h]] += size[h]
@@ -450,54 +450,56 @@ def enumeration_oracle(
         ]
         ok[i] = [full ^ sum(through) ^ t for t in through]
         rows = ((m, [settled[c] for c in g.children(m)]) for m in iset.members)
-        gains[i] = [(1 << m, row) for m, row in rows if any(row)]
+        gains[i] = [(1 << m, row) for m, row in rows]
 
     level = {i: g.depth[g.infosets[i].members[0]] for i in members}
-    groups = [
-        (d, list(grp))
-        for d, grp in itertools.groupby(
-            sorted(level, key=lambda i: (level[i], i)), key=level.get
-        )
-    ]
+    by_level = sorted(level, key=lambda i: (level[i], i))
+    groups = [list(grp) for _, grp in itertools.groupby(by_level, level.get)]
+    # memo[gi]: alive members of group gi -> (live, gains, ok rows).  The
+    # gains follow the realization, so the memo lasts one call.
+    group_mask = [sum(members[i] for i in grp) for grp in groups]
+    memo: list[dict[int, tuple]] = [{} for _ in groups]
 
     best_value = -math.inf
     best_acc: int | float = -math.inf
     best_assign: dict[int, int] = {}
     count = 0
-    assign: dict[int, int] = {}
-
-    def action_gains(i: int, alive: int) -> list[int]:
-        hit = [row for bit, row in gains[i] if alive & bit]
-        if not hit:
-            return [0] * g.infosets[i].num_actions
-        return [sum(col) for col in zip(*hit)]
+    frames: list = []  # (live infosets, action indices) per group above
 
     def rec(gi: int, alive: int, acc: int, depth: int) -> None:
         # acc is the exact value of the terminals the choices so far
         # have settled for good; depth is that of the last group that
         # branched.
         nonlocal count, best_value, best_acc, best_assign
-        live: list[int] = []
+        live, sums, oks = [], [], []
         while not live and gi < len(groups):
-            d, grp = groups[gi]
+            key = alive & group_mask[gi]
+            if key not in memo[gi]:
+                live = [i for i in groups[gi] if key & members[i]]
+                rows = [[r for b, r in gains[i] if key & b] for i in live]
+                sums = [tuple(map(sum, zip(*r))) for r in rows]
+                memo[gi][key] = live, sums, [ok[i] for i in live]
+            live, sums, oks = memo[gi][key]
             gi += 1
-            live = [i for i in grp if alive & members[i]]
-        if live:
-            depth = d
-        sums = [action_gains(i, alive) for i in live]
+        depth = level[live[0]] if live else depth
         if gi < len(groups):
-            for combo in itertools.product(
-                *(range(g.infosets[i].num_actions) for i in live)
-            ):
-                kept = alive
-                tot = acc
-                for i, s, a in zip(live, sums, combo):
-                    assign[i] = a
-                    kept &= ok[i][a]
-                    tot += s[a]
-                rec(gi, kept, tot, depth)
-            for i in live:
-                del assign[i]
+            # An odometer walks the combos in product order; kept[t] and
+            # tot[t] fold in the choices before t, so a step redoes t on.
+            idx = [0] * len(live)
+            kept, tot = [alive] * (len(live) + 1), [acc] * (len(live) + 1)
+            frames.append((live, idx))
+            t = 0
+            while t >= 0:
+                for t in range(t, len(live)):
+                    kept[t + 1] = kept[t] & oks[t][idx[t]]
+                    tot[t + 1] = tot[t] + sums[t][idx[t]]
+                rec(gi, kept[-1], tot[-1], depth)
+                while t >= 0:
+                    idx[t] = (idx[t] + 1) % len(sums[t])
+                    if idx[t]:
+                        break
+                    t -= 1
+            frames.pop()
             return
         # No group is left after this one, so its combos (or the one
         # empty combo) are leaves, scored in place.  Int true division
@@ -516,7 +518,7 @@ def enumeration_oracle(
                 v = tot / den
                 if v > best_value:
                     best_value, best_acc = v, tot
-                    best_assign = dict(assign)
+                    best_assign = {i: a for f in frames for i, a in zip(*f)}
                     best_assign.update(zip(live, _unrank(k, sums)))
         count += math.prod(len(s) for s in sums)
 

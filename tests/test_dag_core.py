@@ -208,6 +208,24 @@ class TestFreezeChecks:
             f"decision point {unfed} is fed by no observation point"
         )
 
+    # In the first case, unchecked, the repeated edge doubled decision
+    # point 1's flow: the uniform strategy reached the terminals with
+    # mass 3.  In the second, observation point 1 feeds decision points
+    # 1, 2 and 3, so it sits at the end of one child's parent list and at
+    # the start of the next; only point 2's repeat of 3 is an error.
+    @pytest.mark.parametrize("counts, children, payloads, point, child", [
+        ([1, 1], [[0], [1, 1], []], [[], [0], [1]], 1, 1),
+        ([2, 1, 1, 1], [[0], [1, 2, 3], [3, 3], [], [], []],
+         [[], [], [], [0], [1], [2]], 2, 3),
+    ])
+    def test_child_listed_twice(self, counts, children, payloads, point,
+                                child):
+        with pytest.raises(GameValidationError) as err:
+            freeze_problem(MAX, 3, counts, children, payloads)
+        assert str(err.value) == (
+            f"observation point {point} lists decision point {child} twice"
+        )
+
     def test_numbering_is_by_level_owner_then_action(self):
         # Decision points are listed before their parent (0 is "b", 1
         # the top, 2 "a") and the top point's actions lead to them

@@ -4,6 +4,7 @@ from functools import lru_cache
 from importlib import import_module
 from itertools import groupby, product
 from math import fsum, inf, nan, sqrt
+from random import Random
 from time import perf_counter
 
 import numpy as np
@@ -636,3 +637,68 @@ class TestOracleAgainstReference:
                 assert oracle_outcome(
                     enumeration_oracle, g, side, real, b
                 ) == oracle_outcome(reference_oracle, g, side, real, b)
+
+    @pytest.mark.parametrize("name", ["2K3", "3K3[3]", "3K3[1,2]"])
+    def test_successive_calls_each_match(self, name):
+        # The gains depend on the realization, so a group's memo that
+        # outlived its call would give the next realization stale values.
+        g = game(name)
+        rng = Random(name)
+        reals = [
+            {z: rng.choice([0.0, 0.5, 1.0, rng.random()]) for z in g.terminals}
+            for _ in range(4)
+        ]
+        for side in (MAX, MIN):
+            outcomes = [
+                oracle_outcome(enumeration_oracle, g, side, real, 20_000)
+                for real in reals
+            ]
+            assert outcomes == [
+                oracle_outcome(reference_oracle, g, side, real, 20_000)
+                for real in reals
+            ]
+            assert len({value for value, _ in outcomes}) > 1
+
+    # 3K3[3]'s max side has 17,080 reduced pure strategies.
+    @pytest.mark.parametrize("budget", [17_079, 17_080, 17_081])
+    def test_budget_at_the_leaf_count(self, budget):
+        g = game("3K3[3]")
+        _, reals = uniform_realizations("3K3[3]")
+        outcome = oracle_outcome(enumeration_oracle, g, MAX, reals[MIN], budget)
+        assert outcome == oracle_outcome(
+            reference_oracle, g, MAX, reals[MIN], budget
+        )
+        assert isinstance(outcome, str) == (budget < 17_080)
+
+
+def stop_or_go_chain(levels):
+    """One player decides ``levels`` times in a row whether to stop (0)
+    or go on; only going all the way pays 1."""
+    records = []
+    for t in range(levels):
+        records.append({
+            "kind": PLAYER,
+            "player": 1,
+            "infoset": f"level {t}",
+            "actions": [
+                {"label": "stop", "child": len(records) + 1},
+                {"label": "go", "child": len(records) + 2},
+            ],
+        })
+        records.append({"kind": TERMINAL, "utility": 0.0})
+    records.append({"kind": TERMINAL, "utility": 1.0})
+    return parse_game({
+        "players": ["chance", "p1", "p2"],
+        "teams": {MAX: [1], MIN: [2]},
+        "root": 0,
+        "nodes": records,
+    })
+
+
+def test_oracle_stack_grows_by_one_frame_per_group():
+    # 600 groups of one infoset each fit under the interpreter's default
+    # recursion limit of 1,000 only at one frame per group.
+    g = stop_or_go_chain(600)
+    value, choice = enumeration_oracle(g, MAX, {z: 1.0 for z in g.terminals})
+    assert value == 1.0
+    assert choice == {i: 1 for i in g.side_infosets(MAX)}
