@@ -197,8 +197,8 @@ class _Builder:
     (``state`` and ``belief_ids``).  Proxy infosets: one id per (proxy,
     last own (infoset, action), belief) state, from one counter in
     order of first interning.  A state is interned just before the
-    first node using it, and nodes are emitted in preorder, so the id is
-    also build_game's first-appearance infoset id.
+    first node using it, and nodes are emitted in preorder, so in the
+    full game the id is also build_game's first-appearance infoset id.
     """
 
     def __init__(self, g, sides, node_budget):
@@ -211,7 +211,7 @@ class _Builder:
         self.iset_infosets: dict[int, tuple[int, ...]] = {}
         self.successors: dict[tuple[int, int], list[int]] = {}
 
-    def run(self) -> GameWriter:
+    def run(self, compact: bool) -> GameWriter:
         """Emit the whole game from an explicit stack of node tasks.
 
         Each original step takes three slots: the max proxy (slot 0)
@@ -223,7 +223,9 @@ class _Builder:
         that leads to the node.  A node's actions are written with it,
         their children left unset until each child is emitted.
         Children are pushed last to first, so they are emitted in
-        action order.
+        action order.  With ``compact``, a step with one action is not
+        written: its child takes its task's ``up``, and the budget still
+        counts the step.
         """
         g, w = self.g, GameWriter()
         kinds, players, keys = w.kind, w.player, w.infoset
@@ -233,7 +235,7 @@ class _Builder:
         (beliefs0, moves0, root0), (beliefs1, moves1, root1) = self.sides
         moves = (moves0, moves1)
         isets: dict[tuple, int] = {}  # (slot, prev, belief) -> proxy infoset
-        budget = self.node_budget
+        budget = self.node_budget  # less the steps spliced out so far
         src_kind, src_labels, src_probs = g.kind, g.labels, g.probs
         src_off, src_child = g.action_offset, g.action_child
         own0 = g.own_infoset(MAX)
@@ -244,99 +246,83 @@ class _Builder:
             if slot < 2:
                 belief, prev = (b0, e0) if slot == 0 else (b1, e1)
                 key = (slot, prev, belief)
+                m = moves[slot][belief]
                 iset = isets.get(key)
                 if iset is None:
                     iset = isets[key] = len(isets)
-                    m = moves[slot][belief]
                     self.iset_beliefs[iset] = self.sides[slot].beliefs[belief]
                     self.iset_infosets[iset] = m.isets
                     if prev is not None:
                         self.successors.setdefault(prev, []).append(iset)
+                labels = m.labels
+                k = len(labels)
+            elif src_kind[h] == TERMINAL:
+                k = 0
+            else:
+                s0 = src_off[h]
+                if src_kind[h] == CHANCE:
+                    k = src_off[h + 1] - s0
+                else:  # the acting proxy's prescription fixes the move
+                    m, e = (moves0[b0], e0) if own0[h] >= 0 else (moves1[b1], e1)
+                    a = m.prescriptions[e[1]][m.isets.index(g.infoset[h])]
+                    s0 += a
+                    k = 1
             n = len(kinds)
             if n >= budget:
                 raise BudgetExceededError(
-                    f"belief game exceeds node budget {budget} "
+                    f"belief game exceeds node budget {self.node_budget} "
                     f"(emitting a node of source depth {g.depth[h]}; "
                     f"{len(isets)} proxy infosets so far)"
                 )
-            if up >= 0:
-                child[up] = n
-            state.append(h)
-            bel0.append(b0)
-            bel1.append(b1)
-            a0 = len(child)
-            if slot < 2:
-                kinds.append(PLAYER)
-                players.append(slot + 1)
-                keys.append(iset)
-                utility.append(0.0)
-                labels = moves[slot][belief].labels
-                k = len(labels)
-                label.extend(labels)
+            if compact and k == 1:  # the only child takes this step's place
+                budget -= 1
+                a0 = up
+            else:
+                if up >= 0:
+                    child[up] = n
+                state.append(h)
+                bel0.append(b0)
+                bel1.append(b1)
+                a0 = len(child)
                 child += [-1] * k
-                prob += [None] * k
                 offsets.append(a0 + k)
-                for a in range(k - 1, -1, -1):
-                    if slot == 0:
-                        push((1, h, b0, b1, (iset, a), e1, a0 + a))
+                if slot < 2:
+                    kinds.append(PLAYER)
+                    players.append(slot + 1)
+                    keys.append(iset)
+                    utility.append(0.0)
+                    label.extend(labels)
+                    prob += [None] * k
+                else:
+                    players.append(-1)
+                    keys.append(None)
+                    if k == 0:
+                        assert beliefs0[b0] == beliefs1[b1] == (h,)
+                        kinds.append(TERMINAL)
+                        utility.append(g.utility[h])
                     else:
-                        push((2, h, b0, b1, e0, (iset, a), a0 + a))
-                continue
-            players.append(-1)
-            keys.append(None)
-            if src_kind[h] == TERMINAL:
-                assert beliefs0[b0] == beliefs1[b1] == (h,)
-                kinds.append(TERMINAL)
-                utility.append(g.utility[h])
-                offsets.append(a0)
-                continue
-            kinds.append(CHANCE)
-            utility.append(0.0)
-            s0, s1 = src_off[h], src_off[h + 1]
-            if src_kind[h] == CHANCE:
-                label.extend(src_labels[h])
-                prob.extend(src_probs[h])
-            else:  # the acting proxy's prescription fixes the move
-                m, e = (moves0[b0], e0) if own0[h] >= 0 else (moves1[b1], e1)
-                a = m.prescriptions[e[1]][m.isets.index(g.infoset[h])]
-                label.append(src_labels[h][a])
-                prob.append(1.0)
-                s0 += a
-                s1 = s0 + 1
-            child += [-1] * (s1 - s0)
-            offsets.append(a0 + s1 - s0)
-            next0, next1 = moves0[b0].next[e0[1]], moves1[b1].next[e1[1]]
-            for j in range(s1 - 1, s0 - 1, -1):  # j: the source action's slot
-                c = src_child[j]
-                push((0, c, next0[c], next1[c], e0, e1, a0 + j - s0))
+                        kinds.append(CHANCE)
+                        utility.append(0.0)
+                        if src_kind[h] == CHANCE:
+                            label.extend(src_labels[h])
+                            prob.extend(src_probs[h])
+                        else:
+                            label.append(src_labels[h][a])
+                            prob.append(1.0)
+            if slot == 0:
+                for a in range(k - 1, -1, -1):
+                    push((1, h, b0, b1, (iset, a), e1, a0 + a))
+            elif slot == 1:
+                for a in range(k - 1, -1, -1):
+                    push((2, h, b0, b1, e0, (iset, a), a0 + a))
+            elif k:
+                next0, next1 = moves0[b0].next[e0[1]], moves1[b1].next[e1[1]]
+                for j in range(k - 1, -1, -1):  # j: the node's action
+                    c = src_child[s0 + j]
+                    push((0, c, next0[c], next1[c], e0, e1, a0 + j))
         # As int arrays, no int object per node stays alive into build_game.
         w.child, w.action_offset = array("q", child), array("q", offsets)
         return w
-
-
-def _compacted(w: GameWriter):
-    """Splice out single-action internal nodes for size reporting."""
-    first, child = w.action_offset, w.child
-    keep = [
-        k == TERMINAL or first[n + 1] - first[n] > 1
-        for n, k in enumerate(w.kind)
-    ]
-
-    def resolve(n: int) -> int:
-        while not keep[n]:
-            n = child[first[n]]
-        return n
-
-    order = [n for n in range(len(w.kind)) if keep[n]]
-    new_id = {n: i for i, n in enumerate(order)}
-    out = GameWriter()
-    for n in order:
-        a0, a1 = first[n], first[n + 1]
-        kids = [new_id[resolve(c)] for c in child[a0:a1]]
-        out.add(w.kind[n], w.player[n], w.infoset[n],
-                zip(w.label[a0:a1], kids, w.prob[a0:a1]), w.utility[n])
-    root = new_id[resolve(0)]
-    return out, root, order
 
 
 def make_belief_game(
@@ -348,29 +334,24 @@ def make_belief_game(
     """Run the three-slot construction over the whole game.
 
     Each proxy's moves are read off its side's raw observation-split
-    TB-DAG.  ``compact=True`` removes single-action chains, giving node
-    counts comparable to a drawn belief game; the result keeps
-    annotations but drops the strategy-map tables (and may be rejected
-    as untimeable, since splicing can put surviving infoset members at
-    mixed depths).
+    TB-DAG.  ``compact=True`` leaves out single-action steps as they are
+    emitted, giving node counts comparable to a drawn belief game; the
+    result keeps annotations but drops the strategy-map tables (and may
+    be rejected as untimeable, since splicing can put surviving infoset
+    members at mixed depths).  ``node_budget`` counts the nodes of the
+    full construction in both modes, so a compact build stops where the
+    full one would.
     """
     check_budget("node budget", node_budget)
     phase_ms, lap = phase_clock(PHASES)
     sides = tuple(_moves(g, side) for side in _SIDES)
     lap("moves")
     b = _Builder(g, sides, node_budget)
-    columns = b.run()
+    columns = b.run(compact)
     lap("emit")
     players = ("chance", "max-coordinator", "min-coordinator")
     teams = {MAX: [1], MIN: [2]}
-    if compact:
-        columns, root, order = _compacted(columns)
-
-        def pick(column):
-            return tuple(map(column.__getitem__, order))
-    else:
-        root, pick = 0, tuple
-    game = build_game(players, teams, root, columns)
+    game = build_game(players, teams, 0, columns)
     del columns  # free the node columns before the recall check
     lap("assemble")
     if not compact:
@@ -390,8 +371,8 @@ def make_belief_game(
         game=game,
         source=g,
         compact=compact,
-        node_state=pick(b.state),
-        node_beliefs=tuple(map(pick, b.belief_ids)),
+        node_state=tuple(b.state),
+        node_beliefs=tuple(map(tuple, b.belief_ids)),
         beliefs=tuple(side.beliefs for side in sides),
         iset_beliefs={} if compact else b.iset_beliefs,
         iset_infosets={} if compact else b.iset_infosets,

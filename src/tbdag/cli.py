@@ -502,16 +502,15 @@ def _load_realizations(path: str, g: ExtensiveFormGame) -> dict[str, dict[int, f
             raise GameValidationError(f"{path}: malformed strategies entry")
         if side in out:
             raise GameValidationError(f"{path}: need one strategy per side")
-        for z, p in real.items():
+        for z in real:
             if z not in terminal_of:
                 raise GameValidationError(f"{path}: {side} realization key {z!r} names no terminal")
-            if isinstance(p, bool) or not isinstance(p, (int, float)):
-                raise GameValidationError(f"{path}: {side} realization {p!r} of terminal {z} is not a number in [0, 1]")
-        out[side] = {terminal_of[z]: float(p) for z, p in real.items()}
+        real = {terminal_of[z]: p for z, p in real.items()}
         try:
-            check_realization(g, out[side])
+            check_realization(g, real)
         except GameValidationError as exc:
             raise GameValidationError(f"{path}: {side} {exc}") from None
+        out[side] = {z: float(p) for z, p in real.items()}
     if set(out) != {MAX, MIN}:
         raise GameValidationError(f"{path}: need one strategy per side")
     return out
@@ -729,7 +728,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # flag here rejects it before any work is done.
         if getattr(args, "budget", None) is not None:
             check_budget("--budget", args.budget)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2

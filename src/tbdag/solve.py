@@ -20,6 +20,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from numbers import Real
 from typing import Mapping
 
 import numpy as np
@@ -39,6 +40,7 @@ from .game import (
     BudgetExceededError,
     ExtensiveFormGame,
     GameValidationError,
+    _is_id,
     check_budget,
     check_side,
 )
@@ -74,12 +76,16 @@ class SolveConfig:
             raise GameValidationError(
                 f"unknown update mode {self.mode!r}; pick one of {MODES}"
             )
+        if isinstance(self.eps, bool) or not isinstance(self.eps, Real):
+            raise GameValidationError(f"eps must be a number, not {self.eps!r}")
         if not self.eps > 0:
             raise GameValidationError("eps must be positive")
-        if self.max_iters < 1:
-            raise GameValidationError("max_iters must be at least 1")
-        if self.log_every < 1:
-            raise GameValidationError("log_every must be at least 1")
+        for name in ("max_iters", "log_every"):
+            value = getattr(self, name)
+            if not _is_id(value):
+                raise GameValidationError(f"{name} must be an int, not {value!r}")
+            if value < 1:
+                raise GameValidationError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -159,20 +165,20 @@ _REAL_TOL = 1e-9
 
 def check_realization(g: ExtensiveFormGame, real: Mapping[int, float]) -> None:
     """Reject a per-terminal realization that is not one: a key that
-    names no terminal of ``g``, or a value that is not a finite number
-    in [0, 1] (up to 1e-9)."""
+    is not the int id of a terminal of ``g``, or a value that is not a
+    real number (a bool is not one) in [0, 1] (up to 1e-9)."""
     terminals = set(g.terminals)
     for z in real:
-        if z not in terminals:
+        if not (_is_id(z) and z in terminals):
             raise GameValidationError(
                 f"realization key {z!r} names no terminal"
             )
     for z, p in real.items():
-        try:
-            x = float(p)
-        except (TypeError, ValueError):
-            x = math.nan
-        if not -_REAL_TOL <= x <= 1 + _REAL_TOL:
+        if (
+            isinstance(p, bool)
+            or not isinstance(p, Real)
+            or not -_REAL_TOL <= p <= 1 + _REAL_TOL
+        ):
             raise GameValidationError(
                 f"realization {p!r} of terminal {z} is not a number "
                 f"in [0, 1]"

@@ -28,8 +28,13 @@ from tbdag import (
     pure_strategy_value,
     solve,
 )
+from tbdag.game import GameWriter, build_game
+from test_acceptance import SMALL_ZOO
 
 PRESETS = list_presets()
+# fig9-C16's full belief game has 1.5 million nodes and takes over 20 s
+# to build and splice; fig9-C4 to fig9-C8 run the same code.
+_SPLICED = tuple(n for n in SMALL_ZOO if n != "fig9-C16")
 
 
 def game(name):
@@ -176,6 +181,48 @@ class TestConstruction:
             make_belief_game(game("fig2"))
 
 
+def reference_compaction(full):
+    """The compact game spliced out of the full belief game after the
+    fact, and the full-game ids of its nodes.
+
+    Terminals and nodes with two or more actions are kept; each kept
+    action leads to the first kept node down its single-child chain.
+    """
+    b = full.game
+    off, child = b.action_offset, b.action_child
+
+    def kept(n):
+        while b.kind[n] != TERMINAL and off[n + 1] - off[n] == 1:
+            n = child[off[n]]
+        return n
+
+    order = [n for n in range(b.num_nodes) if kept(n) == n]
+    new_id = {n: i for i, n in enumerate(order)}
+    w = GameWriter()
+    for n in order:
+        kids = [new_id[kept(c)] for c in b.children(n)]
+        probs = b.probs[n] or [None] * len(kids)
+        w.add(b.kind[n], b.player[n], b.infoset[n],
+              zip(b.labels[n], kids, probs), b.utility[n])
+    teams = {
+        side: [p for p in range(len(b.players)) if b.team_of[p] == side]
+        for side in (MAX, MIN)
+    }
+    return build_game(b.players, teams, new_id[kept(b.root)], w), order
+
+
+def budget_abort(g, **kw):
+    """The message of the budget abort of ``make_belief_game(g, **kw)``,
+    or None if the budget does not stop it."""
+    try:
+        make_belief_game(g, **kw)
+    except BudgetExceededError as exc:
+        return str(exc)
+    except GameValidationError:
+        pass
+    return None
+
+
 class TestCompaction:
     def test_perfect_recall_game_comes_back_unchanged(self):
         # 2-player Kuhn has perfect recall, so after splicing the
@@ -214,8 +261,13 @@ class TestCompaction:
         # Splicing single-action chains shifts depths unevenly, so a
         # shared infoset can end up spanning two depths; the validator
         # rejects that rather than reporting a malformed game.
-        with pytest.raises(GameValidationError, match="timeable"):
+        # Splicing the finished full game fails the same way.
+        full = make_belief_game(game("worst-k1b2d5"))
+        with pytest.raises(GameValidationError, match="timeable") as ref:
+            reference_compaction(full)
+        with pytest.raises(GameValidationError, match="timeable") as emitted:
             make_belief_game(game("worst-k1b2d5"), compact=True)
+        assert str(emitted.value) == str(ref.value)
 
     def test_compact_drops_the_strategy_tables(self):
         bg = make_belief_game(game("fig2"), compact=True)
@@ -223,6 +275,35 @@ class TestCompaction:
         assert bg.root_iset == {} and bg.successors == {}
         with pytest.raises(GameValidationError, match="compact"):
             map_pure_strategy(bg, MAX, {})
+
+    @pytest.mark.parametrize("name", _SPLICED)
+    def test_emitted_compaction_matches_splicing_the_full_game(self, name):
+        g = game(name)
+        full = make_belief_game(g)
+        try:
+            ref, order = reference_compaction(full)
+        except GameValidationError as exc:
+            with pytest.raises(GameValidationError) as emitted:
+                make_belief_game(g, compact=True)
+            assert str(emitted.value) == str(exc)
+            return
+        got = make_belief_game(g, compact=True)
+        assert got.game == ref
+        assert got.node_state == tuple(full.node_state[n] for n in order)
+        for i in range(2):
+            assert got.node_beliefs[i] == tuple(
+                full.node_beliefs[i][n] for n in order
+            )
+
+    @pytest.mark.parametrize("name", ["fig2", "2K3", "fig9-C6", "worst-k1b2d5"])
+    def test_budget_counts_the_full_construction(self, name):
+        g = game(name)
+        n = make_belief_game(g).game.num_nodes
+        for budget in (1, 7, n // 2, n - 1):
+            full = budget_abort(g, node_budget=budget)
+            assert full is not None
+            assert budget_abort(g, compact=True, node_budget=budget) == full
+        assert budget_abort(g, compact=True, node_budget=n) is None
 
 
 class TestWorstCaseBounds:

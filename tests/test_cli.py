@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import tbdag
 from tbdag import MAX, MIN, ZooSpec, analyze, generate, list_presets, parse_game, serialize_game
 from tbdag.cli import main
 
@@ -353,6 +355,18 @@ class TestOracleCheck:
         assert main(["oracle-check", "fig2", "--avg", str(bad)]) == 1
         assert "names no terminal" in capsys.readouterr().err
 
+    def test_huge_integer_value_exits_1(self, tmp_path, capsys):
+        # Too large for float(): the range check comes first.
+        avg = tmp_path / "avg.json"
+        assert main(["solve", "fig2", "--eps", "1e-2", "--save-avg", str(avg)]) == 0
+        doc = json.loads(avg.read_text())
+        real = doc["strategies"][0]["terminal_realization"]
+        real[next(iter(real))] = 10**400
+        avg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["oracle-check", "fig2", "--avg", str(avg)]) == 1
+        assert "is not a number in [0, 1]" in capsys.readouterr().err
+
     def test_repeated_side_rejected(self, tmp_path, capsys):
         avg = tmp_path / "avg.json"
         assert main(["solve", "fig2", "--eps", "1e-2", "--save-avg", str(avg)]) == 0
@@ -529,6 +543,28 @@ class TestPlumbing:
         with redirect_stdout(Closed()), redirect_stderr(err):
             assert main(["info", "fig2"]) == 1
         assert err.getvalue() == ""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_pipe_exits_1_quietly(self, unbuffered):
+        # The module run as a script, writing into a pipe whose read end
+        # is closed before the child starts.  Buffered, the text is still
+        # held when main returns, and must not fail again at exit.
+        read, write = os.pipe()
+        os.close(read)
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(tbdag.__file__).parents[1]),
+            "PYTHONUNBUFFERED": unbuffered,
+        }
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tbdag.cli", "info", "fig2"],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -87,6 +87,25 @@ def pennies():
     })
 
 
+def two_leaves():
+    # One max move to terminal 1 or terminal 2.
+    return parse_game({
+        "players": ["chance", "max", "min"],
+        "teams": {MAX: [1], MIN: [2]},
+        "root": 0,
+        "nodes": [
+            {
+                "kind": PLAYER,
+                "player": 1,
+                "infoset": "move",
+                "actions": [{"label": "l", "child": 1}, {"label": "r", "child": 2}],
+            },
+            {"kind": TERMINAL, "utility": 1.0},
+            {"kind": TERMINAL, "utility": -1.0},
+        ],
+    })
+
+
 def consistent(g, side, choice, z):
     """Whether terminal ``z`` is reachable under ``choice`` for ``side``.
 
@@ -128,6 +147,12 @@ class TestConfigValidation:
             {"max_iters": 0},
             {"log_every": 0},
             {"mode": "async"},
+            {"max_iters": 1.5},
+            {"max_iters": True},
+            {"log_every": 2.5},
+            {"log_every": True},
+            {"eps": "1e-3"},
+            {"eps": True},
         ],
     )
     def test_bad_settings_rejected(self, kw):
@@ -382,23 +407,30 @@ class TestOracle:
             assert (i in choice) == members_reached
 
     @pytest.mark.parametrize(
-        "bad, message",
+        "source, bad, message",
         [
-            ({99999: 1.0}, "names no terminal"),
-            ({"0": 1.0}, "names no terminal"),
-            ({"first": nan}, "not a number in"),
-            ({"first": inf}, "not a number in"),
-            ({"first": 1.5}, "not a number in"),
-            ({"first": -0.1}, "not a number in"),
+            ("fig2", {99999: 1.0}, "names no terminal"),
+            ("fig2", {"0": 1.0}, "names no terminal"),
+            ("fig2", {"first": nan}, "not a number in"),
+            ("fig2", {"first": inf}, "not a number in"),
+            ("fig2", {"first": 1.5}, "not a number in"),
+            ("fig2", {"first": -0.1}, "not a number in"),
+            ("fig2", {"first": "0.5"}, "not a number in"),
+            ("fig2", {"first": b"1"}, "not a number in"),
+            ("fig2", {"first": True}, "not a number in"),
+            # True == 1, and node 1 of this game is a terminal.
+            ("two-leaves", {True: 1.0}, "names no terminal"),
         ],
-        ids=["key-99999", "key-str", "nan", "inf", "above-1", "negative"],
+        ids=["key-99999", "key-str", "nan", "inf", "above-1", "negative",
+             "value-str", "value-bytes", "value-bool", "key-bool"],
     )
-    def test_library_entry_points_check_realizations(self, bad, message):
-        g = game("fig2")
+    def test_library_entry_points_check_realizations(self, source, bad, message):
+        g = two_leaves() if source == "two-leaves" else game(source)
         dag = build_tbdag(g, MAX)
-        real = {z: 0.5 for z in g.terminals}
-        for key, p in bad.items():
-            real[g.terminals[0] if key == "first" else key] = p
+        bad = {g.terminals[0] if k == "first" else k: p for k, p in bad.items()}
+        # A bad key equal to a terminal id (True == 1) takes that entry's place.
+        real = {z: 0.5 for z in g.terminals if z not in bad}
+        real.update(bad)
         with pytest.raises(GameValidationError, match=message):
             enumeration_oracle(g, MAX, real)
         with pytest.raises(GameValidationError, match=message):
