@@ -16,6 +16,7 @@ machinery, and must reproduce the DAG best-response values.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -80,6 +81,8 @@ class SolveConfig:
             raise GameValidationError(f"eps must be a number, not {self.eps!r}")
         if not self.eps > 0:
             raise GameValidationError("eps must be positive")
+        if self.eps == math.inf:
+            raise GameValidationError("eps must be finite, not inf")
         for name in ("max_iters", "log_every"):
             value = getattr(self, name)
             if not _is_id(value):
@@ -400,16 +403,19 @@ def enumeration_oracle(
     Walks assignments over the side's infosets depth by depth, branching
     only at infosets its own earlier choices keep reachable; the nodes
     the choices so far still reach are carried as a bitset over node
-    ids, and each depth group is evaluated once per set of alive
-    members.  A strategy's value is the sum of the weights of the
-    terminals it reaches, kept exact: every weight is an integer over
-    one power-of-two denominator, and each choice adds the weights it
+    ids.  A strategy's value is the sum of the weights of the terminals
+    it reaches, kept exact: every weight is an integer over one
+    power-of-two denominator, and each choice adds the weights it
     settles.  The returned value is that exact sum correctly rounded
     (as ``math.fsum`` of the weights would give), and ties go to the
-    first strategy in search order.  Returns the best value and the
-    argmax assignment (unreached infosets omitted — that is the reduced
-    form).  Independent of all DAG machinery by design, which is what
-    makes it a certificate.
+    first strategy in search order.  The search below a depth group
+    depends only on the group and the alive nodes from it on, so each
+    such state is searched once, kept as a strategy count and records:
+    the strategies exactly better than all before them.  The first one
+    to round to the best value is a record, as rounding is monotone.
+    Returns the best value and the argmax assignment (unreached infosets
+    omitted — that is the reduced form).  Independent of all DAG
+    machinery by design, which is what makes it a certificate.
     """
     check_side(side)
     check_budget("reduced pure-strategy budget", budget)
@@ -461,81 +467,94 @@ def enumeration_oracle(
     level = {i: g.depth[g.infosets[i].members[0]] for i in members}
     by_level = sorted(level, key=lambda i: (level[i], i))
     groups = [list(grp) for _, grp in itertools.groupby(by_level, level.get)]
-    # memo[gi]: alive members of group gi -> (live, gains, ok rows).  The
-    # gains follow the realization, so the memo lasts one call.
     group_mask = [sum(members[i] for i in grp) for grp in groups]
-    memo: list[dict[int, tuple]] = [{} for _ in groups]
+    # suffix[gi]: the members of groups gi on, all the search below reads
+    # (the groups are disjoint, so their sum is their union).
+    suffix = [*itertools.accumulate(group_mask[::-1], initial=0)][::-1]
+    # states[gi]: alive members of groups gi on -> (leaf count, records)
+    # of the search below.  It and choices follow the realization, so
+    # they last one call.
+    states: list[dict[int, tuple]] = [{} for _ in suffix]
+    count = 0  # leaves counted so far, in search order
+    top = -math.inf  # the exact value of the best of them
 
-    best_value = -math.inf
-    best_acc: int | float = -math.inf
-    best_assign: dict[int, int] = {}
-    count = 0
-    frames: list = []  # (live infosets, action indices) per group above
+    @functools.cache
+    def choices(i: int, live: int) -> list[tuple]:
+        # ((i, action), ok row, gain) per action of i, live its alive members.
+        sums = map(sum, zip(*(r for b, r in gains[i] if live & b)))
+        return [((i, a), o, s) for a, (o, s) in enumerate(zip(ok[i], sums))]
 
-    def rec(gi: int, alive: int, acc: int, depth: int) -> None:
-        # acc is the exact value of the terminals the choices so far
-        # have settled for good; depth is that of the last group that
-        # branched.
-        nonlocal count, best_value, best_acc, best_assign
-        live, sums, oks = [], [], []
-        while not live and gi < len(groups):
-            key = alive & group_mask[gi]
-            if key not in memo[gi]:
-                live = [i for i in groups[gi] if key & members[i]]
-                rows = [[r for b, r in gains[i] if key & b] for i in live]
-                sums = [tuple(map(sum, zip(*r))) for r in rows]
-                memo[gi][key] = live, sums, [ok[i] for i in live]
-            live, sums, oks = memo[gi][key]
-            gi += 1
-        depth = level[live[0]] if live else depth
-        if gi < len(groups):
-            # An odometer walks the combos in product order; kept[t] and
-            # tot[t] fold in the choices before t, so a step redoes t on.
-            idx = [0] * len(live)
-            kept, tot = [alive] * (len(live) + 1), [acc] * (len(live) + 1)
-            frames.append((live, idx))
-            t = 0
-            while t >= 0:
-                for t in range(t, len(live)):
-                    kept[t + 1] = kept[t] & oks[t][idx[t]]
-                    tot[t + 1] = tot[t] + sums[t][idx[t]]
-                rec(gi, kept[-1], tot[-1], depth)
-                while t >= 0:
-                    idx[t] = (idx[t] + 1) % len(sums[t])
-                    if idx[t]:
-                        break
-                    t -= 1
-            frames.pop()
-            return
-        # No group is left after this one, so its combos (or the one
-        # empty combo) are leaves, scored in place.  Int true division
-        # rounds correctly and rounding is monotone, so a leaf no better
-        # than best_acc cannot beat best_value.
-        left = budget - count - 1  # leaf k here is leaf count + k + 1
-        for k, combo in enumerate(itertools.product(*sums)):
-            if k > left:
-                raise BudgetExceededError(
-                    f"more than {budget} reduced pure strategies "
-                    f"(expanding the infoset group at depth {depth}; "
-                    f"best value so far {best_value:.12g})"
-                )
-            tot = acc + sum(combo)
-            if tot > best_acc:
-                v = tot / den
-                if v > best_value:
-                    best_value, best_acc = v, tot
-                    best_assign = {i: a for f in frames for i, a in zip(*f)}
-                    best_assign.update(zip(live, _unrank(k, sums)))
-        count += math.prod(len(s) for s in sums)
+    def rec(gi: int, alive: int, acc: int, depth: int) -> tuple:
+        # The leaf count and records of the search below: each record is
+        # a leaf's exact value (less acc) that beats every leaf before it,
+        # with its (infoset, action) pairs.  acc is the exact value the
+        # choices so far have settled for good; depth is that of the last
+        # group that branched.
+        nonlocal count, top
+        key = alive & suffix[gi]
+        hit = states[gi].get(key)
+        if hit and count + hit[0] <= budget:
+            count += hit[0]
+            n, recs = hit
+        else:
+            # Expand the state: new, or a repeat the budget ends inside.
+            start, opts = gi, []
+            while not opts and gi < len(groups):
+                opts = [
+                    choices(i, live)
+                    for i in groups[gi] if (live := alive & members[i])
+                ]
+                gi += 1
+            depth = level[groups[gi - 1][0]] if opts else depth
+            if gi < len(groups):
+                n, recs = 0, []
+                combos = functools.reduce(_fold, opts, [(alive, 0, ())])
+                for kept, gain, pairs in combos:
+                    m, below = rec(gi, kept, acc + gain, depth)
+                    n += m
+                    if not recs or gain + below[-1][0] > recs[-1][0]:
+                        _extend(recs, gain, pairs, below)
+            else:
+                # The last group's choices add independently, so the
+                # records of its infosets t on extend those of t + 1 on.
+                n = math.prod(map(len, opts))
+                if count + n > budget:
+                    leaves = functools.reduce(_fold, opts, [(0, 0, ())])
+                    for _, v, _ in itertools.islice(leaves, int(budget - count)):
+                        top = max(top, acc + v)
+                    raise BudgetExceededError(
+                        f"more than {budget} reduced pure strategies "
+                        f"(expanding the infoset group at depth {depth}; "
+                        f"best value so far {top / den:.12g})"
+                    )
+                count += n
+                recs = [(0, ())]
+                for row in reversed(opts):
+                    recs, later = [], recs
+                    for pair, _, s in row:
+                        _extend(recs, s, (pair,), later)
+            states[start][key] = n, recs
+        top = max(top, acc + recs[-1][0])
+        return n, recs
 
-    rec(0, full, settled[g.root], 0)
-    return best_value, best_assign
+    acc = settled[g.root]
+    _, recs = rec(0, full, acc, 0)
+    # Int true division rounds correctly: best is the best exact value
+    # rounded, and its first record is the first plan rounding to it.
+    best = top / den
+    return best, dict(next(p for v, p in recs if (acc + v) / den == best))
 
 
-def _unrank(k: int, lists: list[list]) -> list[int]:
-    """Indices of the ``k``-th tuple of ``itertools.product(*lists)``."""
-    out = []
-    for s in reversed(lists):
-        k, a = divmod(k, len(s))
-        out.append(a)
-    return out[::-1]
+def _fold(combos, row):
+    """Each of ``combos`` (kept nodes, gain, pairs) extended by each
+    action of ``row``, lazily, in ``itertools.product`` order."""
+    return ((k & o, v + s, p + (pair,))
+            for k, v, p in combos for pair, o, s in row)
+
+
+def _extend(recs: list, gain: int, pairs: tuple, later: list) -> None:
+    """Append to ``recs`` each record of a later run of leaves that beats
+    every leaf before it, shifted by ``gain`` and led by ``pairs``."""
+    for v, tail in later:
+        if not recs or gain + v > recs[-1][0]:
+            recs.append((gain + v, pairs + tail))

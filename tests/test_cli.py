@@ -440,6 +440,18 @@ class TestFlagChecks:
         assert out == ""
         assert "tol must be finite and non-negative" in err
 
+    @pytest.mark.parametrize(
+        "eps, message",
+        [("inf", "eps must be finite, not inf"), ("nan", "eps must be positive")],
+    )
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_bad_eps_exits_1(self, command, eps, message, capsys):
+        argv = ["solve", "2K3"] if command == "solve" else ["bench", "--games", "2K3"]
+        assert main([*argv, "--eps", eps]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestBudgetFlag:
     # Every --budget parses the same way: 1e5 and inf are accepted by

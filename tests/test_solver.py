@@ -1,5 +1,6 @@
 """Solver loop, cross-side utility assembly, and the enumeration oracle."""
 
+from fractions import Fraction
 from functools import lru_cache
 from importlib import import_module
 from itertools import groupby, product
@@ -106,6 +107,37 @@ def two_leaves():
     })
 
 
+def two_guesses():
+    # One max move, l or r, then a min guess between two terminals that
+    # each pay max 1.
+    def guess(first):
+        return {
+            "kind": PLAYER,
+            "player": 2,
+            "infoset": f"guess after {'lr'[first > 3]}",
+            "actions": [
+                {"label": "a", "child": first},
+                {"label": "b", "child": first + 1},
+            ],
+        }
+
+    return parse_game({
+        "players": ["chance", "max", "min"],
+        "teams": {MAX: [1], MIN: [2]},
+        "root": 0,
+        "nodes": [
+            {
+                "kind": PLAYER,
+                "player": 1,
+                "infoset": "move",
+                "actions": [{"label": "l", "child": 1}, {"label": "r", "child": 2}],
+            },
+            guess(3),
+            guess(5),
+        ] + [{"kind": TERMINAL, "utility": 1.0}] * 4,
+    })
+
+
 def consistent(g, side, choice, z):
     """Whether terminal ``z`` is reachable under ``choice`` for ``side``.
 
@@ -153,11 +185,27 @@ class TestConfigValidation:
             {"log_every": True},
             {"eps": "1e-3"},
             {"eps": True},
+            {"eps": inf},
         ],
     )
     def test_bad_settings_rejected(self, kw):
         with pytest.raises(GameValidationError):
             SolveConfig(**kw)
+
+    @pytest.mark.parametrize(
+        "eps, message",
+        [
+            (inf, "eps must be finite, not inf"),
+            (nan, "eps must be positive"),
+            (0.0, "eps must be positive"),
+            (-1.0, "eps must be positive"),
+        ],
+    )
+    def test_eps_must_be_a_finite_positive_target(self, eps, message):
+        # Any gap meets an infinite target, so it would certify nothing.
+        with pytest.raises(GameValidationError) as err:
+            SolveConfig(eps=eps)
+        assert str(err.value) == message
 
 
 class TestSolve:
@@ -701,6 +749,85 @@ class TestOracleAgainstReference:
             reference_oracle, g, MAX, reals[MIN], budget
         )
         assert isinstance(outcome, str) == (budget < 17_080)
+
+    # The abort messages of the max sides of 3K3[1] (352,144 reduced
+    # pure strategies) and 3K3[3] (17,080) at the first solver iterate,
+    # recorded before the oracle memoized its search states: about
+    # twenty budgets spread over each leaf count, then the count less
+    # one, the count, and one more.  Most aborts fall inside a state the
+    # search has met before.  ``None`` marks a budget the search fits.
+    ABORTS = [
+        ('3K3[1]', 1, 'more than 1 reduced pure strategies (expanding the infoset group at depth 3; best value so far 0)'),
+        ('3K3[1]', 17_607, 'more than 17607 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.583333333333)'),
+        ('3K3[1]', 35_214, 'more than 35214 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.583333333333)'),
+        ('3K3[1]', 52_821, 'more than 52821 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.583333333333)'),
+        ('3K3[1]', 70_428, 'more than 70428 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.583333333333)'),
+        ('3K3[1]', 88_036, 'more than 88036 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.583333333333)'),
+        ('3K3[1]', 105_643, 'more than 105643 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.583333333333)'),
+        ('3K3[1]', 123_250, 'more than 123250 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.583333333333)'),
+        ('3K3[1]', 140_857, 'more than 140857 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[1]', 158_464, 'more than 158464 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[1]', 176_072, 'more than 176072 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[1]', 193_679, 'more than 193679 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[1]', 211_286, 'more than 211286 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[1]', 228_893, 'more than 228893 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[1]', 246_500, 'more than 246500 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[1]', 264_108, 'more than 264108 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[1]', 281_715, 'more than 281715 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[1]', 299_322, 'more than 299322 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[1]', 316_929, 'more than 316929 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[1]', 334_536, 'more than 334536 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[1]', 352_143, 'more than 352143 reduced pure strategies (expanding the infoset group at depth 3; best value so far 0.666666666667)'),
+        ('3K3[1]', 352_144, None),
+        ('3K3[1]', 352_145, None),
+        ('3K3[3]', 1, 'more than 1 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0)'),
+        ('3K3[3]', 854, 'more than 854 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.416666666667)'),
+        ('3K3[3]', 1_708, 'more than 1708 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.5)'),
+        ('3K3[3]', 2_562, 'more than 2562 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.5)'),
+        ('3K3[3]', 3_416, 'more than 3416 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.5)'),
+        ('3K3[3]', 4_270, 'more than 4270 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.5)'),
+        ('3K3[3]', 5_124, 'more than 5124 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[3]', 5_978, 'more than 5978 reduced pure strategies (expanding the infoset group at depth 4; best value so far 0.666666666667)'),
+        ('3K3[3]', 6_832, 'more than 6832 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[3]', 7_686, 'more than 7686 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[3]', 8_540, 'more than 8540 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[3]', 9_394, 'more than 9394 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[3]', 10_248, 'more than 10248 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[3]', 11_102, 'more than 11102 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[3]', 11_956, 'more than 11956 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[3]', 12_810, 'more than 12810 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[3]', 13_664, 'more than 13664 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[3]', 14_518, 'more than 14518 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[3]', 15_372, 'more than 15372 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[3]', 16_226, 'more than 16226 reduced pure strategies (expanding the infoset group at depth 5; best value so far 0.666666666667)'),
+        ('3K3[3]', 17_079, 'more than 17079 reduced pure strategies (expanding the infoset group at depth 2; best value so far 0.666666666667)'),
+        ('3K3[3]', 17_080, None),
+        ('3K3[3]', 17_081, None),
+    ]
+
+    @pytest.mark.parametrize(
+        "name, budget, message", ABORTS, ids=[f"{n}-{b}" for n, b, _ in ABORTS]
+    )
+    def test_budget_abort_inside_repeated_states(self, name, budget, message):
+        g = game(name)
+        _, reals = uniform_realizations(name)
+        outcome = oracle_outcome(enumeration_oracle, g, MAX, reals[MIN], budget)
+        if message is None:
+            assert outcome == oracle_outcome(
+                enumeration_oracle, g, MAX, reals[MIN], 10**7
+            )
+        else:
+            assert outcome == message
+
+    def test_ties_go_to_the_first_plan_in_search_order(self):
+        # The right plan's exact sum 1 + 2**-59 is the larger, but both
+        # sums are within half an ulp of 1.0 and round to it, so the
+        # left plan, first in search order, is the best response.
+        g = two_guesses()
+        real = dict(zip(g.terminals, [1.0, 2.0**-60, 1.0, 2.0**-59]))
+        assert Fraction(1) + Fraction(2)**-60 < Fraction(1) + Fraction(2)**-59
+        for oracle in (enumeration_oracle, reference_oracle):
+            assert oracle(g, MAX, real) == (1.0, {g.infoset[g.root]: 0})
 
 
 def stop_or_go_chain(levels):
