@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from numbers import Real
@@ -507,9 +508,11 @@ def enumeration_oracle(
                 gi += 1
             depth = level[groups[gi - 1][0]] if opts else depth
             if gi < len(groups):
-                n, recs = 0, []
-                combos = functools.reduce(_fold, opts, [(alive, 0, ())])
-                for kept, gain, pairs in combos:
+                n, recs = 0, []  # combos fold flat: no stack per infoset
+                for combo in itertools.product(*opts):
+                    pairs, oks, sums = zip(*combo)
+                    kept = functools.reduce(operator.and_, oks, alive)
+                    gain = sum(sums)
                     m, below = rec(gi, kept, acc + gain, depth)
                     n += m
                     if not recs or gain + below[-1][0] > recs[-1][0]:
@@ -519,9 +522,9 @@ def enumeration_oracle(
                 # records of its infosets t on extend those of t + 1 on.
                 n = math.prod(map(len, opts))
                 if count + n > budget:
-                    leaves = functools.reduce(_fold, opts, [(0, 0, ())])
-                    for _, v, _ in itertools.islice(leaves, int(budget - count)):
-                        top = max(top, acc + v)
+                    leaves = itertools.product(*opts)
+                    for combo in itertools.islice(leaves, int(budget - count)):
+                        top = max(top, acc + sum(s for _, _, s in combo))
                     raise BudgetExceededError(
                         f"more than {budget} reduced pure strategies "
                         f"(expanding the infoset group at depth {depth}; "
@@ -543,13 +546,6 @@ def enumeration_oracle(
     # rounded, and its first record is the first plan rounding to it.
     best = top / den
     return best, dict(next(p for v, p in recs if (acc + v) / den == best))
-
-
-def _fold(combos, row):
-    """Each of ``combos`` (kept nodes, gain, pairs) extended by each
-    action of ``row``, lazily, in ``itertools.product`` order."""
-    return ((k & o, v + s, p + (pair,))
-            for k, v, p in combos for pair, o, s in row)
 
 
 def _extend(recs: list, gain: int, pairs: tuple, later: list) -> None:

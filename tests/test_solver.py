@@ -861,3 +861,61 @@ def test_oracle_stack_grows_by_one_frame_per_group():
     value, choice = enumeration_oracle(g, MAX, {z: 1.0 for z in g.terminals})
     assert value == 1.0
     assert choice == {i: 1 for i in g.side_infosets(MAX)}
+
+
+def wide_group(width, deep):
+    """A chance root over ``width`` one-node infosets of player 1 at
+    depth 1, each choosing to stop or go; going at the last ``deep`` of
+    them reaches a further infoset of two actions at depth 2."""
+    records = [{"kind": CHANCE, "actions": []}]
+
+    def add(record):
+        records.append(record)
+        return len(records) - 1
+
+    def terminal(u):
+        return add({"kind": TERMINAL, "utility": u})
+
+    for k in range(width):
+        node = add({"kind": PLAYER, "player": 1, "infoset": f"wide {k}"})
+        records[0]["actions"].append(
+            {"label": f"c{k}", "child": node, "prob": f"1/{width}"}
+        )
+        if k >= width - deep:
+            go = add({"kind": PLAYER, "player": 1, "infoset": f"deep {k}"})
+            records[go]["actions"] = [
+                {"label": a, "child": terminal((k + j) % 4)}
+                for j, a in enumerate("lr")
+            ]
+        else:
+            go = terminal(k % 5 / 2)
+        records[node]["actions"] = [
+            {"label": "stop", "child": terminal(k % 3)},
+            {"label": "go", "child": go},
+        ]
+    return parse_game({
+        "players": ["chance", "p1", "p2"],
+        "teams": {MAX: [1], MIN: [2]},
+        "root": 0,
+        "nodes": records,
+    })
+
+
+@pytest.mark.parametrize("deep, budget, best", [
+    (0, 7, "1.00125"),
+    (0, 1000, "1.00333333333"),
+    (3, 7, "1.00166666667"),
+    (3, 1000, "1.00625"),
+], ids=["leaf-7", "leaf-1000", "branching-7", "branching-1000"])
+def test_budget_abort_in_a_group_of_1200_infosets(deep, budget, best):
+    # A group's combos take no stack per infoset: 1,200 live infosets in
+    # one group, the leaf group or one that branches, abort on the budget
+    # under the default recursion limit with the usual message.
+    g = wide_group(1200, deep)
+    message = (
+        f"more than {budget} reduced pure strategies (expanding the "
+        f"infoset group at depth {1 + (deep > 0)}; best value so far {best})"
+    )
+    with pytest.raises(BudgetExceededError) as err:
+        enumeration_oracle(g, MAX, {z: 1.0 for z in g.terminals}, budget)
+    assert str(err.value) == message
