@@ -122,12 +122,19 @@ class BeliefGame:
 
 
 def _unique_labels(labels: list[str]) -> list[str]:
-    seen: dict[str, int] = {}
+    """``labels`` with each repeat renamed ``lab#n``, at the first free
+    ``n`` from 2 on (a label may itself read ``lab#n``)."""
+    last: dict[str, int] = {}
+    taken: set[str] = set()
     out = []
     for lab in labels:
-        n = seen.get(lab, 0)
-        seen[lab] = n + 1
-        out.append(lab if n == 0 else f"{lab}#{n + 1}")
+        n, new = last.get(lab, 1), lab
+        while new in taken:
+            n += 1
+            new = f"{lab}#{n}"
+        last[lab] = n
+        taken.add(new)
+        out.append(new)
     return out
 
 

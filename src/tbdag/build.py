@@ -20,10 +20,12 @@ exponentially larger on some games).
 Reduction (``reduce=True``) removes redundancy without changing the
 strategy polytope.  While expanding, terminals sharing the side's
 action history keep a single representative (their realization weights
-are always equal); afterwards, sections left with no terminal below are
-dropped, and pass-through decision points with one parent and one
-action are spliced out.  On a perfect-recall side this collapses the
-DAG to the classic sequence form.
+are always equal).  Two passes then read only the child and payload
+lists: the prune visits beliefs deepest first, dropping sections left
+with no terminal below and counting each survivor's parents, and the
+splice removes, in id order, the non-root decision points with one
+counted parent and one action.  On a perfect-recall side this
+collapses the DAG to the classic sequence form.
 """
 
 from __future__ import annotations
@@ -157,7 +159,8 @@ class _Workspace:
     """Mutable belief-DAG under construction (payload lists hold slots).
 
     The observation points of one decision point are numbered
-    consecutively, in prescription order, when it is expanded.
+    consecutively, in prescription order, when it is expanded.  A
+    decision point is live while it has actions.
     ``edges`` counts the raw edges expanded so far, for the budget.
 
     Terminals are grouped by ``slot_key`` (the coordinator sequence id
@@ -170,9 +173,6 @@ class _Workspace:
         self.dec_isets: list[tuple[int, ...]] = []
         self.dec_actions: list[list[int]] = []
         self.dec_prescr: list[list[tuple[int, ...]]] = []
-        self.dec_parents: list[list[int]] = []
-        self.dec_alive: list[bool] = []
-        self.obs_parent: list[int] = []
         self.obs_children: list[list[int]] = []
         self.obs_payload: list[list[int]] = []
         self.dedup_hits = 0
@@ -181,13 +181,11 @@ class _Workspace:
         self.groups: list[list[int]] = []
         self.slot_by_key: dict[int, int] = {}
 
-    def new_dec(self, belief, isets):
+    def new_dec(self, belief):
         self.dec_belief.append(belief)
-        self.dec_isets.append(isets)
+        self.dec_isets.append(())
         self.dec_actions.append([])
         self.dec_prescr.append([])
-        self.dec_parents.append([])
-        self.dec_alive.append(True)
         return len(self.dec_belief) - 1
 
     def first_reach(self, z):
@@ -293,12 +291,11 @@ def _expand(ws, g, analysis, split_parts, d, budget, memo, queue):
     # Every prescription gets one observation point, numbered on from
     # the last one.
     prescrs = list(step.prescriptions())
-    o = len(ws.obs_parent)
+    obs_children, obs_payload = ws.obs_children, ws.obs_payload
+    o = len(obs_children)
     ws.dec_prescr[d] = prescrs
     ws.dec_actions[d] = list(range(o, o + n_prescr))
-    ws.obs_parent += [d] * n_prescr
-    obs_children, obs_payload = ws.obs_children, ws.obs_payload
-    dec_parents, new_dec, kind = ws.dec_parents, ws.new_dec, g.kind
+    new_dec, kind = ws.new_dec, g.kind
     candidates = step.candidates
     first_reach = ws.first_reach
     dedup_hits = 0
@@ -322,7 +319,7 @@ def _expand(ws, g, analysis, split_parts, d, budget, memo, queue):
                         memo[part] = ~s
                         pay.append(s)
                     continue
-                child = memo[part] = new_dec(part, ())
+                child = memo[part] = new_dec(part)
                 queue.append(child)
             elif child < 0:
                 if child != _JOINED:
@@ -331,10 +328,8 @@ def _expand(ws, g, analysis, split_parts, d, budget, memo, queue):
             else:
                 dedup_hits += 1
             kids.append(child)
-            dec_parents[child].append(o)
         obs_children.append(kids)
         obs_payload.append(pay)
-        o += 1
         if edges > budget:
             raise BudgetExceededError(
                 f"edge budget {budget} exceeded "
@@ -344,70 +339,49 @@ def _expand(ws, g, analysis, split_parts, d, budget, memo, queue):
     ws.dedup_hits += dedup_hits
 
 
-def _prune_dead(ws):
-    """Drop observation points with nothing below, cascading upward.
+def _prune_dead(ws, depth):
+    """Drop the sections with no payload below, in one pass.
 
-    A worklist of empty observation points drives the cascade; the
-    surviving actions and children keep their order, so the result is
-    the fixpoint of removing empty points one at a time.
+    Decision points are visited deepest belief first (ids follow
+    discovery order, and a memo hit can give a point a parent created
+    after it), so each child is settled before its parents read it.  An
+    action keeps its live children, in order, and survives if one is
+    left or it has a payload; a point with no action left is dead.
+    Returns each point's count of parents and its last parent.
     """
     obs_children, obs_payload = ws.obs_children, ws.obs_payload
-    obs_parent = ws.obs_parent
-    obs_alive = [True] * len(obs_parent)
-    dec_actions, dec_alive, dec_parents = (
-        ws.dec_actions, ws.dec_alive, ws.dec_parents
-    )
-    n_kids = list(map(len, obs_children))
-    n_acts = list(map(len, dec_actions))
-    work = [
-        o for o in range(len(obs_parent))
-        if not n_kids[o] and not obs_payload[o]
-    ]
-    thinned_dec: set[int] = set()  # lost an action
-    thinned_obs: set[int] = set()  # lost a child
-    while work:
-        o = work.pop()
-        obs_alive[o] = False
-        d = obs_parent[o]
-        thinned_dec.add(d)
-        n_acts[d] -= 1
-        if n_acts[d]:
-            continue
-        dec_alive[d] = False
-        for po in dec_parents[d]:
-            thinned_obs.add(po)
-            n_kids[po] -= 1
-            if not n_kids[po] and not obs_payload[po]:
-                work.append(po)
-    for d in thinned_dec:
-        if dec_alive[d]:
-            acts, prescr = dec_actions[d], ws.dec_prescr[d]
-            keep = [i for i, o in enumerate(acts) if obs_alive[o]]
-            dec_actions[d] = [acts[i] for i in keep]
-            ws.dec_prescr[d] = [prescr[i] for i in keep]
-    for o in thinned_obs:
-        if obs_alive[o]:
-            obs_children[o] = [c for c in obs_children[o] if dec_alive[c]]
+    acts_of, prescr_of, beliefs = ws.dec_actions, ws.dec_prescr, ws.dec_belief
+    n_parents, parent = [0] * len(beliefs), [-1] * len(beliefs)
+    for d in sorted(range(len(beliefs)), key=lambda d: -depth[beliefs[d][0]]):
+        acts, keep = acts_of[d], []
+        for i, o in enumerate(acts):
+            kids = obs_children[o] = [c for c in obs_children[o] if acts_of[c]]
+            if kids or obs_payload[o]:
+                keep.append(i)
+                for c in kids:
+                    n_parents[c] += 1
+                    parent[c] = o
+        if len(keep) < len(acts):
+            acts_of[d] = [acts[i] for i in keep]
+            prescr_of[d] = [prescr_of[d][i] for i in keep]
+    return n_parents, parent
 
 
-def _splice_passthrough(ws, root_dec):
+def _splice_passthrough(ws, root_dec, n_parents, parent):
     """Remove non-root decision points with one parent and one action,
-    attaching the grandchildren straight to the parent observation."""
-    for d in range(len(ws.dec_belief)):
-        if not ws.dec_alive[d] or d == root_dec:
+    attaching the grandchildren straight to the parent observation,
+    which becomes their recorded parent (their counts do not change)."""
+    obs_children, obs_payload = ws.obs_children, ws.obs_payload
+    for d, acts in enumerate(ws.dec_actions):
+        if d == root_dec or n_parents[d] != 1 or len(acts) != 1:
             continue
-        if len(ws.dec_parents[d]) != 1 or len(ws.dec_actions[d]) != 1:
-            continue
-        po = ws.dec_parents[d][0]
-        o = ws.dec_actions[d][0]
-        ws.dec_alive[d] = False
-        ws.obs_children[po].remove(d)
-        for child in ws.obs_children[o]:
-            ws.obs_children[po].append(child)
-            ws.dec_parents[child] = [
-                po if x == o else x for x in ws.dec_parents[child]
-            ]
-        ws.obs_payload[po].extend(ws.obs_payload[o])
+        po, o = parent[d], acts[0]
+        ws.dec_actions[d] = []
+        obs_children[po].remove(d)
+        obs_children[po].extend(obs_children[o])
+        for child in obs_children[o]:
+            parent[child] = po
+        obs_payload[po].extend(obs_payload[o])
 
 
 def _check_root(g: ExtensiveFormGame) -> None:
@@ -436,7 +410,7 @@ def build_tbdag(
     ws = _Workspace(analysis.view.seq_of if reduce else range(g.num_nodes))
     memo: dict[tuple[int, ...], int] = {}
     root_belief = (g.root,)
-    root_dec = memo[root_belief] = ws.new_dec(root_belief, ())
+    root_dec = memo[root_belief] = ws.new_dec(root_belief)
     queue = [root_dec]
     while queue:
         _expand(
@@ -445,9 +419,9 @@ def build_tbdag(
         )
     lap("expand")
     if reduce:
-        _prune_dead(ws)
+        n_parents, parent = _prune_dead(ws, g.depth)
         lap("prune")
-        _splice_passthrough(ws, root_dec)
+        _splice_passthrough(ws, root_dec, n_parents, parent)
         lap("splice")
     # The stats hold ``phase_ms`` itself, so the pack time lands there.
     dag = _pack(g, side, split, reduce, analysis, ws, root_dec, phase_ms)
@@ -460,15 +434,15 @@ def _pack(g, side, split, reduce, analysis, ws, root_dec, phase_ms):
     # actions, one child and payload row each after the artificial
     # root's.  The workspace's own child and payload lists are laid out
     # in that order, once, with children renumbered to the kept points.
-    alive, dec_actions = ws.dec_alive, ws.dec_actions
-    keep = [d for d in range(len(alive)) if alive[d]]
+    dec_actions = ws.dec_actions
+    keep = list(itertools.compress(range(len(dec_actions)), dec_actions))
     obs = list(
         itertools.chain.from_iterable(map(dec_actions.__getitem__, keep))
     )
     aoff = np.zeros(len(keep) + 1, dtype=np.int64)
     np.cumsum([len(dec_actions[d]) for d in keep], out=aoff[1:])
     kids, coff = csr_of([[root_dec], *map(ws.obs_children.__getitem__, obs)])
-    dec_id = np.full(len(alive), -1, dtype=np.int64)
+    dec_id = np.full(len(dec_actions), -1, dtype=np.int64)
     dec_id[keep] = np.arange(len(keep))
     problem = freeze_csr(
         side,
@@ -537,7 +511,8 @@ def check_size_bounds(dag: TbDag, analysis: GameAnalysis | None = None):
     """Verify the edge count against |H|(b+1)^(k+1); raise if violated.
 
     ``k`` is read off ``dag.k``; a given ``analysis`` is only checked.
-    Returns the ``bound``, its ``slack`` (bound over edges) and ``k``.
+    Returns the ``bound``, its ``slack`` (bound over edges, ``inf`` past
+    the float range) and ``k``.
     """
     g = dag.game
     if analysis is not None:
@@ -548,7 +523,11 @@ def check_size_bounds(dag: TbDag, analysis: GameAnalysis | None = None):
         raise GameValidationError(
             f"edge bound violated for side {dag.side}: {edges} > {bound}"
         )
-    return {"bound": bound, "slack": bound / max(edges, 1), "k": k}
+    try:
+        slack = bound / max(edges, 1)
+    except OverflowError:
+        slack = math.inf
+    return {"bound": bound, "slack": slack, "k": k}
 
 
 def count_tbdag(

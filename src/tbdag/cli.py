@@ -359,7 +359,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         lines.append(
             f"side {side} ({split}{'' if dag.reduced else ', unreduced'}): "
             f"{_size_text(detail)}; max belief {st.max_belief}, max fan-out "
-            f"{st.max_fanout}; edge bound {bounds['bound']:.0f} "
+            f"{st.max_fanout}; edge bound {bounds['bound']} "
             f"(slack {bounds['slack']:.3g})"
         )
         if args.dump_dag:

@@ -165,6 +165,36 @@ class TestConstruction:
         assert bg.game.labels[:2] == [("-",), ("-",)]
         assert bg.root_iset == {MAX: 0, MIN: 1}
 
+    def test_repeated_labels_skip_the_taken_ones(self):
+        # One belief meets I1 {a; a,b} and I2 {b,c#2; c; b,c}: the joint
+        # labels "a,b,c" come twice, and "a,b,c#2" is already a label.
+        def act(lab):
+            h = len(nodes)
+            nodes.append({"kind": PLAYER, "player": 1, "infoset": "I3",
+                          "actions": [{"label": "u", "child": h + 1},
+                                      {"label": "v", "child": h + 2}]})
+            nodes.extend([{"kind": TERMINAL, "utility": u} for u in (1, -1)])
+            return {"label": lab, "child": h}
+
+        nodes = [{"kind": CHANCE, "actions": [
+            {"label": "A", "child": 1, "prob": 0.5},
+            {"label": "B", "child": 2, "prob": 0.5},
+        ]}, None, None]
+        nodes[1] = {"kind": PLAYER, "player": 1, "infoset": "I1",
+                    "actions": [act("a"), act("a,b")]}
+        nodes[2] = {"kind": PLAYER, "player": 1, "infoset": "I2",
+                    "actions": [act(x) for x in ("b,c#2", "c", "b,c")]}
+        g = parse_game({"players": ["chance", "p1", "p2"],
+                        "teams": {"max": [1], "min": [2]},
+                        "root": 0, "nodes": nodes})
+        assert g.num_nodes == 18
+        bg = make_belief_game(g)
+        joint = [labs for labs in bg.game.labels if len(labs) == 6]
+        assert joint and all(labs == (
+            "a,b,c#2", "a,c", "a,b,c", "a,b,b,c#2", "a,b,c#3", "a,b,b,c"
+        ) for labs in joint)
+        assert_equivalent_under_sampling(g, bg, trials=20, seed=3)
+
     def test_proxies_have_perfect_recall(self):
         for name in ("fig2", "fig8", "3K3[2]"):
             bg = make_belief_game(game(name))

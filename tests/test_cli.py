@@ -127,6 +127,41 @@ class TestBuild:
             assert detail["edges"] <= detail["edge_bound"]
             assert detail["bound_slack"] > 0
 
+    def test_bound_past_the_float_range_is_printed_exactly(self, tmp_path, capsys):
+        # Chance picks a branch; each is a chain of p1 nodes in infosets
+        # I1..I700 that goes on with a0 (branch x) or a1 (branch y), the
+        # other action ending the game: k = 700.
+        nodes: list = [None]
+        starts = []
+        for go in (0, 1):
+            starts.append(len(nodes))
+            for t in range(700):
+                h = len(nodes)
+                acts = [{"label": "a0", "child": h + 1}, {"label": "a1", "child": h + 1}]
+                acts[go]["child"] = h + 2
+                nodes.append({"kind": "player", "player": 1, "infoset": f"I{t + 1}", "actions": acts})
+                nodes.append({"kind": "terminal", "utility": -1.0})
+            nodes.append({"kind": "terminal", "utility": 1.0})
+        nodes[0] = {"kind": "chance", "actions": [
+            {"label": lab, "child": h, "prob": 0.5} for lab, h in zip("xy", starts)
+        ]}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({
+            "players": ["chance", "p1", "p2"],
+            "teams": {"max": [1], "min": [2]},
+            "root": 0,
+            "nodes": nodes,
+        }))
+        assert len(nodes) == 2803
+        assert main(["build", str(path), "--side", "max"]) == 0
+        text = capsys.readouterr().out
+        code, payload = run_json(capsys, "build", str(path), "--side", "max")
+        assert code == 0
+        bound = payload["sides"]["max"]["edge_bound"]
+        assert bound > 2**1024
+        assert payload["sides"]["max"]["bound_slack"] == float("inf")
+        assert f"edge bound {bound} (slack inf)" in text
+
     def test_split_aliases_agree(self, capsys):
         _, via_alias = run_json(capsys, "build", "fig2", "--split", "obs")
         _, spelled = run_json(capsys, "build", "fig2", "--split", "observation")

@@ -173,6 +173,30 @@ class TestReduction:
                     assert tree_reached(g, side, sigma, z) == bool(want)
                 assert red_flow.terminal_flow[s] == pytest.approx(want)
 
+    # SMALL_ZOO less the three whose public-split DAG runs past a
+    # million edges.
+    FIXPOINT = tuple(
+        n for n in SMALL_ZOO if n not in ("3D2[1]", "3D2[2,3]", "fig9-C16")
+    )
+
+    @pytest.mark.parametrize("name", FIXPOINT)
+    def test_reduction_leaves_nothing_to_remove(self, name):
+        # Every observation point keeps a child or a payload, and no
+        # decision point but the root has one parent and one action.
+        g = game(name)
+        for split in ("observation", "public"):
+            for side in (MAX, MIN):
+                p = build_tbdag(g, side, split=split).problem
+                coff, kids = p.obs_coff.tolist(), p.obs_children.tolist()
+                poff, aoff = p.obs_poff.tolist(), p.dec_aoff.tolist()
+                for o in range(p.n_obs):
+                    assert coff[o + 1] > coff[o] or poff[o + 1] > poff[o]
+                (root,) = kids[coff[0]: coff[1]]
+                n_parents = np.bincount(kids, minlength=p.n_dec)
+                for d in range(p.n_dec):
+                    if d != root and n_parents[d] == 1:
+                        assert aoff[d + 1] - aoff[d] != 1, (split, side, d)
+
     def test_reduced_never_larger(self):
         for name in ("fig2", "fig8", "2K3", "3K3[2]", "3D2[1]"):
             g = game(name)
